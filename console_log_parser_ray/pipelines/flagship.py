@@ -23,6 +23,7 @@ from ..stages.scan import (
     make_scan_fn,
     make_stats_fn,
 )
+from ..state.manifests import conv_buckets
 
 
 def read_transcripts(sf_dir: str, path: str | None = None) -> "ray.data.Dataset":
@@ -32,15 +33,12 @@ def read_transcripts(sf_dir: str, path: str | None = None) -> "ray.data.Dataset"
 
 
 def add_bucket(n_buckets: int):
-    """Vectorizable conv_id -> bucket assignment (stable CRC hash)."""
-    import zlib
-
-    import pyarrow as pa
+    """conv_id -> bucket column (stable CRC hash, the runner's bucket ids)."""
 
     def fn(batch):
-        convs = batch.column("conv_id").to_pylist()
-        buckets = [zlib.crc32(c.encode()) % n_buckets for c in convs]
-        return batch.append_column("bucket", pa.array(buckets, pa.int32()))
+        return batch.append_column(
+            "bucket", conv_buckets(batch.column("conv_id"), n_buckets)
+        )
 
     return fn
 
@@ -188,36 +186,15 @@ def conv_rollup(
     """Per-conversation rollup: turns, command rows, vim sessions.
 
     Conversations never span buckets, so per-bucket groups compute the
-    per-conversation aggregates with one vectorized pandas groupby per
-    bucket instead of one task per conversation."""
-    import pyarrow as pa
-
-    def rollup(tbl: pa.Table) -> pa.Table:
-        df = tbl.select(
-            ["conv_id", "cmd_count", "vim_session_id"]
-        ).to_pandas()
-        g = df.groupby("conv_id", sort=False)
-        out = g.agg(
-            n_turns=("cmd_count", "size"),
-            n_cmds=("cmd_count", "max"),
-        )
-        vim = df[df["vim_session_id"] >= 0].groupby("conv_id", sort=False)[
-            "vim_session_id"
-        ].nunique()
-        out["n_vim_sessions"] = vim.reindex(out.index).fillna(0).astype("int64")
-        out = out.reset_index()
-        return pa.table(
-            {
-                "conv_id": pa.array(out["conv_id"], pa.string()),
-                "n_turns": pa.array(out["n_turns"], pa.int64()),
-                "n_cmds": pa.array(out["n_cmds"], pa.int64()),
-                "n_vim_sessions": pa.array(out["n_vim_sessions"], pa.int64()),
-            }
-        )
+    per-conversation aggregates with one vectorized group_by per bucket
+    instead of one task per conversation."""
+    from .run import conv_rollup_table
 
     if "bucket" in (parsed.schema().names or []):
         return parsed.groupby("bucket").map_groups(
-            rollup, batch_format="pyarrow"
+            conv_rollup_table, batch_format="pyarrow"
         )
     bucketed = parsed.map_batches(add_bucket(n_buckets), batch_format="pyarrow")
-    return bucketed.groupby("bucket").map_groups(rollup, batch_format="pyarrow")
+    return bucketed.groupby("bucket").map_groups(
+        conv_rollup_table, batch_format="pyarrow"
+    )

@@ -1,50 +1,54 @@
 """Checkpoint-resumable flagship run: parse -> enrich -> route -> aggregate.
 
-Two physical plans share one logical pipeline:
+Two physical plans share one logical pipeline and one partition kernel,
+``process_partition``: read -> session scan -> enrich -> multi-sink
+Parquet fan-out (parsed / by_role / by_tool / vim_sessions /
+conv_rollup) -> lineage manifest commit, all inside one Ray task, so
+every partition is an independent checkpoint:
 
 * **Sharded** (input partitioned by conversation at ingest, marked with
   ``_CONV_PARTITIONED``): the input shard is the unit of work AND the
-  unit of recovery.  One Ray task per shard fuses read -> session scan
-  -> enrich -> multi-sink Parquet fan-out (parsed / by_role / by_tool /
-  vim_sessions, one directory per shard) and returns only metrics and
-  aggregate partials; the driver combines the tiny partials and commits
-  one lineage manifest per shard.  No shuffle, no re-read, and raw text
-  never crosses the object store.
+  unit of recovery.  One task per shard runs the kernel.  No shuffle,
+  no re-read, and raw text never crosses the object store.
 
 * **Bucketed** (arbitrary input): a storage scatter-gather shuffle.
   Phase 1 reads each input file once and scatters its rows into
   per-conversation-bucket staged parquet (deterministic names, atomic
-  writes -- retries are idempotent); phase 2 runs one independent task
-  per bucket fusing scan -> enrich -> all sink writes, committing its
-  own lineage manifest in-task, so every bucket is an independent
-  checkpoint.  The staged files ARE the shuffle's spill -- the same
-  externalized exchange a multi-node run would use, without the
-  sample-sort barrier of an in-memory groupby.  Conversations above
-  ``skew_threshold`` turns get dedicated heavy partitions parsed
-  chunk-parallel, streaming chunk ranges from storage.
+  writes -- retries are idempotent); phase 2 runs the kernel once per
+  bucket over its staged files.  The staged files ARE the shuffle's
+  spill -- the same externalized exchange a multi-node run would use,
+  without the sample-sort barrier of an in-memory groupby.
+  Conversations above ``skew_threshold`` turns get dedicated heavy
+  partitions parsed chunk-parallel, streaming chunk ranges from
+  storage; their chunks share the kernel's sink fan-out and commit.
 
 Either way, a restarted run skips committed partitions, wipes
 uncommitted partial output first, and re-runs only the remainder --
-sinks are exactly-once at partition granularity.
+sinks are exactly-once at partition granularity.  The aggregates and
+``routed_rows`` come from ALL committed manifests, so a resumed run
+reports the same totals as a clean one.
 """
 
 from __future__ import annotations
 
-import json
+import collections
 import os
 
 import pyarrow as pa
 import pyarrow.compute as pc
+import pyarrow.parquet as pq
 
 from ..stages.enrich import EnrichConfig, EnrichTurns
+from ..stages.scan import scan_bucket_table
 from ..state import manifests as M
+
+_INPUT_COLUMNS = ["conv_id", "turn_idx", "text", "ts"]
 
 
 def run_flagship(
     input_path: str,
     out_dir: str,
     n_buckets: int | None = None,
-    wave_buckets: int = 16,
     cfg: EnrichConfig | None = None,
     resume: bool = True,
     skew_threshold: int | None = None,
@@ -66,7 +70,6 @@ def run_flagship(
         input_path,
         out_dir,
         n_buckets=n_buckets,
-        wave_buckets=wave_buckets,
         cfg=cfg,
         resume=resume,
         skew_threshold=skew_threshold,
@@ -74,142 +77,167 @@ def run_flagship(
 
 
 # ---------------------------------------------------------------------------
-# sharded plan
+# the partition kernel
 # ---------------------------------------------------------------------------
 
 
-def _shard_task(out_dir: str, cfg_ref):
-    """Fused per-shard worker: read, scan, enrich, write all sinks,
-    emit metrics + aggregate partials as the (tiny) output table."""
-    import pyarrow.parquet as pq
+def process_partition(
+    out_dir: str, kind: str, pid: int, paths: list, cfg_ref, lineage: dict
+):
+    """One partition, start to commit: read its input files, scan ->
+    enrich -> write every sink -> commit its manifest.  A partition
+    with no input files commits an empty manifest so resume bookkeeping
+    stays complete."""
+    enriched = None
+    sinks = {}
+    if paths:
+        tbl = pa.concat_tables(
+            [pq.read_table(p, columns=_INPUT_COLUMNS) for p in paths]
+        )
+        enriched = EnrichTurns(cfg_ref)(scan_bucket_table(tbl))
+        sinks = write_sinks(
+            out_dir,
+            kind,
+            pid,
+            [*_fan_out(enriched), ("conv_rollup", conv_rollup_table(enriched))],
+        )
+    commit_partition(out_dir, kind, pid, lineage, sinks, enriched)
 
-    from ..stages.scan import scan_bucket_table
 
-    enricher = [None]
+def _fan_out(enriched: pa.Table):
+    """(sink, table) pairs of the parsed and routed sinks; the sink name
+    is the manifest key."""
+    yield "parsed", enriched
+    for role in pc.unique(enriched.column("role")).to_pylist():
+        yield (
+            f"by_role/role={role}",
+            enriched.filter(pc.equal(enriched.column("role"), role)),
+        )
+    for sink in pc.unique(enriched.column("sink")).to_pylist():
+        yield (
+            f"by_tool/sink={sink}",
+            enriched.filter(pc.equal(enriched.column("sink"), sink)),
+        )
+    vim = enriched.filter(pc.is_valid(enriched.column("vim_text")))
+    yield "vim_sessions", vim.select(
+        ["conv_id", "turn_idx", "ts", "vim_session_id", "vim_text"]
+    )
 
-    def fn(batch: pa.Table) -> pa.Table:
-        if enricher[0] is None:
-            enricher[0] = EnrichTurns(cfg_ref)
-        out_rows = {
-            "shard": [],
-            "kind": [],
-            "k1": [],
-            "k2": [],
-            "n1": [],
-            "n2": [],
-            "n3": [],
-        }
 
-        def emit(shard, kind, k1, k2="", n1=0, n2=0, n3=0):
-            out_rows["shard"].append(shard)
-            out_rows["kind"].append(kind)
-            out_rows["k1"].append(k1)
-            out_rows["k2"].append(k2)
-            out_rows["n1"].append(n1)
-            out_rows["n2"].append(n2)
-            out_rows["n3"].append(n3)
+def write_sinks(
+    out_dir: str, kind: str, pid: int, tables, part: str = "part-00000"
+) -> dict:
+    """Write (sink, table) pairs as one partition's ``part`` file in
+    each sink; returns the manifest's ``{sink: {rows, files}}``.
 
-        for item in batch.column("path").to_pylist():
-            path = item["path"] if isinstance(item, dict) else item
-            shard = item["shard"] if isinstance(item, dict) else 0
-            tbl = pq.read_table(
-                path, columns=["conv_id", "turn_idx", "text", "ts"]
-            )
-            parsed = enricher[0](scan_bucket_table(tbl))
+    File names are deterministic per (partition, part), so a retried
+    task overwrites its own partial output instead of duplicating rows.
+    """
+    sinks = {}
+    for sink, sub in tables:
+        if sub.num_rows == 0:
+            continue
+        d = M.sink_dir(out_dir, sink, pid, kind)
+        os.makedirs(d, exist_ok=True)
+        # tmp + rename: a task re-executed after its manifest committed
+        # (lineage reconstruction) that dies mid-write must never leave
+        # a truncated file behind a committed manifest
+        _atomic_write_table(sub, os.path.join(d, part + ".parquet"))
+        sinks[sink] = {"rows": sub.num_rows, "files": [part + ".parquet"]}
+    return sinks
 
-            def write(sub, sink, part_value=None):
-                if sub.num_rows == 0:
-                    return
-                d = os.path.join(out_dir, "sinks", sink)
-                if part_value is not None:
-                    d = os.path.join(d, part_value)
-                d = os.path.join(d, f"shard={shard}")
-                os.makedirs(d, exist_ok=True)
-                # deterministic name: each (sink, shard) dir is written
-                # by exactly one task, so a retried task overwrites its
-                # own partial file instead of duplicating rows; tmp +
-                # rename so a mid-write death never leaves a truncated
-                # file behind a committed manifest
-                _atomic_write_table(
-                    sub, os.path.join(d, "part-00000.parquet")
-                )
-                emit(shard, "sink_rows",
-                     sink + ("/" + part_value if part_value else ""),
-                     "", sub.num_rows)
 
-            # primary structured sink
-            write(parsed, "parsed")
-            # routed fan-out
-            for role in pc.unique(parsed.column("role")).to_pylist():
-                sub = parsed.filter(pc.equal(parsed.column("role"), role))
-                write(sub, "by_role", f"role={role}")
-            for sink in pc.unique(parsed.column("sink")).to_pylist():
-                sub = parsed.filter(pc.equal(parsed.column("sink"), sink))
-                write(sub, "by_tool", f"sink={sink}")
-            vim = parsed.filter(pc.is_valid(parsed.column("vim_text")))
-            write(
-                vim.select(
-                    ["conv_id", "turn_idx", "ts", "vim_session_id", "vim_text"]
-                ),
-                "vim_sessions",
-            )
+def commit_partition(
+    out_dir: str, kind: str, pid: int, lineage: dict, sinks: dict, counted
+):
+    """Write the partition's lineage manifest: input lineage, rows and
+    files per sink, and the role/sink counts of ``counted`` (the
+    partition's enriched rows, or None when it has none).  Written last,
+    so a manifest exists only for a partition whose sinks are whole."""
+    has_rows = counted is not None
+    M.write_manifest(
+        out_dir,
+        pid,
+        {
+            kind: pid,
+            **lineage,
+            "sinks": sinks,
+            "role_counts": _counts(counted.column("role")) if has_rows else {},
+            "sink_counts": _counts(counted.column("sink")) if has_rows else {},
+        },
+        kind,
+    )
 
-            # aggregate partials
-            for role, n in zip(
-                *_value_counts(parsed.column("role"))
-            ):
-                emit(shard, "role_count", role, "", n)
-            for sink, n in zip(*_value_counts(parsed.column("sink"))):
-                emit(shard, "sink_count", sink, "", n)
-            df = parsed.select(
-                ["conv_id", "cmd_count", "vim_session_id"]
-            ).to_pandas()
-            g = df.groupby("conv_id", sort=False)
-            roll = g.agg(
-                n_turns=("cmd_count", "size"), n_cmds=("cmd_count", "max")
-            )
-            vimn = (
-                df[df["vim_session_id"] >= 0]
-                .groupby("conv_id", sort=False)["vim_session_id"]
-                .nunique()
-            )
-            roll["n_vim"] = vimn.reindex(roll.index).fillna(0).astype("int64")
-            # rollups are per-conversation (unbounded at scale): they go
-            # to a shard-partitioned sink like every other output, so
-            # resume cleanup and manifests cover them too
-            roll = roll.reset_index()
-            roll_tbl = pa.table(
-                {
-                    "conv_id": pa.array(roll["conv_id"], pa.string()),
-                    "n_turns": pa.array(roll["n_turns"], pa.int64()),
-                    "n_cmds": pa.array(
-                        roll["n_cmds"].astype("int64"), pa.int64()
-                    ),
-                    "n_vim_sessions": pa.array(roll["n_vim"], pa.int64()),
-                }
-            )
-            write(roll_tbl, "conv_rollup")
 
-        return pa.table(
+def conv_rollup_table(parsed: pa.Table) -> pa.Table:
+    """Per-conversation rollup rows -- turns, highest command count and
+    distinct vim sessions -- in first-appearance order of conv_id."""
+    vim = parsed.column("vim_session_id")
+    grouped = (
+        pa.table(
             {
-                "shard": pa.array(out_rows["shard"], pa.int32()),
-                "kind": pa.array(out_rows["kind"], pa.string()),
-                "k1": pa.array(out_rows["k1"], pa.string()),
-                "k2": pa.array(out_rows["k2"], pa.string()),
-                "n1": pa.array(out_rows["n1"], pa.int64()),
-                "n2": pa.array(out_rows["n2"], pa.int64()),
-                "n3": pa.array(out_rows["n3"], pa.int64()),
+                "conv_id": parsed.column("conv_id"),
+                "cmd_count": parsed.column("cmd_count"),
+                # a negative id marks a turn outside any vim session
+                "vim": pc.if_else(pc.less(vim, 0), None, vim),
+                "row": pa.array(range(parsed.num_rows), pa.int64()),
             }
         )
+        .group_by("conv_id", use_threads=False)
+        .aggregate(
+            [
+                ([], "count_all"),
+                ("cmd_count", "max"),
+                ("vim", "count_distinct"),
+                ("row", "min"),
+            ]
+        )
+        # group_by does not promise first-appearance order of its groups
+        .sort_by("row_min")
+    )
+    return pa.table(
+        {
+            "conv_id": grouped.column("conv_id"),
+            "n_turns": grouped.column("count_all"),
+            "n_cmds": pc.cast(grouped.column("cmd_count_max"), pa.int64()),
+            "n_vim_sessions": grouped.column("vim_count_distinct"),
+        }
+    )
+
+
+def _partition_task(out_dir: str, kind: str, cfg_ref):
+    """Ray Data UDF over partition items ``{pid, paths, lineage}``: runs
+    the kernel on each, committing in-task."""
+
+    def fn(batch: pa.Table) -> pa.Table:
+        pids = []
+        for item in batch.to_pylist():
+            process_partition(
+                out_dir, kind, item["pid"], item["paths"], cfg_ref,
+                item["lineage"],
+            )
+            pids.append(item["pid"])
+        return pa.table({"pid": pa.array(pids, pa.int32())})
 
     return fn
+
+
+def _run_partitions(out_dir: str, kind: str, cfg_ref, items: list):
+    """One Ray task per partition item."""
+    import ray.data
+
+    if not items:
+        return
+    ray.data.from_items(items, override_num_blocks=len(items)).map_batches(
+        _partition_task(out_dir, kind, cfg_ref),
+        batch_format="pyarrow",
+        batch_size=None,
+    ).count()
 
 
 def _atomic_write_table(tbl: pa.Table, path: str):
     """zstd parquet write via tmp + rename: readers (and resume) never
     observe a truncated file, even if the writer dies mid-write."""
-    import pyarrow.parquet as pq
-
     # dot-prefixed tmp name: pyarrow/Ray dataset discovery ignores
     # hidden files, so a crash-orphaned tmp can never pollute a read
     d, base = os.path.split(path)
@@ -228,91 +256,73 @@ def _value_counts(col):
     )
 
 
+def _counts(col) -> dict:
+    vals, ns = _value_counts(col)
+    return dict(zip(vals, ns))
+
+
+def _write_aggregates_from_manifests(out_dir: str, kind: str) -> int:
+    """Cumulative per-sink counts from ALL committed manifests of the
+    plan's partition kind (tiny): a resumed run's aggregates cover the
+    skipped partitions too.  Returns the routed (by_role) row total."""
+    role_total = collections.Counter()
+    sink_total = collections.Counter()
+    routed = 0
+    for pid in sorted(M.completed_partitions(out_dir, kind)):
+        payload = M.read_manifest(out_dir, pid, kind)
+        role_total.update(payload["role_counts"])
+        sink_total.update(payload["sink_counts"])
+        routed += sum(
+            v["rows"]
+            for k, v in payload["sinks"].items()
+            if k.startswith("by_role/")
+        )
+
+    agg_dir = os.path.join(out_dir, "aggregates")
+    os.makedirs(agg_dir, exist_ok=True)
+    for key, total in (("role", role_total), ("sink", sink_total)):
+        _atomic_write_table(
+            pa.table(
+                {
+                    key: pa.array(list(total), pa.string()),
+                    "n": pa.array(list(total.values()), pa.int64()),
+                }
+            ),
+            os.path.join(agg_dir, f"counts_by_{key}.parquet"),
+        )
+    return routed
+
+
+# ---------------------------------------------------------------------------
+# sharded plan
+# ---------------------------------------------------------------------------
+
+
 def _run_sharded(input_path, out_dir, cfg=None, resume=True):
     import glob as _g
 
     import ray
-    import ray.data
 
     os.makedirs(out_dir, exist_ok=True)
     in_files = sorted(_g.glob(os.path.join(input_path, "*.parquet")))
-    shards = {i: p for i, p in enumerate(in_files)}
     done = M.completed_partitions(out_dir, "shard") if resume else set()
-    todo = [s for s in shards if s not in done]
+    todo = [s for s in range(len(in_files)) if s not in done]
     for s in todo:
-        M.clean_partition_outputs(out_dir, "shard", s)
-    if not todo:
-        return {"partitions": len(shards), "skipped": len(done)}
-
-    cfg_ref = ray.put(cfg or EnrichConfig())
-    items = [{"path": {"path": shards[s], "shard": s}} for s in todo]
-    metrics_ds = ray.data.from_items(
-        items, override_num_blocks=len(items)
-    ).map_batches(
-        _shard_task(out_dir, cfg_ref), batch_format="pyarrow", batch_size=None
+        M.clean_partition_outputs(out_dir, s, "shard")
+    _run_partitions(
+        out_dir,
+        "shard",
+        ray.put(cfg or EnrichConfig()),
+        [
+            {"pid": s, "paths": [in_files[s]], "lineage": {"input": in_files[s]}}
+            for s in todo
+        ],
     )
-    metrics = metrics_ds.take_all()
-
-    # combine partials (counts only; rollups were written in-task)
-    by_shard_sinks = {}
-    role_counts, sink_counts = {}, {}
-    for r in metrics:
-        if r["kind"] == "sink_rows":
-            by_shard_sinks.setdefault(r["shard"], {})[r["k1"]] = {
-                "rows": r["n1"]
-            }
-        elif r["kind"] == "role_count":
-            role_counts[r["k1"]] = role_counts.get(r["k1"], 0) + r["n1"]
-        elif r["kind"] == "sink_count":
-            sink_counts[r["k1"]] = sink_counts.get(r["k1"], 0) + r["n1"]
-
-    agg_dir = os.path.join(out_dir, "aggregates")
-    os.makedirs(agg_dir, exist_ok=True)
-    _atomic_write_table(
-        pa.table(
-            {
-                "role": pa.array(list(role_counts), pa.string()),
-                "n": pa.array(list(role_counts.values()), pa.int64()),
-            }
-        ),
-        os.path.join(agg_dir, "counts_by_role.parquet"),
-    )
-    _atomic_write_table(
-        pa.table(
-            {
-                "sink": pa.array(list(sink_counts), pa.string()),
-                "n": pa.array(list(sink_counts.values()), pa.int64()),
-            }
-        ),
-        os.path.join(agg_dir, "counts_by_sink.parquet"),
-    )
-
-    # commit manifests (metrics came from the tasks; no directory walk)
-    for s in todo:
-        M.write_partition_manifest(
-            out_dir,
-            "shard",
-            s,
-            {
-                "shard": s,
-                "input": shards[s],
-                "sinks": by_shard_sinks.get(s, {}),
-            },
-        )
-    # total from ALL committed manifests, so a resumed run reports the
-    # cumulative routed rows, not just the shards it re-ran
-    routed = 0
-    for s in M.completed_partitions(out_dir, "shard"):
-        with open(M.partition_manifest_path(out_dir, "shard", s)) as fh:
-            sinks = json.load(fh).get("sinks", {})
-        routed += sum(
-            v["rows"] for k, v in sinks.items() if k.startswith("by_role/")
-        )
     return {
-        "partitions": len(shards),
+        "partitions": len(in_files),
         "ran": len(todo),
         "skipped": len(done),
-        "routed_rows": routed,
+        "routed_rows": _write_aggregates_from_manifests(out_dir, "shard"),
     }
 
 
@@ -322,28 +332,12 @@ def _run_sharded(input_path, out_dir, cfg=None, resume=True):
 
 
 def _add_bucket_and_filter(n_buckets: int, wanted: frozenset, heavy_ids=None):
-    import zlib
-
-    heavy_ids = heavy_ids or {}
     all_wanted = len(wanted) >= n_buckets and frozenset(
         range(n_buckets)
     ) <= wanted and not heavy_ids
 
     def fn(batch: pa.Table) -> pa.Table:
-        # hash only the distinct conv_ids in the batch (a batch holds
-        # whole or few conversations, so distinct << rows), then fan the
-        # bucket ids back out through the dictionary indices -- no
-        # per-row Python work
-        dic = pc.dictionary_encode(batch.column("conv_id").combine_chunks())
-        uniq = dic.dictionary.to_pylist()
-        bucket_u = pa.array(
-            [
-                heavy_ids.get(c, zlib.crc32(c.encode()) % n_buckets)
-                for c in uniq
-            ],
-            pa.int32(),
-        )
-        bucket_arr = bucket_u.take(dic.indices)
+        bucket_arr = M.conv_buckets(batch.column("conv_id"), n_buckets, heavy_ids)
         batch = batch.append_column("bucket", bucket_arr)
         if all_wanted:
             return batch
@@ -353,95 +347,6 @@ def _add_bucket_and_filter(n_buckets: int, wanted: frozenset, heavy_ids=None):
         return batch.filter(mask)
 
     return fn
-
-
-def _counts(col) -> dict:
-    vals, ns = _value_counts(col)
-    return dict(zip(vals, ns))
-
-
-def _rollup_table(parsed: pa.Table) -> pa.Table:
-    """Per-conversation rollup rows for one bucket's parsed table."""
-    df = parsed.select(["conv_id", "cmd_count", "vim_session_id"]).to_pandas()
-    g = df.groupby("conv_id", sort=False)
-    roll = g.agg(n_turns=("cmd_count", "size"), n_cmds=("cmd_count", "max"))
-    vimn = (
-        df[df["vim_session_id"] >= 0]
-        .groupby("conv_id", sort=False)["vim_session_id"]
-        .nunique()
-    )
-    roll["n_vim"] = vimn.reindex(roll.index).fillna(0).astype("int64")
-    roll = roll.reset_index()
-    return pa.table(
-        {
-            "conv_id": pa.array(roll["conv_id"], pa.string()),
-            "n_turns": pa.array(roll["n_turns"], pa.int64()),
-            "n_cmds": pa.array(roll["n_cmds"].astype("int64"), pa.int64()),
-            "n_vim_sessions": pa.array(roll["n_vim"], pa.int64()),
-        }
-    )
-
-
-def _write_bucket_outputs(
-    enriched: pa.Table, bucket: int, out_dir: str, part: str = "part-00000"
-) -> dict:
-    """Write one bucket's parsed + routed sinks; returns {sink: rows}.
-
-    File names are deterministic per (bucket, part), so a retried task
-    overwrites its own partial output instead of duplicating rows.
-    """
-    import pyarrow.parquet as pq
-
-    sinks = {}
-
-    def write(sub: pa.Table, rel: str):
-        if sub.num_rows == 0:
-            return
-        d = os.path.join(out_dir, rel, f"bucket={bucket}")
-        os.makedirs(d, exist_ok=True)
-        # tmp + rename: a task re-executed after its manifest committed
-        # (lineage reconstruction) that dies mid-write must never leave
-        # a truncated file behind a committed manifest
-        _atomic_write_table(sub, os.path.join(d, part + ".parquet"))
-        key = rel[len("sinks/"):] if rel.startswith("sinks/") else rel
-        cur = sinks.setdefault(key, {"rows": 0, "files": []})
-        cur["rows"] += sub.num_rows
-        cur["files"].append(part + ".parquet")
-
-    write(enriched, "parsed")
-    for role in pc.unique(enriched.column("role")).to_pylist():
-        write(
-            enriched.filter(pc.equal(enriched.column("role"), role)),
-            f"sinks/by_role/role={role}",
-        )
-    for sink in pc.unique(enriched.column("sink")).to_pylist():
-        write(
-            enriched.filter(pc.equal(enriched.column("sink"), sink)),
-            f"sinks/by_tool/sink={sink}",
-        )
-    vim = enriched.filter(pc.is_valid(enriched.column("vim_text")))
-    write(
-        vim.select(["conv_id", "turn_idx", "ts", "vim_session_id", "vim_text"]),
-        "sinks/vim_sessions",
-    )
-    write(_rollup_table(enriched), "sinks/conv_rollup")
-    return sinks
-
-
-def _commit_bucket(out_dir, bucket, input_path, n_buckets, sinks, parsed):
-    """Write the bucket's lineage manifest (counts + written files)."""
-    M.write_manifest(
-        out_dir,
-        bucket,
-        {
-            "bucket": bucket,
-            "input": input_path,
-            "n_buckets": n_buckets,
-            "sinks": sinks,
-            "role_counts": _counts(parsed.column("role")) if parsed.num_rows else {},
-            "sink_counts": _counts(parsed.column("sink")) if parsed.num_rows else {},
-        },
-    )
 
 
 def _scatter_task(
@@ -458,8 +363,6 @@ def _scatter_task(
     task touches only a handful of buckets -- the staged file count is
     ~#input-files x #convs-per-file, not #input-files x #buckets.
     """
-    import pyarrow.parquet as pq
-
     bucketer = _add_bucket_and_filter(n_buckets, wanted, heavy_ids)
 
     def fn(batch: pa.Table) -> pa.Table:
@@ -471,12 +374,7 @@ def _scatter_task(
             # the gather side) an order of magnitude down
             paths, idx = item["paths"], item["idx"]
             tbl = pa.concat_tables(
-                [
-                    pq.read_table(
-                        p, columns=["conv_id", "turn_idx", "text", "ts"]
-                    )
-                    for p in paths
-                ]
+                [pq.read_table(p, columns=_INPUT_COLUMNS) for p in paths]
             )
             tbl = bucketer(tbl)
             if not tbl.num_rows:
@@ -493,56 +391,6 @@ def _scatter_task(
                 )
                 touched.append(b)
         return pa.table({"bucket": pa.array(touched, pa.int32())})
-
-    return fn
-
-
-def _gather_task(
-    staging: str, out_dir: str, cfg_ref, input_path: str, n_buckets: int
-):
-    """Per-bucket gather worker (phase 2): read the bucket's staged
-    files, scan -> enrich -> fused multi-sink write -> in-task manifest
-    commit.  Committing in-task makes each bucket an independent
-    checkpoint: a run killed mid-execution resumes by skipping every
-    bucket whose manifest exists (deterministic sink file names make
-    task retries idempotent).  A bucket with no staged data commits an
-    empty manifest so resume bookkeeping stays complete."""
-    import pyarrow.parquet as pq
-
-    from ..stages.scan import scan_bucket_table
-
-    def fn(batch: pa.Table) -> pa.Table:
-        buckets, rows = [], []
-        for b in batch.column("item").to_pylist():
-            d = os.path.join(staging, f"bucket={b}")
-            if not os.path.isdir(d):
-                _commit_bucket(
-                    out_dir, b, input_path, n_buckets, {}, pa.table({})
-                )
-                buckets.append(b)
-                rows.append(0)
-                continue
-            tbl = pa.concat_tables(
-                [
-                    pq.read_table(os.path.join(d, f))
-                    for f in sorted(os.listdir(d))
-                    if f.endswith(".parquet")
-                ]
-            )
-            parsed = scan_bucket_table(tbl)
-            enriched = EnrichTurns(cfg_ref)(parsed)
-            sinks = _write_bucket_outputs(enriched, b, out_dir)
-            _commit_bucket(
-                out_dir, b, input_path, n_buckets, sinks, enriched
-            )
-            buckets.append(b)
-            rows.append(enriched.num_rows)
-        return pa.table(
-            {
-                "bucket": pa.array(buckets, pa.int32()),
-                "rows": pa.array(rows, pa.int64()),
-            }
-        )
 
     return fn
 
@@ -604,8 +452,9 @@ def _parse_giant_conversation(
        command-backfill map from the discovery positions.
     3. **Finalize tasks** (parallel): each chunk's records are shifted,
        assembled against the complete backfill map, enriched, and
-       written as that chunk's part file in every sink -- the driver
-       only combines the returned counter partials into the manifest.
+       written as that chunk's part file in every sink but the rollup.
+       The driver writes the conversation's one rollup row from the
+       returned count columns and commits the manifest.
 
     Routed sink rows land under ``bucket=<heavy id>`` so the heavy
     bucket's manifest owns them and resume stays exactly-once (a hash
@@ -621,15 +470,12 @@ def _parse_giant_conversation(
     )
     from ..vt.session import SessionScanner
 
+    lineage = {"input": input_path, "n_buckets": n_buckets}
     meta = _read_conv_range(input_path, conv_id, ["turn_idx", "ts"])
     idxs = meta.column("turn_idx").to_pylist()
     n = len(idxs)
     if n == 0:
-        _commit_bucket(
-            out_dir, bucket_id, input_path, n_buckets,
-            {}, pa.table({"role": pa.array([], pa.string()),
-                          "sink": pa.array([], pa.string())}),
-        )
+        commit_partition(out_dir, "bucket", bucket_id, lineage, {}, None)
         return
     if chunk_size is None:
         n_cpus = int(ray.cluster_resources().get("CPU", 8))
@@ -701,19 +547,13 @@ def _parse_giant_conversation(
             ),
         )
         enriched = EnrichTurns(cfg_ref)(out)
-        sinks = _write_bucket_outputs(
-            enriched, bucket_id, out_dir, part=f"part-{part_idx:05d}"
+        sinks = write_sinks(
+            out_dir, "bucket", bucket_id, _fan_out(enriched),
+            part=f"part-{part_idx:05d}",
         )
-        roll = {
-            "n_turns": len(recs),
-            "n_cmds": max((r.cmd_count for r in recs), default=0),
-            "vim_ids": {
-                r.vim_session_id for r in recs if r.vim_session_id >= 0
-            },
-            "role_counts": _counts(enriched.column("role")),
-            "sink_counts": _counts(enriched.column("sink")),
-        }
-        return sinks, roll
+        return sinks, enriched.select(
+            ["conv_id", "cmd_count", "vim_session_id", "role", "sink"]
+        )
 
     # ---- phase 2: stitch walk (sequential, bounded per boundary) ----
     cmd_map, cwd_map = {}, {}
@@ -807,61 +647,23 @@ def _parse_giant_conversation(
             )
         )
 
-    sinks_total = {}
-    agg_role, agg_sink = {}, {}
-    roll_state = {"n_turns": 0, "n_cmds": 0, "vim_ids": set()}
-    for sinks, roll in ray.get(refs):
-        for k2, v in sinks.items():
-            cur = sinks_total.setdefault(k2, {"rows": 0, "files": []})
+    sinks = {}
+    parts = ray.get(refs)
+    for chunk_sinks, _ in parts:
+        for k, v in chunk_sinks.items():
+            cur = sinks.setdefault(k, {"rows": 0, "files": []})
             cur["rows"] += v["rows"]
             cur["files"].extend(v["files"])
-        roll_state["n_turns"] += roll["n_turns"]
-        roll_state["n_cmds"] = max(roll_state["n_cmds"], roll["n_cmds"])
-        roll_state["vim_ids"] |= roll["vim_ids"]
-        for r, c in roll["role_counts"].items():
-            agg_role[r] = agg_role.get(r, 0) + c
-        for s, c in roll["sink_counts"].items():
-            agg_sink[s] = agg_sink.get(s, 0) + c
-
-    # conv-level rollup correction: per-chunk rollup rows were written
-    # incrementally; replace them with the single correct row
-    import pyarrow.parquet as pq
-
-    roll_dir = os.path.join(out_dir, "sinks", "conv_rollup", f"bucket={bucket_id}")
-    if os.path.isdir(roll_dir):
-        import shutil
-
-        shutil.rmtree(roll_dir)
-    roll_tbl = pa.table(
-        {
-            "conv_id": pa.array([conv_id], pa.string()),
-            "n_turns": pa.array([roll_state["n_turns"]], pa.int64()),
-            "n_cmds": pa.array([roll_state["n_cmds"]], pa.int64()),
-            "n_vim_sessions": pa.array(
-                [len(roll_state["vim_ids"])], pa.int64()
-            ),
-        }
+    # the rollup row covers the whole conversation, so it is written once
+    # here rather than per chunk
+    counted = pa.concat_tables([t for _, t in parts])
+    sinks.update(
+        write_sinks(
+            out_dir, "bucket", bucket_id,
+            [("conv_rollup", conv_rollup_table(counted))],
+        )
     )
-    os.makedirs(roll_dir, exist_ok=True)
-    _atomic_write_table(
-        roll_tbl, os.path.join(roll_dir, "part-00000.parquet")
-    )
-    sinks_total["conv_rollup"] = {
-        "rows": 1, "files": ["part-00000.parquet"]
-    }
-
-    M.write_manifest(
-        out_dir,
-        bucket_id,
-        {
-            "bucket": bucket_id,
-            "input": input_path,
-            "n_buckets": n_buckets,
-            "sinks": sinks_total,
-            "role_counts": agg_role,
-            "sink_counts": agg_sink,
-        },
-    )
+    commit_partition(out_dir, "bucket", bucket_id, lineage, sinks, counted)
 
 
 def find_heavy_conversations(input_path, threshold: int) -> dict:
@@ -900,7 +702,6 @@ def _run_bucketed(
     input_path,
     out_dir,
     n_buckets=None,
-    wave_buckets=None,
     cfg=None,
     resume=True,
     skew_threshold=None,
@@ -908,8 +709,8 @@ def _run_bucketed(
     """Generic-input plan: storage scatter-gather.
 
     scatter (read each input file once -> split by conv bucket ->
-    staged parquet) -> gather (one task per bucket fusing scan +
-    enrich + all sink writes + manifest commit).  No stage re-reads
+    staged parquet) -> gather (one ``process_partition`` task per
+    bucket over its staged files).  No stage re-reads
     the input or the parsed output; aggregates combine the tiny
     per-bucket counts recorded in the manifests.
 
@@ -918,10 +719,6 @@ def _run_bucketed(
     safe sibling: a giant conversation can dominate a hash bucket, so
     it is isolated; splitting one *across* partitions uses the
     speculative FSM stitch in vt/chunked.py).
-
-    ``wave_buckets`` is accepted for API compatibility and ignored:
-    per-bucket in-task manifest commits give finer-grained resume than
-    waves did, without waves' repeated input scans.
     """
     import ray
 
@@ -950,10 +747,10 @@ def _run_bucketed(
     heavy_ids = {c: n_buckets + i for i, c in enumerate(sorted(heavy))}
     total_buckets = n_buckets + len(heavy_ids)
 
-    done = M.completed_buckets(out_dir) if resume else set()
+    done = M.completed_partitions(out_dir) if resume else set()
     todo = [b for b in range(total_buckets) if b not in done]
     for b in todo:
-        M.clean_bucket_outputs(out_dir, b)
+        M.clean_partition_outputs(out_dir, b)
 
     cfg_ref = ray.put(cfg or EnrichConfig())
 
@@ -1016,68 +813,29 @@ def _run_bucketed(
             batch_format="pyarrow",
             batch_size=None,
         ).count()
-        buckets = sorted(wanted)
-        ray.data.from_items(
-            buckets, override_num_blocks=len(buckets)
-        ).map_batches(
-            _gather_task(staging, out_dir, cfg_ref, input_path, n_buckets),
-            batch_format="pyarrow",
-            batch_size=None,
-        ).count()
-        # every wanted bucket committed (empty ones inside the gather);
-        # the staged shuffle files are no longer needed
+        lineage = {"input": input_path, "n_buckets": n_buckets}
+        _run_partitions(
+            out_dir,
+            "bucket",
+            cfg_ref,
+            [
+                {
+                    "pid": b,
+                    "paths": sorted(
+                        _g.glob(os.path.join(staging, f"bucket={b}", "*.parquet"))
+                    ),
+                    "lineage": lineage,
+                }
+                for b in sorted(wanted)
+            ],
+        )
+        # every wanted bucket committed (empty ones with no sinks); the
+        # staged shuffle files are no longer needed
         _sh.rmtree(staging, ignore_errors=True)
 
-    _write_aggregates_from_manifests(out_dir)
-
-    routed = 0
-    for b in M.completed_buckets(out_dir):
-        for k, s in _load_manifest_sinks(out_dir, b).items():
-            if k.startswith("by_role"):
-                routed += s.get("rows", 0)
     return {
         "buckets": n_buckets,
         "ran": len(todo),
         "skipped": len(done),
-        "routed_rows": routed,
+        "routed_rows": _write_aggregates_from_manifests(out_dir, "bucket"),
     }
-
-
-def _write_aggregates_from_manifests(out_dir: str):
-    """Cumulative per-sink counts from ALL committed manifests (tiny):
-    a resumed run's aggregates cover skipped buckets too."""
-    import collections
-
-    role_total = collections.Counter()
-    sink_total = collections.Counter()
-    for b in M.completed_buckets(out_dir):
-        with open(M.manifest_path(out_dir, b)) as fh:
-            payload = json.load(fh)
-        role_total.update(payload.get("role_counts", {}))
-        sink_total.update(payload.get("sink_counts", {}))
-
-    agg_dir = os.path.join(out_dir, "aggregates")
-    os.makedirs(agg_dir, exist_ok=True)
-    _atomic_write_table(
-        pa.table(
-            {
-                "role": pa.array(list(role_total), pa.string()),
-                "n": pa.array(list(role_total.values()), pa.int64()),
-            }
-        ),
-        os.path.join(agg_dir, "counts_by_role.parquet"),
-    )
-    _atomic_write_table(
-        pa.table(
-            {
-                "sink": pa.array(list(sink_total), pa.string()),
-                "n": pa.array(list(sink_total.values()), pa.int64()),
-            }
-        ),
-        os.path.join(agg_dir, "counts_by_sink.parquet"),
-    )
-
-
-def _load_manifest_sinks(out_dir: str, bucket: int) -> dict:
-    with open(M.manifest_path(out_dir, bucket)) as fh:
-        return json.load(fh).get("sinks", {})

@@ -1,21 +1,30 @@
-"""Resumable routed sinks: bucketed Parquet with lineage manifests.
+"""Resumable routed sinks: partitioned Parquet with lineage manifests.
 
-Output layout (north rule: "per-partition lineage manifests + metrics"):
+Output layout (north rule: "per-partition lineage manifests + metrics"),
+for partitions of kind ``bucket`` (bucketed plan) or ``shard`` (sharded
+plan), written as ``<kind>=<id>`` directories:
 
     <out_dir>/
+      parsed/ bucket=<b>/ part-*.parquet        # bucketed plan
       sinks/
-        by_role/ role=<r>/ bucket=<b>/ *.parquet
-        by_tool/ sink=<s>/ bucket=<b>/ *.parquet
-        vim_sessions/ bucket=<b>/ *.parquet
+        parsed/ shard=<s>/ part-*.parquet       # sharded plan
+        by_role/ role=<r>/ <kind>=<id>/ part-*.parquet
+        by_tool/ sink=<s>/ <kind>=<id>/ part-*.parquet
+        vim_sessions/ <kind>=<id>/ part-*.parquet
+        conv_rollup/ <kind>=<id>/ part-*.parquet
+      aggregates/
+        counts_by_role.parquet, counts_by_sink.parquet
       _manifest/
-        bucket-<b>.json     # rows per sink, written files, input lineage
+        run.json            # run-level parameters (bucket count)
+        <kind>-<id>.json    # rows + files per sink, role/sink counts,
+                            # input lineage
 
 Conversations are assigned to ``n_buckets`` partitions by a stable hash
-of ``conv_id``.  A bucket's manifest is written only after every sink
-finished writing that bucket, so a killed run leaves at most one
-unfinished bucket per sink; on restart completed buckets are skipped
-(their conversations are filtered out at the read) and the remaining
-buckets re-run idempotently (their partition directories are replaced).
+of ``conv_id`` (the sharded plan uses the input files as partitions).
+A partition's manifest is written only after every sink finished
+writing that partition, so a killed run leaves at most one unfinished
+partition per task; on restart committed partitions are skipped and
+the rest have their partial output removed and re-run idempotently.
 """
 
 from __future__ import annotations
@@ -25,35 +34,66 @@ import os
 import shutil
 import zlib
 
+import pyarrow as pa
+import pyarrow.compute as pc
+
 
 def conv_bucket(conv_id: str, n_buckets: int) -> int:
     return zlib.crc32(conv_id.encode()) % n_buckets
+
+
+def conv_buckets(conv_ids, n_buckets: int, pinned=None) -> pa.Array:
+    """``conv_bucket`` over a column: hash only the distinct conv_ids (a
+    batch holds whole or few conversations, so distinct << rows), then
+    fan the ids back out through the dictionary indices.  ``pinned``
+    maps conv_ids to fixed bucket ids that override the hash."""
+    pinned = pinned or {}
+    if isinstance(conv_ids, pa.ChunkedArray):
+        conv_ids = conv_ids.combine_chunks()
+    dic = pc.dictionary_encode(conv_ids)
+    ids = pa.array(
+        [
+            pinned.get(c, conv_bucket(c, n_buckets))
+            for c in dic.dictionary.to_pylist()
+        ],
+        pa.int32(),
+    )
+    return ids.take(dic.indices)
 
 
 def manifest_dir(out_dir: str) -> str:
     return os.path.join(out_dir, "_manifest")
 
 
-def manifest_path(out_dir: str, bucket: int) -> str:
-    return os.path.join(manifest_dir(out_dir), f"bucket-{bucket:05d}.json")
+def manifest_path(out_dir: str, pid: int, kind: str = "bucket") -> str:
+    return os.path.join(manifest_dir(out_dir), f"{kind}-{pid:05d}.json")
 
 
-def completed_buckets(out_dir: str) -> set:
+def sink_dir(out_dir: str, sink: str, pid: int, kind: str = "bucket") -> str:
+    """Directory of one partition's files in one sink; ``sink`` is the
+    manifest key (``parsed``, ``by_role/role=user``, ...).  The bucketed
+    plan keeps its primary ``parsed`` sink at the top level."""
+    top = kind == "bucket" and sink == "parsed"
+    return os.path.join(out_dir, "" if top else "sinks", sink, f"{kind}={pid}")
+
+
+def completed_partitions(out_dir: str, kind: str = "bucket") -> set:
     md = manifest_dir(out_dir)
     if not os.path.isdir(md):
         return set()
+    pref = kind + "-"
     out = set()
     for name in os.listdir(md):
-        if name.startswith("bucket-") and name.endswith(".json"):
-            out.add(int(name[len("bucket-"):-len(".json")]))
+        if name.startswith(pref) and name.endswith(".json"):
+            out.add(int(name[len(pref):-len(".json")]))
     return out
 
 
-def clean_bucket_outputs(out_dir: str, bucket: int):
-    """Remove partial output of an uncommitted bucket from every sink
-    (including the primary parsed/ sink -- writers append into existing
+def clean_partition_outputs(out_dir: str, pid: int, kind: str = "bucket"):
+    """Remove partial output of an uncommitted partition from every sink
+    (including the primary parsed sink -- writers add files to existing
     partition directories, so stale files would duplicate rows)."""
-    needle = f"bucket={bucket}"
+    needle = f"{kind}={pid}"
     for sub in ("sinks", "parsed"):
         root_dir = os.path.join(out_dir, sub)
         if not os.path.isdir(root_dir):
@@ -65,12 +105,21 @@ def clean_bucket_outputs(out_dir: str, bucket: int):
                     dirs.remove(d)
 
 
-def write_manifest(out_dir: str, bucket: int, payload: dict):
-    os.makedirs(manifest_dir(out_dir), exist_ok=True)
-    tmp = manifest_path(out_dir, bucket) + ".tmp"
+def _write_json(path: str, payload: dict):
+    os.makedirs(os.path.dirname(path), exist_ok=True)
+    tmp = path + ".tmp"
     with open(tmp, "w") as fh:
         json.dump(payload, fh, sort_keys=True)
-    os.replace(tmp, manifest_path(out_dir, bucket))
+    os.replace(tmp, path)
+
+
+def write_manifest(out_dir: str, pid: int, payload: dict, kind: str = "bucket"):
+    _write_json(manifest_path(out_dir, pid, kind), payload)
+
+
+def read_manifest(out_dir: str, pid: int, kind: str = "bucket") -> dict:
+    with open(manifest_path(out_dir, pid, kind)) as fh:
+        return json.load(fh)
 
 
 def run_manifest_path(out_dir: str) -> str:
@@ -88,65 +137,4 @@ def read_run_manifest(out_dir: str) -> dict | None:
 def write_run_manifest(out_dir: str, payload: dict):
     """Run-level parameters (e.g. the bucket count) that every resumed
     attempt must reuse for partition assignment to stay stable."""
-    os.makedirs(manifest_dir(out_dir), exist_ok=True)
-    tmp = run_manifest_path(out_dir) + ".tmp"
-    with open(tmp, "w") as fh:
-        json.dump(payload, fh, sort_keys=True)
-    os.replace(tmp, run_manifest_path(out_dir))
-
-
-def partition_manifest_path(out_dir: str, kind: str, pid: int) -> str:
-    return os.path.join(manifest_dir(out_dir), f"{kind}-{pid:05d}.json")
-
-
-def completed_partitions(out_dir: str, kind: str) -> set:
-    md = manifest_dir(out_dir)
-    if not os.path.isdir(md):
-        return set()
-    pref = kind + "-"
-    out = set()
-    for name in os.listdir(md):
-        if name.startswith(pref) and name.endswith(".json"):
-            out.add(int(name[len(pref):-len(".json")]))
-    return out
-
-
-def clean_partition_outputs(out_dir: str, kind: str, pid: int):
-    """Remove uncommitted partition output under every sink directory."""
-    sinks_root = os.path.join(out_dir, "sinks")
-    if not os.path.isdir(sinks_root):
-        return
-    needle = f"{kind}={pid}"
-    for root, dirs, _files in os.walk(sinks_root):
-        for d in list(dirs):
-            if d == needle:
-                shutil.rmtree(os.path.join(root, d), ignore_errors=True)
-                dirs.remove(d)
-
-
-def write_partition_manifest(out_dir: str, kind: str, pid: int, payload: dict):
-    os.makedirs(manifest_dir(out_dir), exist_ok=True)
-    tmp = partition_manifest_path(out_dir, kind, pid) + ".tmp"
-    with open(tmp, "w") as fh:
-        json.dump(payload, fh, sort_keys=True)
-    os.replace(tmp, partition_manifest_path(out_dir, kind, pid))
-
-
-def collect_bucket_metrics(out_dir: str, bucket: int) -> dict:
-    """Row counts + file lists per sink for one bucket (for lineage)."""
-    import pyarrow.parquet as pq
-
-    sinks_root = os.path.join(out_dir, "sinks")
-    needle = f"bucket={bucket}"
-    metrics = {}
-    for root, dirs, files in os.walk(sinks_root):
-        if os.path.basename(root) == needle:
-            rel = os.path.relpath(root, sinks_root)
-            rows = 0
-            flist = []
-            for f in files:
-                if f.endswith(".parquet"):
-                    rows += pq.read_metadata(os.path.join(root, f)).num_rows
-                    flist.append(f)
-            metrics[rel] = {"rows": rows, "files": sorted(flist)}
-    return metrics
+    _write_json(run_manifest_path(out_dir), payload)

@@ -101,11 +101,10 @@ def _wait_done(proc, log_path, timeout=480):
 
 
 def test_sharded_kill_midrun_resume_byte_identical(ray_session, tmp_path):
-    """The sharded plan commits all manifests from the driver AFTER
-    the task wave, so a SIGKILL mid-run leaves stale partial sink
-    files behind ZERO manifests -- the resume must wipe them
-    (clean_partition_outputs) and still converge byte-identical.  A
-    different failure surface than the bucketed in-task commits."""
+    """A SIGKILL mid-run of the sharded plan leaves some shards
+    committed and others with stale partial sink files and no
+    manifest -- the resume must wipe those (clean_partition_outputs),
+    skip the committed ones, and still converge byte-identical."""
     from console_log_parser_ray.sources.cache import ensure_transcripts
 
     src = ensure_transcripts(SF_DIR)  # keeps its _CONV_PARTITIONED marker
@@ -119,8 +118,7 @@ def test_sharded_kill_midrun_resume_byte_identical(ray_session, tmp_path):
     want = _digests(clean)
     assert want
 
-    # kill once a handful of shard tasks have written sink files --
-    # mid-wave by construction (manifests exist only post-wave)
+    # kill once a handful of shard tasks have written sink files
     p = _spawn(src, crash, str(tmp_path / "crash.log"))
     deadline = time.time() + 480
     killed = False
@@ -140,7 +138,7 @@ def test_sharded_kill_midrun_resume_byte_identical(ray_session, tmp_path):
         time.sleep(0.05)
     assert killed, "run finished before the kill"
     p.wait(timeout=60)
-    # partial sink output exists with no (or few) committed manifests
+    # partial sink output exists with few committed manifests
     committed = len(
         glob.glob(os.path.join(crash, "_manifest", "shard-*.json"))
     )

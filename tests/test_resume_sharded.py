@@ -40,6 +40,23 @@ def _parsed_rows(out_dir):
     return sorted(rows)
 
 
+def _aggregates(out_dir):
+    """{table: {key: n}} for both aggregates/ tables."""
+    got = {}
+    for name in ("counts_by_role", "counts_by_sink"):
+        t = pq.read_table(os.path.join(out_dir, "aggregates", name + ".parquet"))
+        got[name] = dict(zip(t.column(0).to_pylist(), t.column("n").to_pylist()))
+    return got
+
+
+def _rollup_rows(pattern):
+    rows = []
+    for f in glob.glob(pattern):
+        rows.extend(tuple(r.values()) for r in pq.read_table(f).to_pylist())
+    assert rows
+    return sorted(rows)
+
+
 def test_sharded_resume(ray_session, sharded_input, tmp_path):
     from console_log_parser_ray.pipelines.run import run_flagship
 
@@ -52,14 +69,24 @@ def test_sharded_resume(ray_session, sharded_input, tmp_path):
     crash = str(tmp_path / "crash")
     run_flagship(sharded_input, crash)
     # lose shard 1's manifest (and leave its stale partial output)
-    os.remove(M.partition_manifest_path(crash, "shard", 1))
+    os.remove(M.manifest_path(crash, 1, "shard"))
     res2 = run_flagship(sharded_input, crash)
     assert res2["ran"] == 1 and res2["skipped"] == 2
     assert _parsed_rows(crash) == want
+    # aggregates and routed rows cover every committed shard, not only
+    # the one this call re-ran
+    assert _aggregates(crash) == _aggregates(clean)
+    assert res2["routed_rows"] == res["routed_rows"]
+
+    # a no-op resume reports the same keys, with the cumulative totals
+    res3 = run_flagship(sharded_input, crash)
+    assert res3 == {**res, "ran": 0, "skipped": 3}
+    assert _aggregates(crash) == _aggregates(clean)
 
 
 def test_sharded_matches_bucketed(ray_session, sharded_input, tmp_path):
-    """Both physical plans produce identical parsed rows."""
+    """Both physical plans produce identical parsed rows, rollup rows
+    and aggregates."""
     import shutil
 
     from console_log_parser_ray.pipelines.run import run_flagship
@@ -72,7 +99,7 @@ def test_sharded_matches_bucketed(ray_session, sharded_input, tmp_path):
     shutil.copytree(sharded_input, b_in)
     os.remove(os.path.join(b_in, "_CONV_PARTITIONED"))
     b = str(tmp_path / "bucketed")
-    run_flagship(b_in, b, n_buckets=8, wave_buckets=8)
+    run_flagship(b_in, b, n_buckets=8)
 
     rows_a = _parsed_rows(a)
     files_b = sorted(
@@ -89,3 +116,9 @@ def test_sharded_matches_bucketed(ray_session, sharded_input, tmp_path):
             )
         )
     assert rows_a == sorted(rows_b)
+    assert _rollup_rows(
+        os.path.join(a, "sinks", "conv_rollup", "shard=*", "*.parquet")
+    ) == _rollup_rows(
+        os.path.join(b, "sinks", "conv_rollup", "bucket=*", "*.parquet")
+    )
+    assert _aggregates(a) == _aggregates(b)

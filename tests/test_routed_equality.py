@@ -121,5 +121,49 @@ def test_routed_row_equality_bucketed(ray_session, tmp_path):
         gen_table(9, seed=22, mean_turns=30), str(d / "all.parquet")
     )
     out = str(tmp_path / "out")
-    run_flagship(str(d), out, n_buckets=4, wave_buckets=4)
+    run_flagship(str(d), out, n_buckets=4)
     _check_out_dir(out, os.path.join(out, "parsed", "**", "*.parquet"))
+
+
+def test_conv_rollup_table_brute_force():
+    """The Arrow rollup that feeds the conv_rollup sink matches a
+    brute-force per-conversation count, row for row and in
+    first-appearance order of conv_id (Arrow's hash group_by alone
+    reorders 100+ distinct keys, which would change the sink's bytes)."""
+    import random
+
+    import pyarrow as pa
+
+    from console_log_parser_ray.pipelines.run import conv_rollup_table
+
+    rng = random.Random(5)
+    convs, cmds, vims = [], [], []
+    for c in rng.sample(range(1000), 150):
+        for _ in range(rng.randint(1, 4)):
+            convs.append(f"conv{c:06d}")
+            cmds.append(rng.randint(0, 9))
+            vims.append(rng.choice([-1, -1, 0, 1, 2]))
+    got = conv_rollup_table(
+        pa.table(
+            {
+                "conv_id": pa.array(convs, pa.string()),
+                "cmd_count": pa.array(cmds, pa.int32()),
+                "vim_session_id": pa.array(vims, pa.int32()),
+            }
+        )
+    )
+
+    want = []
+    for c in dict.fromkeys(convs):
+        rows = [i for i, x in enumerate(convs) if x == c]
+        want.append(
+            (
+                c,
+                len(rows),
+                max(cmds[i] for i in rows),
+                len({vims[i] for i in rows if vims[i] >= 0}),
+            )
+        )
+    assert [tuple(r.values()) for r in got.to_pylist()] == want
+    assert got.schema.names == ["conv_id", "n_turns", "n_cmds", "n_vim_sessions"]
+    assert all(t == pa.int64() for t in got.schema.types[1:])

@@ -36,7 +36,7 @@ def test_heavy_conv_isolated_partition(ray_session, skewed_input, tmp_path):
     path, giant_id = skewed_input
     out = str(tmp_path / "out")
     res = run_flagship(
-        path, out, n_buckets=4, wave_buckets=16, skew_threshold=100
+        path, out, n_buckets=4, skew_threshold=100
     )
     # the giant conversation lives alone in a dedicated bucket >= 4
     found = None
@@ -111,14 +111,14 @@ def test_heavy_conv_sinks_in_heavy_bucket_and_resume(
     # crash scenario A: heavy bucket uncommitted -> its re-run must not
     # duplicate rows in any committed hash bucket
     os.remove(M.manifest_path(out, 4))
-    M.clean_bucket_outputs(out, 4)
+    M.clean_partition_outputs(out, 4)
     run_flagship(path, out, n_buckets=4, skew_threshold=100)
     assert routed_rows() == want
 
     # crash scenario B: a hash bucket uncommitted -> its cleanup must
     # not delete the giant's committed sink rows
     os.remove(M.manifest_path(out, 2))
-    M.clean_bucket_outputs(out, 2)
+    M.clean_partition_outputs(out, 2)
     run_flagship(path, out, n_buckets=4, skew_threshold=100)
     assert routed_rows() == want
 
@@ -132,10 +132,10 @@ def test_giant_conv_chunk_parallel_equals_sequential(
 
     path, giant_id = skewed_input
     plain_out = str(tmp_path / "plain")
-    run_flagship(path, plain_out, n_buckets=4, wave_buckets=16)
+    run_flagship(path, plain_out, n_buckets=4)
     skew_out = str(tmp_path / "skew")
     run_flagship(
-        path, skew_out, n_buckets=4, wave_buckets=16, skew_threshold=100
+        path, skew_out, n_buckets=4, skew_threshold=100
     )
 
     _assert_same_rows(plain_out, skew_out)
@@ -157,7 +157,7 @@ def test_giant_conv_multichunk_storage_stitch(
 
     path, giant_id = skewed_input
     plain_out = str(tmp_path / "plain")
-    run_flagship(path, plain_out, n_buckets=4, wave_buckets=16)
+    run_flagship(path, plain_out, n_buckets=4)
 
     chunk_out = str(tmp_path / "chunked")
     cfg_ref = ray.put(EnrichConfig())
