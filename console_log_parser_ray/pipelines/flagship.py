@@ -19,7 +19,6 @@ from __future__ import annotations
 import ray.data
 
 from ..stages.scan import (
-    make_bucket_scan_fn,
     make_scan_fn,
     make_stats_fn,
 )
@@ -59,16 +58,11 @@ def parse_sessions(
     ``by_conversation=True`` keeps the one-group-per-conversation shape
     (used by conformance tests and for giant-conversation isolation).
     """
+    fn = make_scan_fn(suppress_map=suppress_map, use_fast_paths=use_fast_paths)
     if by_conversation:
-        fn = make_scan_fn(
-            suppress_map=suppress_map, use_fast_paths=use_fast_paths
-        )
         return ds.groupby("conv_id").map_groups(
             fn, batch_format="pyarrow", num_cpus=num_cpus
         )
-    fn = make_bucket_scan_fn(
-        suppress_map=suppress_map, use_fast_paths=use_fast_paths
-    )
     bucketed = ds.map_batches(add_bucket(n_buckets), batch_format="pyarrow")
     return bucketed.groupby("bucket").map_groups(
         fn, batch_format="pyarrow", num_cpus=num_cpus

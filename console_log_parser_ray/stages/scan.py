@@ -1,29 +1,46 @@
-"""Ray Data stage: per-conversation session scan (map_groups UDF).
+"""Ray Data stage: the session scan (map_groups UDF).
 
-Builds the callable passed to ``ds.groupby("conv_id").map_groups``.
-Each group is one conversation's turns as a zero-copy Arrow table; the
-UDF sorts by ``turn_idx``, walks the SessionScanner over the lines, and
-returns one structured row per turn.
+Builds the callable passed to ``map_groups``.  Each group is one
+conversation or one hash bucket of conversations, as a zero-copy Arrow
+table; the UDF sorts by ``(conv_id, turn_idx)``, walks one
+SessionScanner per conversation over the lines, and returns one
+structured row per turn.
 
-Vectorized pre-classification: before the Python walk, three Arrow
-compute passes classify every line of the group so that the scanner can
-skip tokenization entirely for the two dominant line shapes --
+Vectorized pre-classification: before the Python walk, Arrow compute
+passes classify every line so that the scanner can skip tokenization
+for the common line shapes --
 
 * *plain* lines (no escapes / C0 edits / '$' / vim hint): the visible
   text is the line itself,
 * *SGR-only* lines (escapes are exclusively ``CSI ... m`` color runs):
-  the visible text is the line with the color runs deleted --
+  the visible text is the line with the color runs deleted,
+* *noise* lines (SGR, private-mode toggles, non-title OSC, DCS; checked
+  per row): the visible text is the line with those sequences deleted,
+* vim-session interiors that cannot end or re-detect the session,
 
-while prompt lines, vim boundaries and anything carrying parser state
-take the exact slow path.  The fast paths are only *hints*; the scanner
-re-checks its own state (FSM state, tokenizer carry, pending vim
-re-entry, suppression) before trusting them, so output is bit-identical
-to the full walk (asserted by tests against the reference oracle).
+and the prompt protocol (checked per row) --
+
+* *one-line OSC-title prompts* (``OSC 0;title BEL``, a header of
+  printable ASCII and SGR runs, then ``$``): the title, the prompt-OSC
+  trigger and the ``$`` are applied through the scanner's own methods,
+  and only the typed tail from the ``$`` on is tokenized and walked,
+* *title-only lines* (the same prefix, no ``$``): a prompt start, then
+  an ordinary output line,
+* plain and SGR-only lines inside the MINGW protocol (PROMPT_OSC /
+  PROMPT_IMMINENT): the header check, then an ordinary output line --
+
+while vim boundaries and anything carrying parser state take the exact
+slow path.  The fast paths are only *hints*; the scanner re-checks its
+own state (FSM state, tokenizer carry, pending vim re-entry, pending
+line text) before trusting them, so output is bit-identical to the full
+walk (asserted against the exact walk by tests/test_prompt_fast_path.py,
+which needs no reference oracle).
 """
 
 from __future__ import annotations
 
-import numpy as np
+import re
+
 import pyarrow as pa
 import pyarrow.compute as pc
 
@@ -78,7 +95,7 @@ _VIM_RISKY = (
 )
 
 
-_NOISE_STRIP_RE = __import__("re").compile(_NOISE_STRIP)
+_NOISE_STRIP_RE = re.compile(_NOISE_STRIP)
 
 # Output schema of the session scan
 SCAN_SCHEMA = pa.schema(
@@ -122,8 +139,90 @@ def _fast_hints(texts: pa.ChunkedArray):
         vim_safe.to_numpy(zero_copy_only=False),
         sgr_only.to_numpy(zero_copy_only=False),
         stripped,
-        None,
     )
+
+
+def _scan_rows(sc: SessionScanner, texts, turn_idxs, has_eols, hints, lo, hi):
+    """Records of one conversation's rows ``[lo, hi)`` (in turn order):
+    a state-checked fast path where the hints allow, the exact walk
+    otherwise."""
+    fast = hints is not None and not sc.collect_stats
+    if fast:
+        plain, vim_safe, sgr_only, stripped = hints
+    recs = []
+    for r in range(lo, hi):
+        text = texts[r]
+        eol = True if has_eols is None else bool(has_eols[r])
+        rec = None
+        if fast and eol:
+            rec = _try_fast(
+                sc,
+                int(turn_idxs[r]),
+                text,
+                bool(plain[r]),
+                bool(vim_safe[r]),
+                bool(sgr_only[r]),
+                stripped[r],
+            )
+        if rec is None:
+            rec = sc.scan_turn(int(turn_idxs[r]), text, eol)
+        recs.append(rec)
+    return recs
+
+
+def _command_meta(recs, carry=None):
+    """Per-turn ``(roles, commands, cwds)``: command text and cwd are
+    backfilled over each command row (``cmd_count``).
+
+    ``carry``: optional (cmd_text, cmd_cwd) dict pair, updated in place,
+    for one conversation assembled across successive calls.
+    """
+    cmd_text, cmd_cwd = carry if carry is not None else ({}, {})
+    for r in recs:
+        if r.command is not None:
+            cmd_text.setdefault(r.cmd_count, r.command)
+        if r.cwd:
+            cmd_cwd.setdefault(r.cmd_count, r.cwd)
+    roles = [
+        "system"
+        if r.cmd_count == 0
+        else "user"
+        if r.is_prompt or r.prompt_active or r.command is not None or r.cwd
+        else "assistant"
+        for r in recs
+    ]
+    commands = [cmd_text.get(r.cmd_count, "") for r in recs]
+    cwds = [cmd_cwd.get(r.cmd_count, "") for r in recs]
+    return roles, commands, cwds
+
+
+def _scan_table(conv_ids, recs, meta, ts_arr, texts) -> pa.Table:
+    """SCAN_SCHEMA table of scanned records; ``texts`` (or None) feeds
+    ``vim_text`` on in-vim turns."""
+    roles, commands, cwds = meta
+    arrays = [
+        pa.array(conv_ids, pa.string()),
+        pa.array([r.turn_idx for r in recs], pa.int32()),
+        ts_arr,
+        pa.array(roles, pa.string()),
+        pa.array([r.clean_text for r in recs], pa.string()),
+        pa.array([r.cmd_count for r in recs], pa.int32()),
+        pa.array([r.cmd_number for r in recs], pa.int32()),
+        pa.array([r.is_prompt for r in recs], pa.bool_()),
+        pa.array(commands, pa.string()),
+        pa.array(cwds, pa.string()),
+        pa.array([r.in_vim for r in recs], pa.bool_()),
+        pa.array([r.vim_session_id for r in recs], pa.int32()),
+        pa.array([r.osc_title for r in recs], pa.string()),
+        pa.array([r.warnings for r in recs], pa.int32()),
+        pa.array(
+            [t if r.in_vim else None for t, r in zip(texts, recs)]
+            if texts is not None
+            else [None] * len(recs),
+            pa.string(),
+        ),
+    ]
+    return pa.Table.from_arrays(arrays, schema=SCAN_SCHEMA)
 
 
 def scan_conversation(
@@ -136,52 +235,12 @@ def scan_conversation(
     hints=None,
     has_eols=None,
 ):
-    """Scan one conversation; returns dict of output columns."""
-    n = len(texts)
+    """Scan one conversation; returns (dict of output columns, scanner)."""
     sc = SessionScanner(suppress=suppress, collect_stats=collect_stats)
-    recs = []
-    if hints is not None:
-        plain, vim_safe, sgr_only, stripped, _noise = hints
-    for i in range(n):
-        text = texts[i]
-        eol = True if has_eols is None else bool(has_eols[i])
-        rec = None
-        if hints is not None and not collect_stats and eol:
-            rec = _try_fast(
-                sc,
-                int(turn_idxs[i]),
-                text,
-                bool(plain[i]),
-                bool(vim_safe[i]),
-                bool(sgr_only[i]),
-                stripped[i],
-            )
-        if rec is None:
-            rec = sc.scan_turn(int(turn_idxs[i]), text, eol)
-        recs.append(rec)
-
-    # backfill per-command metadata over the whole conversation
-    cmd_text = {}
-    cmd_cwd = {}
-    for r in recs:
-        if r.command is not None:
-            cmd_text.setdefault(r.cmd_count, r.command)
-        if r.cwd:
-            cmd_cwd.setdefault(r.cmd_count, r.cwd)
-
-    roles, commands, cwds = [], [], []
-    for r in recs:
-        if r.cmd_count == 0:
-            roles.append("system")
-        elif r.is_prompt or r.prompt_active or r.command is not None or r.cwd:
-            roles.append("user")
-        else:
-            roles.append("assistant")
-        commands.append(cmd_text.get(r.cmd_count, ""))
-        cwds.append(cmd_cwd.get(r.cmd_count, ""))
-
+    recs = _scan_rows(sc, texts, turn_idxs, has_eols, hints, 0, len(texts))
+    roles, commands, cwds = _command_meta(recs)
     return {
-        "conv_id": [conv_id] * n,
+        "conv_id": [conv_id] * len(recs),
         "turn_idx": [r.turn_idx for r in recs],
         "ts": ts_vals,
         "role": roles,
@@ -198,11 +257,29 @@ def scan_conversation(
     }, sc
 
 
-_NOISE_ONLY_RE = __import__("re").compile(_NOISE_ONLY)
+_NOISE_ONLY_RE = re.compile(_NOISE_ONLY)
+_SGR_RUN_RE = re.compile(_SGR_RUN)
+# OSC-title prompt prefix: a BEL-terminated "0;" title of printable
+# ASCII, then a header of printable ASCII other than '$' and SGR runs.
+# The match ends at the prompt's '$' (one-line prompt) or at the end of
+# the text (title-only line); anything else takes the exact path.
+_OSC_PREFIX_RE = re.compile(
+    "\\x1b\\]0;([\\x20-\\x7e]*)\\x07((?:[\\x20-\\x23\\x25-\\x7e]|\\x1b\\[[0-9;]*m)*)"
+)
+# literals gating the three vim-start patterns (SessionScanner._parse_line)
+_VIM_START_LITS = (
+    b"hint: Waiting",
+    b"\x1b[22;2t\x1b[22;1t",
+    b"\x1b[2;1H\xe2\x96\xbd\x1b[6n",
+)
 
 
 def _try_fast(sc: SessionScanner, idx, text, plain, vim_safe, sgr_only, stripped, noise=None):
-    """State-checked fast paths; None means take the exact slow path."""
+    """State-checked fast paths; None means take the exact slow path.
+
+    ``noise=False`` (stats mode) keeps every line whose escapes are not
+    all SGR runs on the exact path: their sequences must be counted.
+    """
     if sc.tok.state != GROUND or sc.tok.utf8_need or sc.next_vim > 0:
         return None
     tlp = sc.tlp
@@ -221,39 +298,72 @@ def _try_fast(sc: SessionScanner, idx, text, plain, vim_safe, sgr_only, stripped
         return rec
 
     # in_prompt at line start means the command line is pending flush,
-    # which happens exactly when tlp == PROMPT: the PROMPT branch below
-    # runs _emit_normal (prompt_end -> command write, in_prompt
+    # which happens exactly when tlp == PROMPT: the line-start step
+    # below runs _emit_normal (prompt_end -> command write, in_prompt
     # cleared) before touching the body, so those lines stay eligible.
-    if (sc.in_prompt and tlp != S.PROMPT) or sc.in_vim:
+    if (sc.in_prompt and tlp != S.PROMPT) or sc.in_vim or sc.term_line.size() > 0:
         return None
-    if not (plain or sgr_only):
-        # lazy noise-only check: visible text + output-free sequences
-        if noise is False or _HINT_LIT in text or not _NOISE_ONLY_RE.match(text):
-            return None
-        noise = True
-    else:
+    osc = raw = hit = None
+    if plain or sgr_only:
         noise = False
-    if sc.term_line.size() > 0:
+    elif noise is False:
+        return None
+    elif text.startswith("\x1b]0;"):
+        osc = _OSC_PREFIX_RE.match(text)
+        if osc is None:
+            return None
+        dollar = osc.end()
+        if dollar < len(text):
+            if text[dollar] != "$":
+                return None
+            # one-line prompt: the title's prompt-OSC trigger must fire
+            # in the header, and the tail must not start a vim session
+            raw = text.encode("utf-8", "surrogatepass") + b"\n"
+            for lit in _VIM_START_LITS:
+                if lit in raw:
+                    return None
+            hit = S.osc_prompt_hit(raw, osc.start(2), "0;" + osc.group(1))
+            if hit is None or hit[0] >= dollar:
+                return None
+        # else a title-only line: no '$' after the title, so no trigger
+        # fires and no vim-start pattern can match (VIM_START_0 is
+        # anchored at the line start, the others need non-SGR CSIs)
+        noise = False
+    elif _HINT_LIT in text or not _NOISE_ONLY_RE.match(text):
+        return None
+    else:
+        noise = True
+
+    # PROMPT_OSC / PROMPT_IMMINENT: a plain or SGR-only line has no '$',
+    # so no positional trigger can fire; noise lines stay exact (a DCS
+    # payload such as 1$r0m can complete a PROMPT match)
+    if tlp in (S.PROMPT_OSC, S.PROMPT_IMMINENT) and (noise or osc is not None):
         return None
 
-    prefix = ""
     rec = S.TurnRecord(idx)
     sc._rec = rec
-    if tlp == S.PROMPT:
-        sc._emit_normal()  # fires prompt_end -> writes the command line
+    if tlp in (S.PROMPT, S.VIM_ENDING):
+        sc._emit_normal()  # prompt_end (writes the command line) / vim_end
         sc.tlp = S.NORMAL
-        prefix = rec.clean_text
-    elif tlp == S.VIM_ENDING:
-        sc._emit_normal()  # fires vim_end
-        sc.tlp = S.NORMAL
-    elif tlp != S.NORMAL:
-        sc._rec = None
-        return None
+    elif tlp == S.PROMPT_OSC and "MINGW64" in text:
+        sc._prompt_header(text.encode("utf-8", "surrogatepass") + b"\n")
 
     # the vim-start detection block ran and found nothing
     sc.vim_2200_seen = False
 
-    if noise:
+    if osc is not None:
+        sc._trig_cache = {}
+        sc._on_osc("0;" + osc.group(1))  # prompt start; tlp PROMPT_OSC
+        body = _SGR_RUN_RE.sub("", osc.group(2))
+        if raw is not None:
+            # apply the prefix up to the '$', then walk the typed tail
+            dollar = osc.end()
+            sc._fire_trigger(raw, hit)  # tlp PROMPT_IMMINENT, cwd
+            sc._on_print(body)
+            sc._fire_trigger(raw, (dollar, "dollar", None))  # tlp PROMPT
+            sc._walk(raw, dollar)
+            return sc._end_turn(rec)
+    elif noise:
         # DECCKM toggles on this line update app-mode pairing positions
         # (the reference records the position of the final byte,
         # terminalparser.py:358-361); nothing else survives skipping.
@@ -270,14 +380,8 @@ def _try_fast(sc: SessionScanner, idx, text, plain, vim_safe, sgr_only, stripped
     else:
         body = text.rstrip("\r")
     if not sc.suppressed:
-        rec.clean_text = prefix + body + "\n"
-    else:
-        rec.clean_text = prefix
-    rec.cmd_count = sc.cmd_count
-    rec.cmd_number = sc.cmd_number
-    sc._rec = None
-    sc._last_rec = rec
-    return rec
+        rec.clean_text += body + "\n"
+    return sc._end_turn(rec)
 
 
 def make_scan_fn(
@@ -285,61 +389,16 @@ def make_scan_fn(
     collect_stats: bool = False,
     use_fast_paths: bool = True,
 ):
-    """Create the map_groups UDF (pyarrow batch format)."""
-    suppress_map = suppress_map or {}
+    """Create the map_groups UDF (pyarrow batch format): the bucket scan
+    of each group, whether the group is one conversation or a bucket."""
 
     def scan_group(tbl: pa.Table) -> pa.Table:
-        if tbl.num_rows == 0:
-            return SCAN_SCHEMA.empty_table()
-        tbl = tbl.sort_by("turn_idx")
-        conv_id = tbl.column("conv_id")[0].as_py()
-        texts = tbl.column("text").to_pylist()
-        turn_idxs = tbl.column("turn_idx").to_numpy(zero_copy_only=False)
-        ts_vals = (
-            tbl.column("ts")
-            if "ts" in tbl.schema.names
-            else pa.nulls(tbl.num_rows, pa.timestamp("us"))
-        )
-        hints = _fast_hints(tbl.column("text")) if use_fast_paths else None
-        has_eols = (
-            tbl.column("has_eol").to_pylist()
-            if "has_eol" in tbl.schema.names
-            else None
-        )
-        cols, _sc = scan_conversation(
-            conv_id,
-            texts,
-            turn_idxs,
-            ts_vals,
-            suppress=suppress_map.get(conv_id, ()),
+        return scan_bucket_table(
+            tbl,
+            suppress_map=suppress_map,
             collect_stats=collect_stats,
-            hints=hints,
-            has_eols=has_eols,
+            use_fast_paths=use_fast_paths,
         )
-        arrays = [
-            pa.array(cols["conv_id"], pa.string()),
-            pa.array(cols["turn_idx"], pa.int32()),
-            cols["ts"] if isinstance(cols["ts"], (pa.Array, pa.ChunkedArray)) else pa.array(cols["ts"], pa.timestamp("us")),
-            pa.array(cols["role"], pa.string()),
-            pa.array(cols["clean_text"], pa.string()),
-            pa.array(cols["cmd_count"], pa.int32()),
-            pa.array(cols["cmd_number"], pa.int32()),
-            pa.array(cols["is_prompt"], pa.bool_()),
-            pa.array(cols["command"], pa.string()),
-            pa.array(cols["cwd"], pa.string()),
-            pa.array(cols["in_vim"], pa.bool_()),
-            pa.array(cols["vim_session_id"], pa.int32()),
-            pa.array(cols["osc_title"], pa.string()),
-            pa.array(cols["warnings"], pa.int32()),
-            pa.array(
-                [
-                    t if v else None
-                    for t, v in zip(texts, cols["in_vim"])
-                ],
-                pa.string(),
-            ),
-        ]
-        return pa.Table.from_arrays(arrays, schema=SCAN_SCHEMA)
 
     return scan_group
 
@@ -405,8 +464,8 @@ def scan_bucket_table(
         return SCAN_SCHEMA.empty_table()
     suppress_map = suppress_map or {}
     tbl = tbl.sort_by([("conv_id", "ascending"), ("turn_idx", "ascending")])
-    conv_col = tbl.column("conv_id")
-    texts = conv_texts = tbl.column("text").to_pylist()
+    conv_ids = tbl.column("conv_id").to_pylist()
+    texts = tbl.column("text").to_pylist()
     turn_idxs = tbl.column("turn_idx").to_numpy(zero_copy_only=False)
     has_eols = (
         tbl.column("has_eol").to_pylist()
@@ -414,28 +473,9 @@ def scan_bucket_table(
         else None
     )
     hints = _fast_hints(tbl.column("text")) if use_fast_paths else None
-    if hints is not None:
-        plain, vim_safe, sgr_only, stripped, _noise = hints
-    conv_ids = conv_col.to_pylist()
 
     n = len(conv_ids)
-    out = {
-        "conv_id": conv_ids,
-        "turn_idx": [0] * n,
-        "role": [""] * n,
-        "clean_text": [""] * n,
-        "cmd_count": [0] * n,
-        "cmd_number": [0] * n,
-        "is_prompt": [False] * n,
-        "command": [""] * n,
-        "cwd": [""] * n,
-        "in_vim": [False] * n,
-        "vim_session_id": [-1] * n,
-        "osc_title": [""] * n,
-        "warnings": [0] * n,
-        "vim_text": [None] * n,
-    }
-
+    recs, roles, commands, cwds = [], [], [], []
     i = 0
     while i < n:
         j = i
@@ -445,98 +485,20 @@ def scan_bucket_table(
         sc = SessionScanner(
             suppress=suppress_map.get(cid, ()), collect_stats=collect_stats
         )
-        recs = []
-        for r in range(i, j):
-            text = texts[r]
-            eol = True if has_eols is None else bool(has_eols[r])
-            rec = None
-            if hints is not None and not collect_stats and eol:
-                rec = _try_fast(
-                    sc,
-                    int(turn_idxs[r]),
-                    text,
-                    bool(plain[r]),
-                    bool(vim_safe[r]),
-                    bool(sgr_only[r]),
-                    stripped[r],
-                )
-            if rec is None:
-                rec = sc.scan_turn(int(turn_idxs[r]), text, eol)
-            recs.append(rec)
-
-        cmd_text, cmd_cwd = {}, {}
-        for rec in recs:
-            if rec.command is not None:
-                cmd_text.setdefault(rec.cmd_count, rec.command)
-            if rec.cwd:
-                cmd_cwd.setdefault(rec.cmd_count, rec.cwd)
-        for r, rec in zip(range(i, j), recs):
-            out["turn_idx"][r] = rec.turn_idx
-            out["clean_text"][r] = rec.clean_text
-            out["cmd_count"][r] = rec.cmd_count
-            out["cmd_number"][r] = rec.cmd_number
-            out["is_prompt"][r] = rec.is_prompt
-            out["command"][r] = cmd_text.get(rec.cmd_count, "")
-            out["cwd"][r] = cmd_cwd.get(rec.cmd_count, "")
-            out["in_vim"][r] = rec.in_vim
-            out["vim_session_id"][r] = rec.vim_session_id
-            out["osc_title"][r] = rec.osc_title
-            out["warnings"][r] = rec.warnings
-            if rec.cmd_count == 0:
-                role = "system"
-            elif (
-                rec.is_prompt
-                or rec.prompt_active
-                or rec.command is not None
-                or rec.cwd
-            ):
-                role = "user"
-            else:
-                role = "assistant"
-            out["role"][r] = role
-            if rec.in_vim:
-                out["vim_text"][r] = conv_texts[r]
+        conv = _scan_rows(sc, texts, turn_idxs, has_eols, hints, i, j)
+        conv_roles, conv_commands, conv_cwds = _command_meta(conv)
+        recs += conv
+        roles += conv_roles
+        commands += conv_commands
+        cwds += conv_cwds
         i = j
 
     ts_vals = (
-        tbl.column("ts")
+        tbl.column("ts").combine_chunks()
         if "ts" in tbl.schema.names
         else pa.nulls(n, pa.timestamp("us"))
     )
-    if isinstance(ts_vals, pa.ChunkedArray):
-        ts_vals = ts_vals.combine_chunks()
-    arrays = [
-        pa.array(out["conv_id"], pa.string()),
-        pa.array(out["turn_idx"], pa.int32()),
-        ts_vals,
-        pa.array(out["role"], pa.string()),
-        pa.array(out["clean_text"], pa.string()),
-        pa.array(out["cmd_count"], pa.int32()),
-        pa.array(out["cmd_number"], pa.int32()),
-        pa.array(out["is_prompt"], pa.bool_()),
-        pa.array(out["command"], pa.string()),
-        pa.array(out["cwd"], pa.string()),
-        pa.array(out["in_vim"], pa.bool_()),
-        pa.array(out["vim_session_id"], pa.int32()),
-        pa.array(out["osc_title"], pa.string()),
-        pa.array(out["warnings"], pa.int32()),
-        pa.array(out["vim_text"], pa.string()),
-    ]
-    return pa.Table.from_arrays(arrays, schema=SCAN_SCHEMA)
-
-
-def make_bucket_scan_fn(
-    suppress_map=None, collect_stats: bool = False, use_fast_paths: bool = True
-):
-    def fn(tbl: pa.Table) -> pa.Table:
-        return scan_bucket_table(
-            tbl,
-            suppress_map=suppress_map,
-            collect_stats=collect_stats,
-            use_fast_paths=use_fast_paths,
-        )
-
-    return fn
+    return _scan_table(conv_ids, recs, (roles, commands, cwds), ts_vals, texts)
 
 
 def make_bucket_stats_fn(use_fast_paths: bool = True):
@@ -570,7 +532,7 @@ def _legacy_bucket_stats_fn(use_fast_paths: bool = True):
             else None
         )
         if use_fast_paths:
-            plain, _vim_safe, sgr_only, stripped, _noise = _fast_hints(
+            plain, _vim_safe, sgr_only, stripped = _fast_hints(
                 tbl.column("text")
             )
         merged = {}
@@ -625,7 +587,7 @@ def _legacy_bucket_stats_fn(use_fast_paths: bool = True):
 
 # Analytic stats contributions for fast-path lines ------------------------
 
-_SGR_FINDALL = __import__("re").compile("\x1b\\[([0-9;]*)m")
+_SGR_FINDALL = re.compile("\x1b\\[([0-9;]*)m")
 
 
 def _try_fast_stats(sc, idx, text, plain, sgr_only, stripped):
@@ -676,51 +638,14 @@ def records_to_table(
     which this call updates in place.
     """
     n = len(recs)
-    cmd_text, cmd_cwd = carry if carry is not None else ({}, {})
-    for r in recs:
-        if r.command is not None:
-            cmd_text.setdefault(r.cmd_count, r.command)
-        if r.cwd:
-            cmd_cwd.setdefault(r.cmd_count, r.cwd)
-    roles = []
-    for r in recs:
-        if r.cmd_count == 0:
-            roles.append("system")
-        elif r.is_prompt or r.prompt_active or r.command is not None or r.cwd:
-            roles.append("user")
-        else:
-            roles.append("assistant")
     if ts_vals is None:
         ts_arr = pa.nulls(n, pa.timestamp("us"))
-    elif isinstance(ts_vals, (pa.Array, pa.ChunkedArray)):
-        ts_arr = (
-            ts_vals.combine_chunks()
-            if isinstance(ts_vals, pa.ChunkedArray)
-            else ts_vals
-        )
+    elif isinstance(ts_vals, pa.ChunkedArray):
+        ts_arr = ts_vals.combine_chunks()
+    elif isinstance(ts_vals, pa.Array):
+        ts_arr = ts_vals
     else:
         ts_arr = pa.array(ts_vals, pa.timestamp("us"))
-    arrays = [
-        pa.array([conv_id] * n, pa.string()),
-        pa.array([r.turn_idx for r in recs], pa.int32()),
-        ts_arr,
-        pa.array(roles, pa.string()),
-        pa.array([r.clean_text for r in recs], pa.string()),
-        pa.array([r.cmd_count for r in recs], pa.int32()),
-        pa.array([r.cmd_number for r in recs], pa.int32()),
-        pa.array([r.is_prompt for r in recs], pa.bool_()),
-        pa.array([cmd_text.get(r.cmd_count, "") for r in recs], pa.string()),
-        pa.array([cmd_cwd.get(r.cmd_count, "") for r in recs], pa.string()),
-        pa.array([r.in_vim for r in recs], pa.bool_()),
-        pa.array([r.vim_session_id for r in recs], pa.int32()),
-        pa.array([r.osc_title for r in recs], pa.string()),
-        pa.array([r.warnings for r in recs], pa.int32()),
-        pa.array(
-            [
-                (texts[i] if texts is not None and recs[i].in_vim else None)
-                for i in range(n)
-            ],
-            pa.string(),
-        ),
-    ]
-    return pa.Table.from_arrays(arrays, schema=SCAN_SCHEMA)
+    return _scan_table(
+        [conv_id] * n, recs, _command_meta(recs, carry), ts_arr, texts
+    )

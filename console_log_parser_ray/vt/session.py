@@ -71,6 +71,20 @@ class TurnRecord:
         self.warnings = 0
 
 
+def osc_prompt_hit(line: bytes, start: int, osc_string: str):
+    """The prompt-OSC inline trigger: the leftmost ``PROMPT`` match at
+    or after ``start`` whose cwd the OSC string vouches for, as
+    ``(pos, "osc_prompt", cwd)``; None if there is none."""
+    while True:
+        m = P.PROMPT.search(line, start)
+        if m is None:
+            return None
+        cwd = m.group("cwd").decode()
+        if osc_string.endswith(cwd[1:]) or cwd == "~":
+            return (m.start(), "osc_prompt", cwd)
+        start = m.start() + 1
+
+
 class SessionScanner:
     """Scan one conversation; produces one TurnRecord per input turn."""
 
@@ -154,12 +168,7 @@ class SessionScanner:
         # never have matched).
         tlp = self.tlp
         if tlp == PROMPT_OSC:
-            m = P.PROMPT_HEADER.match(line) if b"MINGW64" in line else None
-            if m:
-                cwd = m.group("cwd").decode()
-                if self.osc_string.endswith(cwd[1:]) or cwd == "~":
-                    self.tlp = PROMPT_IMMINENT
-                    rec.cwd = cwd
+            self._prompt_header(line)
         elif tlp == PROMPT:
             self._emit_normal()
             self.tlp = NORMAL
@@ -215,8 +224,20 @@ class SessionScanner:
 
         # byte-positional walk of the line's escape-sequence events
         self._walk(line)
+        return self._end_turn(rec)
 
-        # turn bookkeeping
+    def _prompt_header(self, line: bytes):
+        """MINGW header check at the start of a line in PROMPT_OSC
+        (reference terminalparser.py:112-118)."""
+        m = P.PROMPT_HEADER.match(line) if b"MINGW64" in line else None
+        if m:
+            cwd = m.group("cwd").decode()
+            if self.osc_string.endswith(cwd[1:]) or cwd == "~":
+                self.tlp = PROMPT_IMMINENT
+                self._rec.cwd = cwd
+
+    def _end_turn(self, rec: TurnRecord) -> TurnRecord:
+        """Turn bookkeeping once the line has been applied."""
         rec.cmd_count = self.cmd_count
         rec.cmd_number = self.cmd_number
         if self.in_vim or rec.vim_started:
@@ -238,8 +259,8 @@ class SessionScanner:
     # positional event walk
     # ------------------------------------------------------------------
 
-    def _walk(self, line: bytes):
-        events = self.tok.feed_line(line)
+    def _walk(self, line: bytes, start: int = 0):
+        events = self.tok.feed_line(line, start)
         for ev in events:
             kind = ev[0]
             if kind == "print":
@@ -293,17 +314,7 @@ class SessionScanner:
                     return hit if hit[0] <= limit else None
                 if hit is None and p >= from_p:
                     return None
-            start = p
-            hit = None
-            while True:
-                m = P.PROMPT.search(line, start)
-                if m is None:
-                    break
-                cwd = m.group("cwd").decode()
-                if self.osc_string.endswith(cwd[1:]) or cwd == "~":
-                    hit = (m.start(), "osc_prompt", cwd)
-                    break
-                start = m.start() + 1
+            hit = osc_prompt_hit(line, p, self.osc_string)
             self._trig_cache["osc_prompt"] = (p, hit)
             if hit is not None and hit[0] <= limit:
                 return hit

@@ -173,9 +173,15 @@ class LineTokenizer:
     def dirty(self) -> bool:
         return self.state != GROUND or self.utf8_need > 0
 
-    def feed_line(self, data: bytes) -> list:
+    def feed_line(self, data: bytes, start: int = 0) -> list:
+        """Events of ``data[start:]``, with positions absolute in ``data``.
+
+        A caller that has applied a line's prefix itself resumes the
+        walk at ``start``; the tokenizer must be in the state it would
+        have reached there (GROUND, for a sequence boundary).
+        """
         events = []
-        i = 0
+        i = start
         n = len(data)
         append = events.append
         while i < n:

@@ -1,0 +1,292 @@
+"""Reference-free differential tests for the prompt-protocol fast paths.
+
+``scan_bucket_table(use_fast_paths=True)`` must equal the exact walk
+(``use_fast_paths=False``) on every output column: over seeded synthetic
+tables, and over hand-built prompt-line variants aimed at each check the
+fast paths make before trusting a line's shape (OSC-title one-line
+prompts, title-only lines, plain/SGR lines inside the MINGW protocol).
+"""
+
+import random
+
+import pyarrow as pa
+import pytest
+
+from console_log_parser_ray.sources.synth import gen_table
+from console_log_parser_ray.stages.scan import (
+    SCAN_SCHEMA,
+    _legacy_bucket_stats_fn,
+    scan_bucket_table,
+)
+from console_log_parser_ray.vt.session import SessionScanner
+
+TITLE = "\x1b]0;alice@devbox: ~/src\x07"
+HEADER = "\x1b[01;32malice@devbox\x1b[00m:\x1b[01;34m~/src\x1b[00m"
+PROMPT = TITLE + HEADER + "$ "
+MINGW_TITLE = "\x1b]0;bob.d@build-7: ~/logs\x07"
+MINGW_HEADER = "\x1b[32mbob.d@build-7 \x1b[35mMINGW64 \x1b[33m~/logs\x1b[0m"
+VIM_START = "\x1b[?1049h\x1b[22;0;0t\x1b[1;40r\x1b[H\x1b[2J\x1b[22;2t\x1b[22;1t"
+VIM_END = "\x1b[40;1H\x1b[?1049l\x1b[23;0;0t"
+
+# one conversation per case: a list of lines, or of (line, has_eol)
+CASES = {
+    "plain_prompts": [PROMPT + "ls", "out", PROMPT + "pwd", "\x1b[33mdir\x1b[0m"],
+    "dollar_in_title": [
+        "\x1b]0;al$ce@devbox: ~/src\x07" + HEADER + "$ ls",
+        "\x1b]0;alice@devbox:~/src$ \x07alice@devbox:~/src$ ls",
+        "out",
+    ],
+    "cwd_not_in_title": [
+        "\x1b]0;alice@devbox: ~/other\x07" + HEADER + "$ ls",
+        "out",
+        "\x1b]0;anything\x07alice@devbox:~$ ls",
+        "out",
+    ],
+    "prompt_match_only_in_tail": [
+        TITLE + "> $ echo alice@devbox:~/src$ x",
+        "out",
+        TITLE + "plain header $ echo",
+        "out",
+    ],
+    "sgr_only_header": [
+        TITLE + "\x1b[0m$ ls",
+        "out",
+        TITLE + "\x1b[0m",
+        "out",
+        TITLE,
+        "",
+    ],
+    "vim_literals_in_tail": [
+        PROMPT + "echo hint: Waiting for your editor to close the file... ",
+        "out",
+        PROMPT + "vim\x1b[22;0;0t\x1b[1;40r\x1b[22;2t\x1b[22;1t",
+        "\x1b[5;1H\x1b[Knoise",
+        VIM_END,
+        PROMPT + "x\x1b[5;1r\x1b[2;1H\u25bd\x1b[6n\x1b[2;1H  ",
+        "\x1b[5;1H\x1b[Knoise",
+        VIM_END,
+        PROMPT + "ls",
+    ],
+    "osc_in_tail": [
+        PROMPT + "ls\x1b]0;other: ~/x\x07more",
+        "out",
+        PROMPT + "ls\x1b]0;alice@devbox: ~/src\x07alice@devbox:~/src$ pwd",
+        "out",
+        PROMPT + "ls\x1b]10;?\x07",
+        "out",
+        PROMPT + "tail\x1b]0;unterminated",
+        "carried title\x07after",
+        "out",
+    ],
+    "vim_end_and_app_mode_in_tail": [
+        PROMPT + "vim x\x1b[23;0;0t",
+        "out",
+        PROMPT + "man ls\x1b[?1h\x1b=",
+        "page",
+        "q\x1b[?1l\x1b>alice@devbox:~/src$ next",
+        "out",
+        PROMPT + "q\x1b[?1l\x1b>alice@devbox:~/src$ next",
+        "out",
+    ],
+    "edits_in_tail": [
+        PROMPT + "lsqq\x08\x08\x1b[K",
+        "out",
+        PROMPT + "git st#tus\x08\x1b[2Da\x1b[2C",
+        PROMPT + "echo \u03b1\u03b2 \u00e9\x1b[1P",
+        "out",
+        PROMPT + "abc\x1b[2@in\x1b[3D\x1b[1X",
+        "out",
+    ],
+    "prompt_after_prompt": [PROMPT + "ls", PROMPT + "pwd", PROMPT, PROMPT + "x", "out"],
+    "prompt_after_vim_end": [
+        PROMPT + "vim notes.txt",
+        VIM_START,
+        "\x1b[5;1H\x1b[Knoise",
+        VIM_END,
+        PROMPT + "ls",
+        "out",
+        PROMPT + "vim b",
+        VIM_START,
+        "\x1b[5;1H\x1b[Knoise\x1b[?1l\x1b>",
+        PROMPT + "ls",
+        "out",
+    ],
+    "cr_endings": [
+        PROMPT + "ls\r",
+        "out\r",
+        TITLE + HEADER + "\r",
+        "out",
+        TITLE + "\r",
+        "out\r\r",
+        PROMPT + "pwd\r\r",
+        "out",
+    ],
+    "no_eol": [
+        (PROMPT + "ls", False),
+        ("more typed", True),
+        ("out", True),
+        (TITLE, False),
+        (HEADER + "$ x", True),
+        ("out", False),
+        (PROMPT + "pwd", True),
+        ("out", True),
+    ],
+    "mingw": [
+        MINGW_TITLE,
+        MINGW_HEADER,
+        "$ ls -la",
+        "out",
+        MINGW_TITLE,
+        "",
+        "between\r",
+        MINGW_HEADER,
+        "\x1b[33mstill imminent\x1b[0m",
+        "$ git status",
+        "out",
+        MINGW_TITLE,
+        "\x1b[32mbob.d@build-7 \x1b[35mMINGW64 \x1b[33m~/elsewhere\x1b[0m",
+        "$ ls",
+        "out",
+        MINGW_TITLE,
+        "\x1bP1$r0m\x1b\\" + MINGW_HEADER,
+        "\x1bP1$r0m\x1b\\words",
+        "$ pwd",
+        "out",
+        MINGW_TITLE,
+        "\x1bPqa ~/logs$ x\x1b\\words",
+        "out",
+        MINGW_TITLE,
+        MINGW_HEADER,
+        "\x1bP1$r0m\x1b\\words",
+        "out",
+        "\x1b]0;carol@Hobbes: ~\x07",
+        "carol@Hobbes MINGW64 ~",
+        "$ ls",
+        "out",
+    ],
+    "title_only_with_header": [
+        TITLE + HEADER,
+        "alice@devbox:~/src$ ls",
+        "out",
+        TITLE + "MINGW64 header text",
+        "$ ls",
+        "out",
+    ],
+    "first_line_prompt": [PROMPT + "ls"],
+}
+
+
+def _table(cases: dict) -> pa.Table:
+    conv, tix, texts, eols = [], [], [], []
+    for name, lines in cases.items():
+        for i, line in enumerate(lines):
+            text, eol = line if isinstance(line, tuple) else (line, True)
+            conv.append(name)
+            tix.append(i)
+            texts.append(text)
+            eols.append(eol)
+    return pa.table(
+        {
+            "conv_id": pa.array(conv, pa.string()),
+            "turn_idx": pa.array(tix, pa.int32()),
+            "text": pa.array(texts, pa.string()),
+            "has_eol": pa.array(eols, pa.bool_()),
+        }
+    )
+
+
+def _assert_fast_equals_exact(tbl: pa.Table, suppress_map=None):
+    fast = scan_bucket_table(tbl, suppress_map=suppress_map, use_fast_paths=True)
+    exact = scan_bucket_table(tbl, suppress_map=suppress_map, use_fast_paths=False)
+    assert fast.schema == exact.schema == SCAN_SCHEMA
+    keys = list(zip(exact.column("conv_id").to_pylist(), exact.column("turn_idx").to_pylist()))
+    for name in SCAN_SCHEMA.names:
+        a = fast.column(name).to_pylist()
+        b = exact.column(name).to_pylist()
+        bad = [(keys[i], x, y) for i, (x, y) in enumerate(zip(a, b)) if x != y]
+        assert not bad, f"{name}: (row, fast, exact) {bad[:3]}"
+    assert fast.equals(exact)
+
+
+@pytest.mark.parametrize("seed", [99, 201, 7, 3])
+def test_fast_paths_match_exact_on_synth(seed):
+    tbl = gen_table(30, seed=seed, mean_turns=60).select(
+        ["conv_id", "turn_idx", "text", "ts"]
+    )
+    _assert_fast_equals_exact(tbl)
+
+
+def test_fast_paths_match_exact_on_prompt_variants():
+    _assert_fast_equals_exact(_table(CASES))
+
+
+def test_fast_paths_match_exact_with_suppressed_rows():
+    suppress = {
+        "plain_prompts": (1,),
+        "prompt_after_prompt": (2, 3),
+        "mingw": (2,),
+        "title_only_with_header": (1,),
+        "prompt_after_vim_end": (1, 2),
+    }
+    _assert_fast_equals_exact(_table(CASES), suppress_map=suppress)
+    synth = gen_table(10, seed=5, mean_turns=40).select(["conv_id", "turn_idx", "text"])
+    _assert_fast_equals_exact(synth, suppress_map={"conv000002": (1, 3), "conv000007": (2,)})
+
+
+def test_fast_paths_match_exact_on_shuffled_variants():
+    """Random conversations stitched from the variant lines, so every
+    line shape meets every scanner state the others leave behind."""
+    rng = random.Random(20261017)
+    pool = [
+        line if isinstance(line, str) else line[0]
+        for lines in CASES.values()
+        for line in lines
+    ]
+    cases = {
+        f"mix{k:03d}": [rng.choice(pool) for _ in range(rng.randint(1, 14))]
+        for k in range(200)
+    }
+    _assert_fast_equals_exact(_table(cases))
+
+
+def _slow_calls(monkeypatch, tbl) -> int:
+    calls = [0]
+    scan_turn = SessionScanner.scan_turn
+
+    def counted(self, *args, **kwargs):
+        calls[0] += 1
+        return scan_turn(self, *args, **kwargs)
+
+    monkeypatch.setattr(SessionScanner, "scan_turn", counted)
+    scan_bucket_table(tbl, use_fast_paths=True)
+    monkeypatch.undo()
+    return calls[0]
+
+
+def test_prompt_fast_paths_fire(monkeypatch):
+    tbl = gen_table(30, seed=99, mean_turns=60).select(["conv_id", "turn_idx", "text"])
+    assert _slow_calls(monkeypatch, tbl) < 0.15 * tbl.num_rows
+    # one-line OSC-title prompts, their output, and the MINGW title and
+    # header lines never reach the exact walk
+    clean = _table(
+        {
+            "linux": CASES["plain_prompts"] + CASES["prompt_after_prompt"],
+            "mingw": [MINGW_TITLE, MINGW_HEADER],
+        }
+    )
+    assert _slow_calls(monkeypatch, clean) == 0
+
+
+def test_stats_mode_keeps_prompt_lines_exact():
+    """The legacy stats counter's fast path must count every sequence of
+    an OSC-prompt line, so it may not skip the prefix."""
+    tbl = pa.concat_tables(
+        [
+            gen_table(20, seed=17, mean_turns=50).select(["conv_id", "turn_idx", "text"]),
+            _table(CASES).select(["conv_id", "turn_idx", "text"]),
+        ]
+    )
+    fast = _legacy_bucket_stats_fn(use_fast_paths=True)(tbl)
+    exact = _legacy_bucket_stats_fn(use_fast_paths=False)(tbl)
+    key = [("kind", "ascending"), ("seq", "ascending")]
+    assert fast.sort_by(key).equals(exact.sort_by(key))

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from console_log_parser_ray.vt import tokenizer as T
 from console_log_parser_ray.vt.tokenizer import LineTokenizer
 
 
@@ -182,3 +183,83 @@ def test_fuzz_events_match_reference():
         assert _squash_ref(_ref_events(lines)) == _squash_mine(
             _mine_events(lines)
         ), lines
+
+
+# Complete sequences: each takes the tokenizer from GROUND back to GROUND
+# (DCS-ignore atoms are left out: their hook event carries no position)
+_GROUND_ATOMS = [
+    b"hello ",
+    b"$ ",
+    "日本語".encode(),
+    b"\r",
+    b"\x08",
+    b"\t",
+    b"\x7f",
+    b"\x1b[K",
+    b"\x1b[01;32m",
+    b"\x1b[?1h",
+    b"\x1b=",
+    b"\x1b>",
+    b"\x1b[23;0;0t",
+    b"\x1b[1:2m",
+    b"\x1b[1 q",
+    b"\x1b%G",
+    b"\x1b]0;user@host: ~/dir\x07",
+    b"\x1b]10;?\x1b\\",
+    b"\x1bP1$r0m\x1b\\",
+    b"\x1bX junk \x1b\\",
+    b"\x9b31m",
+    b"\x1b[3\x181m",
+]
+_TAILS = [b"", b"\n", b"\x1b]0;unterminated", b"\x1bP0;1|payload", b"\x1b[", b"\x1b"]
+
+
+def _anchor(ev):
+    return ev[-1] if ev[0] in ("csi", "esc") else ev[2]
+
+
+def _tok_state(tok):
+    # the collected private/params/intermediates only matter while a
+    # sequence is being collected (entering ESCAPE clears them)
+    collecting = tok.state in (
+        T.ESCAPE,
+        T.ESCAPE_INTERMEDIATE,
+        T.CSI_ENTRY,
+        T.CSI_PARAM,
+        T.CSI_INTERMEDIATE,
+        T.DCS_ENTRY,
+        T.DCS_PARAM,
+        T.DCS_INTERMEDIATE,
+    )
+    return (
+        tok.state,
+        (tok.private, tok.interm, tok.params) if collecting else None,
+        tuple(tok.osc_buf),
+        tok.dcs_key,
+        tuple(tok.dcs_buf),
+        tok.utf8_need,
+    )
+
+
+def test_feed_line_from_offset_matches_full_walk():
+    """feed_line(line, k) from GROUND, for k at any sequence boundary,
+    yields exactly the events of feed_line(line) at positions >= k (a
+    print run spanning k is cut at k) and leaves the same carry."""
+    rng = random.Random(20261017)
+    for _ in range(400):
+        atoms = [rng.choice(_GROUND_ATOMS) for _ in range(rng.randint(1, 10))]
+        line = b"".join(atoms) + rng.choice(_TAILS)
+        whole = LineTokenizer()
+        full = whole.feed_line(line)
+        k = 0
+        for atom in [b""] + atoms:
+            k += len(atom)
+            want = []
+            for ev in full:
+                if ev[0] == "print" and ev[2] < k < ev[3]:
+                    want.append(("print", line[k : ev[3]].decode("utf-8"), k, ev[3]))
+                elif _anchor(ev) >= k:
+                    want.append(ev)
+            tok = LineTokenizer()
+            assert tok.feed_line(line, k) == want, (line, k)
+            assert _tok_state(tok) == _tok_state(whole), (line, k)
