@@ -46,28 +46,41 @@ _TOOL_SINK_CASE = """
 """
 
 
+_TURN_COLUMNS = ["conv_id", "turn_idx", "text", "ts"]
+
+
 def _transcripts_ds(sf_dir: str):
     import ray.data
 
     path = _cache.ensure_transcripts(sf_dir)
-    return ray.data.read_parquet(
-        path, columns=["conv_id", "turn_idx", "text", "ts"]
-    )
+    return ray.data.read_parquet(path, columns=_TURN_COLUMNS)
 
 
 def _parsed(sf_dir: str):
-    from console_log_parser_ray.pipelines import flagship
+    """Live session scan: one task per conversation-complete transcript
+    file runs ``scan_bucket_table`` in-task, with no exchange."""
+    from console_log_parser_ray.stages.scan import scan_bucket_table
 
-    return flagship.parse_sessions(_transcripts_ds(sf_dir))
-
-
-def _enriched(sf_dir: str):
-    from console_log_parser_ray.stages.enrich import enrich
-
-    return enrich(_parsed(sf_dir))
+    return _cache.map_conv_files(
+        _cache.ensure_transcripts(sf_dir), scan_bucket_table, _TURN_COLUMNS
+    )
 
 
-def _enriched_cached(sf_dir: str, columns=None):
+def _enriched(sf_dir: str, cfg=None):
+    """Live parse + enrich (the flagship kernel's scan -> enrich, per
+    transcript file); ``cfg`` is an optional ``EnrichConfig``."""
+    from console_log_parser_ray.stages.enrich import EnrichTurns
+    from console_log_parser_ray.stages.scan import scan_bucket_table
+
+    enrich = EnrichTurns(cfg)
+    return _cache.map_conv_files(
+        _cache.ensure_transcripts(sf_dir),
+        lambda t: enrich(scan_bucket_table(t)),
+        _TURN_COLUMNS,
+    )
+
+
+def _enriched_cached(sf_dir: str, columns):
     """Column-pruned read of the once-materialized enriched parse
     output (``sources/cache.ensure_enriched``).
 
@@ -75,66 +88,24 @@ def _enriched_cached(sf_dir: str, columns=None):
     table as input data rather than exercising the parser: the session
     scan runs once per scale factor and every analytics query reads
     only the columns it needs from the cached parquet.  The engine-
-    correctness queries (parse_clean_text, redact, conv_text, ...)
-    intentionally keep running the live parse.
+    correctness queries (parse_clean_text, conv_text, ...) intentionally
+    keep running the live parse.
     """
     import ray.data
 
-    path = _cache.ensure_enriched(sf_dir)
-    return ray.data.read_parquet(path, columns=columns)
+    # an explicit column list also keeps the sink's shard=<s>
+    # directories from surfacing as a partition column
+    return ray.data.read_parquet(_cache.ensure_enriched(sf_dir), columns=columns)
 
 
 def _enriched_conv_partials(sf_dir: str, columns, per_group):
     """Per-conversation partials over the enriched cache WITHOUT a
-    shuffle when the cache's files are conversation-complete
-    (``_CONV_PARTITIONED`` marker written by ``ensure_enriched``):
-    one task per file applies ``per_group`` (a conv-complete
-    pyarrow.Table -> partial-histogram pyarrow.Table) to a
-    column-pruned in-task read.  Falls back to the conv-hash bucket
-    groupby when the marker is absent (e.g. a giant bucket split at
-    the output-block size), so the result is identical either way --
-    only the exchange disappears.
+    shuffle: its files are conversation-complete, so one task per file
+    applies ``per_group`` (a conv-complete pyarrow.Table ->
+    partial-histogram pyarrow.Table) to a column-pruned in-task read.
     """
-    import glob as _g
-
-    import pyarrow as pa
-    import pyarrow.parquet as pq
-    import ray.data
-
-    path = _cache.ensure_enriched(sf_dir)
-    if os.path.exists(os.path.join(path, "_CONV_PARTITIONED")):
-        files = sorted(_g.glob(os.path.join(path, "*.parquet")))
-
-        def per_file(batch: pa.Table) -> pa.Table:
-            outs = [
-                per_group(pq.read_table(item, columns=columns))
-                for item in batch.column("item").to_pylist()
-            ]
-            return pa.concat_tables(outs)
-
-        return ray.data.from_items(
-            files, override_num_blocks=len(files)
-        ).map_batches(per_file, batch_format="pyarrow", batch_size=None)
-
-    from console_log_parser_ray.stages.events import _string_bucket
-
-    ds = ray.data.read_parquet(path, columns=columns)
-
-    def project(b: pa.Table) -> pa.Table:
-        keys = b.column("conv_id")
-        if isinstance(keys, pa.ChunkedArray):
-            keys = keys.combine_chunks()
-        return b.set_column(
-            b.schema.get_field_index("conv_id"), "conv_id", keys
-        ).append_column("jb", _string_bucket(keys, 64))
-
-    return (
-        ds.map_batches(project, batch_format="pyarrow")
-        .groupby("jb")
-        .map_groups(
-            lambda t: per_group(t.select(columns)),
-            batch_format="pyarrow",
-        )
+    return _cache.map_conv_files(
+        _cache.ensure_enriched(sf_dir), per_group, columns
     )
 
 
@@ -190,9 +161,14 @@ def _q_commands(sf_dir: str):
 
 
 def _q_conv_rollup(sf_dir: str):
-    from console_log_parser_ray.pipelines import flagship
+    from console_log_parser_ray.pipelines.run import conv_rollup_table
+    from console_log_parser_ray.stages.scan import scan_bucket_table
 
-    return flagship.conv_rollup(_parsed(sf_dir))
+    return _cache.map_conv_files(
+        _cache.ensure_transcripts(sf_dir),
+        lambda t: conv_rollup_table(scan_bucket_table(t)),
+        _TURN_COLUMNS,
+    )
 
 
 def _q_turn_events(sf_dir: str):
@@ -2248,10 +2224,10 @@ _CFG_BOUND = 500
 
 
 def _q_chapters_enrich(sf_dir: str):
-    """Batch todo-list config -> enrichment actor pool, end-to-end: a
+    """Batch todo-list config -> live parse + enrich, end-to-end: a
     deterministic todo JSON (with /* */ comments, exercising the
     reference's comment-stripping loader, reference main.py:173-264) is
-    parsed by the config reader, broadcast as an EnrichConfig, and every
+    parsed by the config reader into an EnrichConfig, and every
     (conv, cmd) a side table touches comes back with its chapter title,
     suppression flag and renumbered hop label (reference
     terminal2html.py:16-38)."""
@@ -2262,7 +2238,6 @@ def _q_chapters_enrich(sf_dir: str):
     import pyarrow as pa
     import pyarrow.compute as pc
 
-    from console_log_parser_ray.stages.enrich import enrich
     from console_log_parser_ray.state.config import load_todo_config
 
     n_convs = _cache.SIZES.get(_cache.sf_name(sf_dir), _cache._DEFAULT)[0]
@@ -2323,9 +2298,7 @@ def _q_chapters_enrich(sf_dir: str):
 
     from console_log_parser_ray.stages.dedup import distinct_rows
 
-    touched = enrich(_parsed(sf_dir), cfg=cfg).map_batches(
-        pick, batch_format="pyarrow"
-    )
+    touched = _enriched(sf_dir, cfg).map_batches(pick, batch_format="pyarrow")
     # per-turn rows within one command block are identical; keep one
     # via a bucketed distinct (bounded group dispatch)
     return distinct_rows(touched, ["conv_id", "cmd_count"])
@@ -6407,9 +6380,9 @@ def _q_tool_rules(sf_dir: str):
     Both passes (vocabulary, then rules) read the cached enriched
     parquet column-pruned to the two tiny columns they need -- the
     10M-turn session scan that used to run TWICE here now runs zero
-    times after the one-time ``ensure_enriched`` build.  When the
-    cache's files are conversation-complete the pair-count partials
-    are built with one task per file (pair_count_partials) and the
+    times after the one-time ``ensure_enriched`` build.  The cache's
+    files are conversation-complete, so the pair-count partials are
+    built with one task per file (pair_count_partials) and the
     group-hash exchange inside association_rules disappears too."""
     import numpy as np
     import pyarrow as pa
@@ -6459,46 +6432,14 @@ def _q_tool_rules(sf_dir: str):
         )
         return pa.table({"g": g, "i": i})
 
-    import glob as _g
-
-    import pyarrow.parquet as pq
-    import ray.data
-
-    path = _cache.ensure_enriched(sf_dir)
-    if os.path.exists(os.path.join(path, "_CONV_PARTITIONED")):
-        files = sorted(_g.glob(os.path.join(path, "*.parquet")))
-
-        def per_file(batch: pa.Table) -> pa.Table:
-            outs = [
-                pair_count_partials(
-                    project(
-                        pq.read_table(
-                            item, columns=["conv_id", "tool"]
-                        )
-                    ),
-                    64,
-                )
-                for item in batch.column("item").to_pylist()
-            ]
-            return pa.concat_tables(outs)
-
-        partials = ray.data.from_items(
-            files, override_num_blocks=len(files)
-        ).map_batches(
-            per_file, batch_format="pyarrow", batch_size=None
-        )
-        res = association_rules(
-            None, "g", "i", min_support=2, k=30, partials=partials
-        )
-    else:
-        ds = _enriched_cached(sf_dir, ["conv_id", "tool"])
-        res = association_rules(
-            ds.map_batches(project, batch_format="pyarrow"),
-            "g",
-            "i",
-            min_support=2,
-            k=30,
-        )
+    partials = _enriched_conv_partials(
+        sf_dir,
+        ["conv_id", "tool"],
+        lambda t: pair_count_partials(project(t), 64),
+    )
+    res = association_rules(
+        None, "g", "i", min_support=2, k=30, partials=partials
+    )
     return pa.table(
         {
             "tool_a": pa.array(

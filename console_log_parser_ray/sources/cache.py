@@ -8,7 +8,10 @@ side-by-side comparison sees one consistent dataset.
 
 Generation is sharded across Ray tasks (one task per conversation
 range) when a Ray session is available, falling back to inline
-generation for tests.
+generation for tests.  Each file holds whole conversations
+(``_CONV_PARTITIONED``), and ``map_conv_files`` runs per-conversation
+work over such files with one task per file.  ``ensure_enriched``
+materializes the parse once per scale factor with the flagship runner.
 """
 
 from __future__ import annotations
@@ -53,8 +56,8 @@ def enriched_dir(sf_dir: str) -> str:
 
 
 def ensure_enriched(sf_dir: str) -> str:
-    """Parse + enrich the transcripts ONCE per scale factor, cached as
-    partitioned parquet under /tmp/clpr_enriched/<sf>/.
+    """Parse + enrich the transcripts ONCE per scale factor; returns the
+    directory of the enriched rows, ``/tmp/clpr_enriched/<sf>/sinks/parsed``.
 
     The transcript-ANALYTICS query family (tool_rules, tool_transitions,
     tools_per_conv, role_runs, top_commands, vim_share, turnlen_by_role)
@@ -65,91 +68,70 @@ def ensure_enriched(sf_dir: str) -> str:
     columnar output, and let every downstream query read a
     column-pruned parquet instead of re-parsing the corpus.
 
-    Build is streaming (read -> session scan -> enrich actor pool ->
-    write_parquet); nothing materializes on the driver.  Same
+    The build IS the flagship's sharded plan (``run_flagship``): one Ray
+    task per transcript file runs the partition kernel, so the parsed
+    sink holds one conversation-complete file per transcript file
+    (``shard=<s>/part-00000.parquet``) and per-conversation consumers
+    can run one task per file (``map_conv_files``).  Same
     _SUCCESS-marker + rename protocol as ``ensure_transcripts`` so
-    concurrent builders race safely and crashed partial builds are
-    discarded.
+    concurrent builders race safely; a directory without the parsed
+    sink (a crashed partial build, or an older cache layout) is
+    discarded and rebuilt.
     """
+    import shutil
+
+    from ..pipelines.run import run_flagship
+
     src = ensure_transcripts(sf_dir)
     out = enriched_dir(sf_dir)
+    parsed = os.path.join(out, "sinks", "parsed")
     done = os.path.join(out, "_SUCCESS")
-    if os.path.exists(done):
-        return out
-    if os.path.exists(out):  # stale partial build from a crashed run
-        import shutil
-
+    if os.path.exists(done) and os.path.isdir(parsed):
+        return parsed
+    if os.path.exists(out):  # a crashed partial build, or an older layout
         shutil.rmtree(out, ignore_errors=True)
     tmp = out + ".building.{}".format(os.getpid())
-
-    import ray.data
-
-    from ..pipelines.flagship import parse_sessions
-    from ..stages.enrich import enrich
-
-    ds = ray.data.read_parquet(
-        src, columns=["conv_id", "turn_idx", "text", "ts"]
-    )
-    enrich(parse_sessions(ds)).write_parquet(tmp)
-    if _files_conv_complete(tmp):
-        # the session scan emits one block per conv-hash bucket and
-        # write_parquet writes one file per block, so conversations
-        # normally never span files; VERIFY rather than assume (a
-        # giant bucket can split at the output-block size) and record
-        # the property so per-conv consumers can skip their shuffle
-        with open(os.path.join(tmp, "_CONV_PARTITIONED"), "w") as fh:
-            fh.write("conv_id\n")
+    run_flagship(src, tmp, plan="sharded", resume=False)
     with open(os.path.join(tmp, "_SUCCESS"), "w") as fh:
         fh.write("ok\n")
     try:
         os.rename(tmp, out)
     except OSError:
-        import shutil
-
         if os.path.exists(done):  # lost the race
             shutil.rmtree(tmp, ignore_errors=True)
         else:
             raise
-    return out
+    return parsed
 
 
-def _files_conv_complete(path: str) -> bool:
-    """True when no conv_id appears in more than one parquet file.
+def map_conv_files(path: str, fn, columns=None):
+    """One Ray task per parquet file under ``path`` (sorted, recursive):
+    the task reads its file column-pruned and emits ``fn(table)``.
 
-    Per-file distinct conv sets are collected in parallel Ray tasks
-    (one tiny dictionary-encoded column per file) and checked disjoint
-    on the driver; driver memory is bounded by the total conversation
-    count, which is ~5 orders below row count for this workload.
+    For conversation-complete files only (a ``_CONV_PARTITIONED``
+    transcripts directory, or ``ensure_enriched``'s parsed sink): every
+    conversation is whole inside one task, so per-conversation work
+    needs no exchange.
     """
     import glob
 
-    files = sorted(glob.glob(os.path.join(path, "*.parquet")))
-    if len(files) <= 1:
-        return True
+    import ray.data
 
-    def distinct_convs(f):
-        import pyarrow.compute as pc
-        import pyarrow.parquet as _pq
+    files = sorted(
+        glob.glob(os.path.join(path, "**", "*.parquet"), recursive=True)
+    )
 
-        t = _pq.read_table(f, columns=["conv_id"])
-        return set(pc.unique(t.column("conv_id").combine_chunks()).to_pylist())
+    def per_file(batch: pa.Table) -> pa.Table:
+        return pa.concat_tables(
+            [
+                fn(pq.read_table(f, columns=columns))
+                for f in batch.column("item").to_pylist()
+            ]
+        )
 
-    try:
-        import ray
-
-        if ray.is_initialized():
-            fn = ray.remote(num_cpus=1)(distinct_convs)
-            sets = ray.get([fn.remote(f) for f in files])
-        else:
-            sets = [distinct_convs(f) for f in files]
-    except Exception:
-        sets = [distinct_convs(f) for f in files]
-    seen: set = set()
-    for s in sets:
-        if seen & s:
-            return False
-        seen |= s
-    return True
+    return ray.data.from_items(files, override_num_blocks=len(files)).map_batches(
+        per_file, batch_format="pyarrow", batch_size=None
+    )
 
 
 def ensure_transcripts(sf_dir: str) -> str:

@@ -282,28 +282,30 @@ def conversation_fingerprints(
             "bucket", _conv_bucket_col(b, conv_col, n_buckets)
         )
 
-    def per_bucket(tbl: pa.Table) -> pa.Table:
-        convs, joined, n_turns = _conv_joined(
-            tbl, conv_col, order_col, text_col
-        )
-        # md5 per CONVERSATION (bounded by convs in the bucket, never
-        # rows); the digest itself runs at C speed over the joined text
-        hashes = [
-            hashlib.md5(s.encode()).hexdigest()
-            for s in joined.to_pylist()
-        ]
-        return pa.table(
-            {
-                conv_col: convs,
-                "conv_hash": pa.array(hashes, pa.string()),
-                "n_turns": pa.array(n_turns, pa.int64()),
-            }
-        )
-
     return (
         ds.map_batches(add_bucket, batch_format="pyarrow")
         .groupby("bucket")
-        .map_groups(per_bucket, batch_format="pyarrow")
+        .map_groups(
+            lambda t: _fingerprint_rows(t, conv_col, order_col, text_col),
+            batch_format="pyarrow",
+        )
+    )
+
+
+def _fingerprint_rows(
+    tbl: pa.Table, conv_col="conv_id", order_col="turn_idx", text_col="text"
+) -> pa.Table:
+    """(conv, conv_hash, n_turns) rows of a table of whole conversations."""
+    convs, joined, n_turns = _conv_joined(tbl, conv_col, order_col, text_col)
+    # md5 per CONVERSATION (bounded by convs in the table, never rows);
+    # the digest itself runs at C speed over the joined text
+    hashes = [hashlib.md5(s.encode()).hexdigest() for s in joined.to_pylist()]
+    return pa.table(
+        {
+            conv_col: convs,
+            "conv_hash": pa.array(hashes, pa.string()),
+            "n_turns": pa.array(n_turns, pa.int64()),
+        }
     )
 
 
@@ -311,48 +313,19 @@ def conversation_fingerprints_path(input_path: str, **kwargs):
     """Shuffle-free fingerprints for conversation-partitioned inputs
     (marker file `_CONV_PARTITIONED`): one task per input file, no data
     movement -- the same fused per-shard shape as the flagship plan."""
-    import glob as _g
     import os
 
-    import pyarrow.parquet as pq
     import ray.data
 
+    from ..sources.cache import map_conv_files
+
+    columns = ["conv_id", "turn_idx", "text"]
     if not os.path.exists(os.path.join(input_path, "_CONV_PARTITIONED")):
         return conversation_fingerprints(
-            ray.data.read_parquet(
-                input_path, columns=["conv_id", "turn_idx", "text"]
-            ),
-            **kwargs,
+            ray.data.read_parquet(input_path, columns=columns), **kwargs
         )
-    files = sorted(_g.glob(os.path.join(input_path, "*.parquet")))
 
-    def per_file(batch: pa.Table) -> pa.Table:
-        outs = []
-        for item in batch.column("item").to_pylist():
-            tbl = pq.read_table(
-                item, columns=["conv_id", "turn_idx", "text"]
-            )
-            convs, joined, n_turns = _conv_joined(
-                tbl, "conv_id", "turn_idx", "text"
-            )
-            hashes = [
-                hashlib.md5(s.encode()).hexdigest()
-                for s in joined.to_pylist()
-            ]
-            outs.append(
-                pa.table(
-                    {
-                        "conv_id": convs,
-                        "conv_hash": pa.array(hashes, pa.string()),
-                        "n_turns": pa.array(n_turns, pa.int64()),
-                    }
-                )
-            )
-        return pa.concat_tables(outs)
-
-    return ray.data.from_items(
-        files, override_num_blocks=len(files)
-    ).map_batches(per_file, batch_format="pyarrow", batch_size=None)
+    return map_conv_files(input_path, _fingerprint_rows, columns)
 
 
 def conversation_texts_path(input_path: str, **kwargs):
@@ -361,44 +334,19 @@ def conversation_texts_path(input_path: str, **kwargs):
     input file, no data movement -- the content twin of
     ``conversation_fingerprints_path``.  Falls back to the bucketed
     shuffle when the marker is absent."""
-    import glob as _g
     import os
 
-    import pyarrow.parquet as pq
     import ray.data
 
+    from ..sources.cache import map_conv_files
+
+    columns = ["conv_id", "turn_idx", "text"]
     if not os.path.exists(os.path.join(input_path, "_CONV_PARTITIONED")):
         return conversation_texts(
-            ray.data.read_parquet(
-                input_path, columns=["conv_id", "turn_idx", "text"]
-            ),
-            **kwargs,
+            ray.data.read_parquet(input_path, columns=columns), **kwargs
         )
-    files = sorted(_g.glob(os.path.join(input_path, "*.parquet")))
 
-    def per_file(batch: pa.Table) -> pa.Table:
-        outs = []
-        for item in batch.column("item").to_pylist():
-            tbl = pq.read_table(
-                item, columns=["conv_id", "turn_idx", "text"]
-            )
-            convs, joined, n_turns = _conv_joined(
-                tbl, "conv_id", "turn_idx", "text"
-            )
-            outs.append(
-                pa.table(
-                    {
-                        "conv_id": convs,
-                        "conv_text": joined,
-                        "n_turns": pa.array(n_turns, pa.int64()),
-                    }
-                )
-            )
-        return pa.concat_tables(outs)
-
-    return ray.data.from_items(
-        files, override_num_blocks=len(files)
-    ).map_batches(per_file, batch_format="pyarrow", batch_size=None)
+    return map_conv_files(input_path, _text_rows, columns)
 
 
 def conversation_exact_dedup(ds, **kwargs):
@@ -1518,22 +1466,27 @@ def conversation_texts(
             "bucket", _conv_bucket_col(b, conv_col, n_buckets)
         )
 
-    def per_bucket(tbl: pa.Table) -> pa.Table:
-        convs, joined, n_turns = _conv_joined(
-            tbl, conv_col, order_col, text_col
-        )
-        return pa.table(
-            {
-                conv_col: convs,
-                "conv_text": joined,
-                "n_turns": pa.array(n_turns, pa.int64()),
-            }
-        )
-
     return (
         ds.map_batches(add_bucket, batch_format="pyarrow")
         .groupby("bucket")
-        .map_groups(per_bucket, batch_format="pyarrow")
+        .map_groups(
+            lambda t: _text_rows(t, conv_col, order_col, text_col),
+            batch_format="pyarrow",
+        )
+    )
+
+
+def _text_rows(
+    tbl: pa.Table, conv_col="conv_id", order_col="turn_idx", text_col="text"
+) -> pa.Table:
+    """(conv, conv_text, n_turns) rows of a table of whole conversations."""
+    convs, joined, n_turns = _conv_joined(tbl, conv_col, order_col, text_col)
+    return pa.table(
+        {
+            conv_col: convs,
+            "conv_text": joined,
+            "n_turns": pa.array(n_turns, pa.int64()),
+        }
     )
 
 

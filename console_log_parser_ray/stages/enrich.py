@@ -1,17 +1,18 @@
-"""Stateful enrichment stage: broadcast-lookup actor pool.
+"""Enrichment: tool classification and side-table lookups per turn.
 
 The reference enriches each command row with side configuration --
 chapter titles, suppression lists, hop links -- loaded once per file
 (reference main.py:237-264, terminal2html.py:376-407), plus the
-tool/palette dictionaries.  Here that becomes a callable CLASS passed
-to ``map_batches(EnrichTurns, concurrency=(n, m))``: the lookup tables
-are shipped to the object store once (``ray.put``) and each actor
-fetches them a single time in ``__init__``; ``__call__`` is pure
-vectorized Arrow work per batch.
+tool/palette dictionaries.  Here that is ``EnrichTurns``, a callable
+applied in-task to each scanned table: by the flagship's partition
+kernel (``pipelines.run.process_partition``, which ships the
+``EnrichConfig`` to its tasks once through the object store) and by
+the registry's live parse (``__ray_entry__._enriched``).  The call is
+vectorized Arrow work over the table.
 
 Enrichment adds: ``tool`` (first token of the command), ``tool_family``
-and ``sink`` (broadcast dictionary lookups), ``chapter_title``,
-``suppressed`` and ``hop_to`` (side-table lookups keyed on
+and ``sink`` (dictionary lookups), ``chapter_title``, ``suppressed``,
+``hop_to`` and ``hop_label`` (side-table lookups keyed on
 (conv_id, cmd_count)).
 """
 
@@ -20,7 +21,7 @@ from __future__ import annotations
 import pyarrow as pa
 import pyarrow.compute as pc
 
-# Default tool classification (broadcast to every actor).
+# Default tool classification.
 DEFAULT_TOOL_FAMILIES = {
     "git": "vcs",
     "ls": "shell",
@@ -55,7 +56,7 @@ _FAMILY_SINK = {
 
 
 class EnrichConfig:
-    """Side tables for enrichment; broadcast once via ray.put."""
+    """Side tables for enrichment."""
 
     def __init__(
         self,
@@ -73,14 +74,10 @@ class EnrichConfig:
         self.hop_labels = hop_labels or {}
 
 
-def _broadcast(cfg: EnrichConfig):
-    import ray
-
-    return ray.put(cfg)
-
-
 class EnrichTurns:
-    """Actor-pool map_batches UDF (batch_format="pyarrow")."""
+    """Enrich a scanned table: ``EnrichTurns(cfg)(table)``.  ``cfg`` is
+    an ``EnrichConfig``, an object-store reference to one, or None for
+    the defaults."""
 
     def __init__(self, cfg_ref=None):
         if cfg_ref is None:
@@ -148,16 +145,3 @@ class EnrichTurns:
                 "hop_label", pa.nulls(n, pa.string()).fill_null("")
             )
         return out
-
-
-def enrich(ds, cfg: EnrichConfig | None = None, concurrency=(2, 8), batch_size=4096):
-    """Attach the enrichment actor pool to a parsed dataset."""
-    cfg_ref = _broadcast(cfg or EnrichConfig())
-    return ds.map_batches(
-        EnrichTurns,
-        fn_constructor_args=(cfg_ref,),
-        batch_format="pyarrow",
-        concurrency=concurrency,
-        batch_size=batch_size,
-        num_cpus=1,
-    )

@@ -1,8 +1,8 @@
-"""Ray Data stage: the session scan (map_groups UDF).
+"""The session scan: ``scan_bucket_table`` over an Arrow table.
 
-Builds the callable passed to ``map_groups``.  Each group is one
-conversation or one hash bucket of conversations, as a zero-copy Arrow
-table; the UDF sorts by ``(conv_id, turn_idx)``, walks one
+The table holds whole conversations -- one partition of the flagship
+kernel, one conversation-complete file, or one hash bucket of a
+Dataset; the scan sorts by ``(conv_id, turn_idx)``, walks one
 SessionScanner per conversation over the lines, and returns one
 structured row per turn.
 
@@ -384,81 +384,19 @@ def _try_fast(sc: SessionScanner, idx, text, plain, vim_safe, sgr_only, stripped
     return sc._end_turn(rec)
 
 
-def make_scan_fn(
-    suppress_map=None,
-    collect_stats: bool = False,
-    use_fast_paths: bool = True,
-):
-    """Create the map_groups UDF (pyarrow batch format): the bucket scan
-    of each group, whether the group is one conversation or a bucket."""
-
-    def scan_group(tbl: pa.Table) -> pa.Table:
-        return scan_bucket_table(
-            tbl,
-            suppress_map=suppress_map,
-            collect_stats=collect_stats,
-            use_fast_paths=use_fast_paths,
-        )
-
-    return scan_group
-
-
-def make_stats_fn():
-    """map_groups UDF emitting (conv_id, kind, seq, n) histogram partials.
-
-    Mirrors the reference's sequence statistics
-    (reference vtparser.py:552-559,744-787): control functions, escape
-    sequences, CSI sequences, DCS functions, plus distinct OSC/DCS
-    strings.  Set-valued kinds (osc_string / dcs_string) emit n = 1 per
-    conversation containing the string, so the global sum counts
-    conversations -- a partitioning-independent statistic.
-    """
-
-    def stats_group(tbl: pa.Table) -> pa.Table:
-        tbl = tbl.sort_by("turn_idx")
-        conv_id = tbl.column("conv_id")[0].as_py()
-        sc = SessionScanner(collect_stats=True)
-        for i, text in enumerate(tbl.column("text").to_pylist()):
-            sc.scan_turn(i, text)
-        kinds, seqs, ns = [], [], []
-        for kind, d in sc.stats.items():
-            for k, v in d.items():
-                kinds.append(kind)
-                seqs.append(k if isinstance(k, str) else "0x{:02x}".format(k))
-                ns.append(v)
-        for s in sc.osc_seen:
-            kinds.append("osc_string")
-            seqs.append(s)
-            ns.append(1)
-        for s in sc.dcs_seen:
-            kinds.append("dcs_string")
-            seqs.append(s)
-            ns.append(1)
-        return pa.table(
-            {
-                "conv_id": pa.array([conv_id] * len(kinds), pa.string()),
-                "kind": pa.array(kinds, pa.string()),
-                "seq": pa.array(seqs, pa.string()),
-                "n": pa.array(ns, pa.int64()),
-            }
-        )
-
-    return stats_group
-
-
 def scan_bucket_table(
     tbl: pa.Table,
     suppress_map=None,
     collect_stats: bool = False,
     use_fast_paths: bool = True,
 ) -> pa.Table:
-    """Scan a whole bucket of conversations in one call.
+    """Scan a table of whole conversations (a partition, a file or a
+    bucket) in one call.
 
-    The 100TB-shaped variant of the session scan: instead of one
-    map_groups invocation per conversation (whose fixed costs dominate
-    at ~200-turn conversations), conversations are hash-bucketed and a
-    single invocation scans every conversation in the bucket -- one
-    sort, one set of vectorized hint masks, one output table.
+    Instead of one invocation per conversation (whose fixed costs
+    dominate at ~200-turn conversations), a single invocation scans
+    every conversation in the table -- one sort, one set of vectorized
+    hint masks, one output table.
     """
     if tbl.num_rows == 0:
         return SCAN_SCHEMA.empty_table()

@@ -8615,37 +8615,89 @@ def test_association_rules_partials_path_matches(ray_session):
 
 
 def test_ensure_enriched_cache_and_conv_marker(ray_session, tmp_path):
-    """ensure_enriched builds once, marks conv-complete files, and the
-    cached table row-matches a live parse+enrich."""
+    """ensure_enriched builds once, as the flagship's parsed sink: one
+    conversation-complete file per transcript file, row-matching a
+    live parse+enrich on every column; a column-pruned cached read
+    returns only the asked-for columns."""
+    import glob
     import os
     import shutil
 
+    import pyarrow.parquet as pq
+
     from console_log_parser_ray.sources import cache
 
-    shutil.rmtree(cache.enriched_dir("/root/testdata/sf0.001"), ignore_errors=True)
-    p1 = cache.ensure_enriched("/root/testdata/sf0.001")
-    assert os.path.exists(os.path.join(p1, "_SUCCESS"))
-    assert os.path.exists(os.path.join(p1, "_CONV_PARTITIONED"))
-    mtime = os.path.getmtime(os.path.join(p1, "_SUCCESS"))
-    p2 = cache.ensure_enriched("/root/testdata/sf0.001")  # no rebuild
+    sf = "sf0.001"  # the scale-factor name alone picks the cached corpus
+    shutil.rmtree(cache.enriched_dir(sf), ignore_errors=True)
+    p1 = cache.ensure_enriched(sf)
+    done = os.path.join(cache.enriched_dir(sf), "_SUCCESS")
+    assert p1 == os.path.join(cache.enriched_dir(sf), "sinks", "parsed")
+    assert os.path.exists(done)
+    mtime = os.path.getmtime(done)
+    p2 = cache.ensure_enriched(sf)  # no rebuild
     assert p2 == p1
-    assert os.path.getmtime(os.path.join(p1, "_SUCCESS")) == mtime
+    assert os.path.getmtime(done) == mtime
 
-    import ray.data
+    files = sorted(glob.glob(os.path.join(p1, "**", "*.parquet"), recursive=True))
+    n_in = len(glob.glob(os.path.join(cache.ensure_transcripts(sf), "*.parquet")))
+    assert len(files) == n_in
+    seen: set = set()
+    for f in files:  # conversation-complete: no conv_id in two files
+        convs = set(pq.read_table(f, columns=["conv_id"]).column(0).to_pylist())
+        assert not seen & convs
+        seen |= convs
 
-    cached = ray.data.read_parquet(p1).to_pandas()
-    import sys
-
-    sys.path.insert(0, "/root/repo")
     import __ray_entry__ as entry
 
-    live = entry._enriched("/root/testdata/sf0.001").to_pandas()
+    live = entry._enriched(sf).to_pandas()
+    cached = entry._enriched_cached(sf, list(live.columns)).to_pandas()
+    assert list(cached.columns) == list(live.columns)
+    for col in (
+        "tool_family", "chapter_title", "suppressed", "hop_to", "hop_label"
+    ):
+        assert col in live.columns
     key = ["conv_id", "turn_idx"]
     cached = cached.sort_values(key).reset_index(drop=True)
     live = live.sort_values(key).reset_index(drop=True)
-    assert len(cached) == len(live)
-    for col in ("role", "tool", "command", "in_vim", "clean_text", "sink"):
-        assert cached[col].tolist() == live[col].tolist()
+    assert len(cached) == len(live) > 0
+    for col in live.columns:
+        assert cached[col].tolist() == live[col].tolist(), col
+
+    pruned = entry._enriched_cached(sf, ["conv_id", "tool"])
+    assert pruned.schema().names == ["conv_id", "tool"]
+    assert pruned.count() == len(live)
+
+
+def test_ensure_enriched_rebuilds_old_layout(ray_session):
+    """A cache directory in the older flat layout (parquet files plus
+    _SUCCESS at the top) is rebuilt, not misread."""
+    import os
+    import shutil
+
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+
+    from console_log_parser_ray.sources import cache
+
+    sf = "sf0.001"
+    out = cache.enriched_dir(sf)
+    shutil.rmtree(out, ignore_errors=True)
+    os.makedirs(out)
+    stale = os.path.join(out, "part-0.parquet")
+    pq.write_table(pa.table({"conv_id": ["stale"]}), stale)
+    with open(os.path.join(out, "_SUCCESS"), "w") as fh:
+        fh.write("ok\n")
+
+    path = cache.ensure_enriched(sf)
+    assert path == os.path.join(out, "sinks", "parsed")
+    assert not os.path.exists(stale)
+    assert os.path.exists(os.path.join(out, "_SUCCESS"))
+    import ray.data
+
+    convs = set(
+        ray.data.read_parquet(path, columns=["conv_id"]).to_pandas()["conv_id"]
+    )
+    assert "stale" not in convs and len(convs) == cache.SIZES["sf0.001"][0]
 
 
 def test_hapax_by_source_differential(ray_session):

@@ -7,6 +7,8 @@ import pyarrow as pa
 import pytest
 
 from console_log_parser_ray.pipelines import flagship
+from console_log_parser_ray.pipelines.run import conv_rollup_table
+from console_log_parser_ray.stages.scan import scan_bucket_table
 from console_log_parser_ray.sources.convert import logs_to_table
 from tests.conftest import CORPUS, RESOURCES
 
@@ -50,10 +52,8 @@ def test_sequence_histogram_matches_oracle(ray_session, corpus_table, oracle_res
     assert got == want
 
 
-def test_conv_rollup(ray_session, corpus_table, oracle_results):
-    ray = ray_session
-    ds = ray.data.from_arrow(corpus_table)
-    parsed = flagship.parse_sessions(ds)
-    roll = {r["conv_id"]: r for r in flagship.conv_rollup(parsed).take_all()}
+def test_conv_rollup(corpus_table, oracle_results):
+    parsed = scan_bucket_table(corpus_table)
+    roll = {r["conv_id"]: r for r in conv_rollup_table(parsed).to_pylist()}
     for stem, oracle in oracle_results.items():
         assert roll[stem]["n_cmds"] == len(oracle.cmd_rows), stem
