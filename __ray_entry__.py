@@ -1215,29 +1215,25 @@ def _q_orders_enrich(sf_dir: str):
         )
     )
 
-    class Join:
+    def join(b: pa.Table) -> pa.Table:
         """Broadcast hash-join, fully vectorized: the lookup arrays ship
-        to the object store once; each batch is one index_in + two
-        takes (no per-row Python)."""
-
-        def __init__(self):
-            self.keys, self.c_name, self.n_name = ray.get(maps_ref)
-
-        def __call__(self, b: pa.Table) -> pa.Table:
-            idx = pc.index_in(b.column("o_custkey"), value_set=self.keys)
-            return pa.table(
-                {
-                    "o_orderkey": b.column("o_orderkey"),
-                    "c_name": pc.take(self.c_name, idx),
-                    "n_name": pc.take(self.n_name, idx),
-                }
-            )
+        to the object store once; each batch is one fetch of them, one
+        index_in and two takes (no per-row Python)."""
+        keys, c_name, n_name = ray.get(maps_ref)
+        idx = pc.index_in(b.column("o_custkey"), value_set=keys)
+        return pa.table(
+            {
+                "o_orderkey": b.column("o_orderkey"),
+                "c_name": pc.take(c_name, idx),
+                "n_name": pc.take(n_name, idx),
+            }
+        )
 
     orders = ray.data.read_parquet(
         os.path.join(sf_dir, "orders.parquet"),
         columns=["o_orderkey", "o_custkey"],
     )
-    return orders.map_batches(Join, batch_format="pyarrow", concurrency=(1, 4))
+    return orders.map_batches(join, batch_format="pyarrow")
 
 
 def _q_asof_last_order(sf_dir: str):
@@ -8462,7 +8458,7 @@ def _q_lang_confusion(sf_dir: str):
     """Language-ID confusion matrix: generator ground-truth lang vs
     the engine's stopword-argmax prediction, counted per (lang,
     lang_pred) cell -- the eval readout for the lang_id heuristic.
-    One stateless actor-pool pass + a bounded two-key groupby."""
+    One stateless map pass + a bounded two-key groupby."""
     from ray.data.aggregate import Count
 
     from console_log_parser_ray.stages.textan import lang_id

@@ -21,6 +21,11 @@ every partition is an independent checkpoint:
   Conversations above ``skew_threshold`` turns get dedicated heavy
   partitions parsed chunk-parallel, streaming chunk ranges from
   storage; their chunks share the kernel's sink fan-out and commit.
+  The bucket count comes from the input's row count (Parquet footers)
+  and the CPU count, ``bucket_count``: ~4 buckets per CPU, but no
+  bucket below ``MIN_ROWS`` rows (each bucket pays a fixed cost in
+  sink files, a manifest and a task) and none above ``MAX_ROWS`` rows
+  (task memory).  The first attempt pins the count for every resume.
 
 Either way, a restarted run skips committed partitions, wipes
 uncommitted partial output first, and re-runs only the remainder --
@@ -32,6 +37,7 @@ reports the same totals as a clean one.
 from __future__ import annotations
 
 import collections
+import math
 import os
 
 import pyarrow as pa
@@ -43,6 +49,13 @@ from ..stages.scan import scan_bucket_table
 from ..state import manifests as M
 
 _INPUT_COLUMNS = ["conv_id", "turn_idx", "text", "ts"]
+
+# Bucketed plan sizing (see ``bucket_count``).  A bucket's fixed cost --
+# ~12 sink files, a manifest, a Ray task, its cleanup -- is ~40-60 ms;
+# at ~36 us/row of scan, MIN_ROWS keeps that near 10% of the bucket's
+# time.  MAX_ROWS bounds one gather task's memory on small hosts.
+MIN_ROWS = 16_384
+MAX_ROWS = 262_144
 
 
 def run_flagship(
@@ -307,8 +320,7 @@ def _run_sharded(input_path, out_dir, cfg=None, resume=True):
     in_files = sorted(_g.glob(os.path.join(input_path, "*.parquet")))
     done = M.completed_partitions(out_dir, "shard") if resume else set()
     todo = [s for s in range(len(in_files)) if s not in done]
-    for s in todo:
-        M.clean_partition_outputs(out_dir, s, "shard")
+    M.clean_partition_outputs(out_dir, todo, "shard")
     _run_partitions(
         out_dir,
         "shard",
@@ -430,6 +442,7 @@ def _parse_giant_conversation(
     n_buckets,
     chunk_size=None,
     head=256,
+    n_cpus=None,
 ):
     """Parse one oversized conversation chunk-parallel, streaming chunk
     ranges from storage, and write its full sink set under its
@@ -456,6 +469,9 @@ def _parse_giant_conversation(
        The driver writes the conversation's one rollup row from the
        returned count columns and commits the manifest.
 
+    Without ``chunk_size``, chunks are sized for ~2 per CPU of the
+    cluster's ``n_cpus``.
+
     Routed sink rows land under ``bucket=<heavy id>`` so the heavy
     bucket's manifest owns them and resume stays exactly-once (a hash
     bucket's cleanup can never delete them).
@@ -478,7 +494,6 @@ def _parse_giant_conversation(
         commit_partition(out_dir, "bucket", bucket_id, lineage, {}, None)
         return
     if chunk_size is None:
-        n_cpus = int(ray.cluster_resources().get("CPU", 8))
         chunk_size = max(500, n // max(2 * n_cpus, 4))
 
     bounds = list(range(0, n, chunk_size))
@@ -698,6 +713,21 @@ def find_heavy_conversations(input_path, threshold: int) -> dict:
     return {r["conv_id"]: r["sum(n)"] for r in rows}
 
 
+def bucket_count(rows: int, n_cpus: int) -> int:
+    """Default bucket count for ``rows`` input rows on ``n_cpus`` CPUs:
+    ~4 gather tasks per CPU (enough that the slowest bucket can't
+    dominate the tail), lowered so that no bucket holds fewer than
+    ``MIN_ROWS`` rows and raised so that none holds more than
+    ``MAX_ROWS``; at least one."""
+    return max(
+        1,
+        min(
+            math.ceil(rows / MIN_ROWS),
+            max(4 * n_cpus, math.ceil(rows / MAX_ROWS)),
+        ),
+    )
+
+
 def _run_bucketed(
     input_path,
     out_dir,
@@ -714,28 +744,38 @@ def _run_bucketed(
     the input or the parsed output; aggregates combine the tiny
     per-bucket counts recorded in the manifests.
 
+    The bucket count is, in order: the count pinned in the run manifest
+    by a previous attempt (bucket assignment is hash(conv_id) %
+    n_buckets, so a resume must reuse it or committed buckets would
+    cover a different conversation set), else ``n_buckets``, else
+    ``bucket_count(input rows, CPUs)`` with the rows read from the
+    Parquet footers: ``min(ceil(rows / MIN_ROWS), max(4 * CPUs,
+    ceil(rows / MAX_ROWS)))``.  The bucket is also the unit of
+    recovery, so on a small host the trade-off is granularity: at one
+    CPU a crash loses up to a quarter of the input, not 1/128 of it.
+
     ``skew_threshold``: conversations with more turns than this get a
     dedicated partition each, parsed chunk-parallel (conv_id-salting's
     safe sibling: a giant conversation can dominate a hash bucket, so
     it is isolated; splitting one *across* partitions uses the
     speculative FSM stitch in vt/chunked.py).
     """
+    import glob as _g
+
     import ray
 
     os.makedirs(out_dir, exist_ok=True)
-    # Pick the bucket count for parallelism, then PIN it in the run
-    # manifest: bucket assignment is hash(conv_id) % n_buckets, so every
-    # resumed attempt must reuse the first attempt's count or completed
-    # buckets would cover a different conversation set.  The default
-    # targets ~4 gather tasks per CPU: enough buckets that the slowest
-    # bucket can't dominate the tail, few enough that per-bucket
-    # overhead (staged-file opens, sink files, manifests) stays small.
+    in_files = sorted(_g.glob(os.path.join(input_path, "*.parquet")))
+    if not in_files and os.path.isfile(input_path):
+        in_files = [input_path]
+    n_cpus = int(ray.cluster_resources().get("CPU", 8))
     prior = M.read_run_manifest(out_dir) if resume else None
     if prior and prior.get("n_buckets"):
         n_buckets = prior["n_buckets"]
     elif n_buckets is None:
-        n_cpus = int(ray.cluster_resources().get("CPU", 8))
-        n_buckets = max(128, 4 * n_cpus)
+        n_buckets = bucket_count(
+            sum(pq.read_metadata(f).num_rows for f in in_files), n_cpus
+        )
     M.write_run_manifest(
         out_dir, {"plan": "bucketed", "n_buckets": n_buckets}
     )
@@ -749,8 +789,7 @@ def _run_bucketed(
 
     done = M.completed_partitions(out_dir) if resume else set()
     todo = [b for b in range(total_buckets) if b not in done]
-    for b in todo:
-        M.clean_partition_outputs(out_dir, b)
+    M.clean_partition_outputs(out_dir, todo)
 
     cfg_ref = ray.put(cfg or EnrichConfig())
 
@@ -772,6 +811,7 @@ def _run_bucketed(
                 ex.submit(
                     _parse_giant_conversation,
                     input_path, conv, bucket_id, out_dir, cfg_ref, n_buckets,
+                    n_cpus=n_cpus,
                 )
                 for conv, bucket_id in heavy_todo
             ]
@@ -786,17 +826,12 @@ def _run_bucketed(
         # streams phase 1 fully and gives phase 2 one independent task
         # per bucket -- and staged files double as the shuffle's spill,
         # exactly how a 256-node run would externalize this exchange.
-        import glob as _g
         import shutil as _sh
 
         staging = os.path.join(out_dir, "_staging")
-        in_files = sorted(_g.glob(os.path.join(input_path, "*.parquet")))
-        if not in_files and os.path.isfile(input_path):
-            in_files = [input_path]
         # ~2 scatter tasks per CPU: enough for balance, few enough that
         # the staged-file count stays ~n_tasks x n_buckets, not
         # n_files x n_buckets
-        n_cpus = int(ray.cluster_resources().get("CPU", 8))
         n_chunks = min(len(in_files), max(1, 2 * n_cpus))
         chunks = [
             in_files[i::n_chunks] for i in range(n_chunks)

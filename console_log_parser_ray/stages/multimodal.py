@@ -3,7 +3,7 @@
 The container has no image/audio codecs, so the decode kernels are
 STUBBED behind ``_decode_image_impl`` (deterministic fake: parses the
 synthetic header this module's encoder writes).  Everything around the
-stub -- schema, actor-pool stage shape, batch sizing for large binary
+stub -- schema, stage shape, batch sizing for large binary
 payloads, output layout -- is real and tested, so swapping in a real
 codec (PIL / ffmpeg) changes one function.
 """
@@ -65,11 +65,23 @@ def _decode_image_impl(payload: bytes):
     return w, h, pix
 
 
-class DecodeAndFeaturize:
-    """Actor-pool stage: decode binary payload -> mechanical features.
+def _map_stage(ds, make, batch_size):
+    """Task ``map_batches`` of a stage class: its constructor is cheap
+    (function references and ints), so each batch builds its own
+    instance instead of holding an actor -- as actor pools these
+    stages did not finish on a one-CPU cluster."""
+    return ds.map_batches(
+        lambda batch: make()(batch),
+        batch_format="pyarrow",
+        batch_size=batch_size,
+    )
 
-    Setup (codec init, model load) belongs in __init__; __call__ only
-    touches the batch.  Batches of large binary payloads must stay
+
+class DecodeAndFeaturize:
+    """Stage: decode binary payload -> mechanical features.
+
+    Setup (codec init) belongs in __init__; __call__ only touches the
+    batch.  Batches of large binary payloads must stay
     small -- pass batch_size explicitly when wiring this stage.
     """
 
@@ -103,18 +115,13 @@ class DecodeAndFeaturize:
         )
 
 
-def decode_features(ds, concurrency=(1, 4), batch_size=64):
-    """Wire the decode actor pool with small batches (binary payloads)."""
-    return ds.map_batches(
-        DecodeAndFeaturize,
-        batch_format="pyarrow",
-        concurrency=concurrency,
-        batch_size=batch_size,
-    )
+def decode_features(ds, batch_size=64):
+    """Wire the decode stage with small batches (binary payloads)."""
+    return _map_stage(ds, DecodeAndFeaturize, batch_size)
 
 
 class ResizeBox:
-    """Actor-pool resize stage: integer box-downsample by ``factor``.
+    """Resize stage: integer box-downsample by ``factor``.
 
     Pixel (r, c) maps to block (r//f, c//f); each output pixel is the
     FLOOR of its block's mean (edge blocks average their actual
@@ -163,15 +170,9 @@ class ResizeBox:
         )
 
 
-def resize_images(ds, factor: int = 4, concurrency=(1, 4), batch_size=64):
-    """Wire the resize actor pool (same batch-sizing rules as decode)."""
-    return ds.map_batches(
-        ResizeBox,
-        fn_constructor_kwargs={"factor": factor},
-        batch_format="pyarrow",
-        concurrency=concurrency,
-        batch_size=batch_size,
-    )
+def resize_images(ds, factor: int = 4, batch_size=64):
+    """Wire the resize stage (same batch-sizing rules as decode)."""
+    return _map_stage(ds, lambda: ResizeBox(factor), batch_size)
 
 
 _VMAGIC = b"FAKEVID1"
@@ -222,7 +223,7 @@ def _decode_video_impl(payload: bytes):
 
 
 class FrameSample:
-    """Actor-pool temporal sampling: keep every ``every``-th frame
+    """Temporal sampling stage: keep every ``every``-th frame
     (0-indexed 0, k, 2k, ...) and re-encode -- the standard
     video-to-training-frames reduction.  Exact-integer aggregates pin
     the stage via the hex-walk SQL oracle."""
@@ -259,16 +260,10 @@ class FrameSample:
         )
 
 
-def sample_frames(ds, every: int = 4, concurrency=(1, 4), batch_size=32):
-    """Wire the frame-sampling actor pool (small batches: payloads are
-    the large side)."""
-    return ds.map_batches(
-        FrameSample,
-        fn_constructor_kwargs={"every": every},
-        batch_format="pyarrow",
-        concurrency=concurrency,
-        batch_size=batch_size,
-    )
+def sample_frames(ds, every: int = 4, batch_size=32):
+    """Wire the frame-sampling stage (small batches: payloads are the
+    large side)."""
+    return _map_stage(ds, lambda: FrameSample(every), batch_size)
 
 
 MEDIA_CACHE = "/tmp/clpr_media"

@@ -777,10 +777,9 @@ def quality_scores(ds, text_col="text", id_col="doc_id"):
 
 
 class LangId:
-    """Actor-pool language identifier (stopword-hit heuristic).
+    """Language identifier (stopword-hit heuristic).
 
-    Tables are built once per actor in __init__ (the pattern for any
-    model-loading stage).  Scoring is fully vectorized: one regex split
+    Tables are built in __init__.  Scoring is fully vectorized: one regex split
     over the batch, the token lists flattened to a (token, row) pair
     table, per-language membership via ``pc.is_in`` against the
     stopword dictionary arrays, and segmented hit counts + argmax in
@@ -890,10 +889,14 @@ class LangId:
         )
 
 
-def lang_id(ds, concurrency=(1, 4)):
-    return ds.map_batches(
-        LangId, batch_format="pyarrow", concurrency=concurrency
-    )
+def _lang_pred(batch: pa.Table) -> pa.Table:
+    return LangId()(batch)
+
+
+def lang_id(ds):
+    """Task ``map_batches``: the stopword tables are cheap to build, so
+    each batch builds its own ``LangId`` instead of holding an actor."""
+    return ds.map_batches(_lang_pred, batch_format="pyarrow")
 
 
 _FP_BASE = 1000003

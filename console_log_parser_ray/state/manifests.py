@@ -89,20 +89,22 @@ def completed_partitions(out_dir: str, kind: str = "bucket") -> set:
     return out
 
 
-def clean_partition_outputs(out_dir: str, pid: int, kind: str = "bucket"):
-    """Remove partial output of an uncommitted partition from every sink
-    (including the primary parsed sink -- writers add files to existing
-    partition directories, so stale files would duplicate rows)."""
-    needle = f"{kind}={pid}"
+def clean_partition_outputs(out_dir: str, pids, kind: str = "bucket"):
+    """Remove partial output of the uncommitted partitions ``pids`` from
+    every sink (including the primary parsed sink -- writers add files
+    to existing partition directories, so stale files would duplicate
+    rows).  One walk of the sink trees covers all of ``pids``."""
+    needles = {f"{kind}={pid}" for pid in pids}
+    if not needles:
+        return
     for sub in ("sinks", "parsed"):
         root_dir = os.path.join(out_dir, sub)
         if not os.path.isdir(root_dir):
             continue
         for root, dirs, _files in os.walk(root_dir):
-            for d in list(dirs):
-                if d == needle:
-                    shutil.rmtree(os.path.join(root, d), ignore_errors=True)
-                    dirs.remove(d)
+            for d in [d for d in dirs if d in needles]:
+                shutil.rmtree(os.path.join(root, d), ignore_errors=True)
+                dirs.remove(d)
 
 
 def _write_json(path: str, payload: dict):

@@ -50,7 +50,7 @@ def test_resume_completes_partial_run(ray_session, small_input, tmp_path):
     run_flagship(small_input, crash_dir, n_buckets=8)
     for b in (2, 5):
         os.remove(M.manifest_path(crash_dir, b))
-        M.clean_partition_outputs(crash_dir, b)
+        M.clean_partition_outputs(crash_dir, [b])
         shutil.rmtree(
             os.path.join(crash_dir, "parsed", f"bucket={b}"), ignore_errors=True
         )
@@ -75,3 +75,105 @@ def test_resume_skips_completed(ray_session, small_input, tmp_path):
     run_flagship(small_input, out, n_buckets=4)
     for f, m in mtimes.items():
         assert os.path.getmtime(f) == m, "completed bucket was rewritten"
+
+
+@pytest.mark.parametrize(
+    "rows, n_cpus, want",
+    [
+        (59_384, 1, 4),  # perfbench input
+        (10_000_000, 1, 39),  # sf0.1, one CPU: capped at MAX_ROWS a bucket
+        (10_000_000, 32, 128),  # sf0.1, 32 CPUs: 4 buckets per CPU
+        (16_383, 1, 1),  # below MIN_ROWS
+        (16_383, 32, 1),
+        (0, 4, 1),
+    ],
+)
+def test_bucket_count_rule(rows, n_cpus, want):
+    from console_log_parser_ray.pipelines.run import bucket_count
+
+    assert bucket_count(rows, n_cpus) == want
+
+
+def test_resume_keeps_pinned_bucket_count(ray_session, small_input, tmp_path):
+    """A run primed at an explicit 128 buckets resumes at 128 when the
+    caller passes no count, though the default rule would pick 1."""
+    from console_log_parser_ray.pipelines.run import run_flagship
+
+    out = str(tmp_path / "out")
+    run_flagship(small_input, out, n_buckets=128)
+    for b in (3, 64, 127):
+        os.remove(M.manifest_path(out, b))
+    res = run_flagship(small_input, out)
+    assert res["buckets"] == 128
+    assert (res["ran"], res["skipped"]) == (3, 125)
+    assert M.completed_partitions(out) == set(range(128))
+
+
+def test_default_bucket_count_from_row_count(ray_session, tmp_path):
+    """Without a pin or an explicit count, the run commits as many
+    bucket manifests as ``bucket_count`` predicts from the footers."""
+    import ray
+
+    from console_log_parser_ray.pipelines.run import bucket_count, run_flagship
+
+    d = tmp_path / "in"
+    d.mkdir()
+    rows = 0
+    for i, start in enumerate((0, 60)):
+        t = gen_table(60, seed=5, mean_turns=300, start=start)
+        pq.write_table(t, str(d / f"part-{i}.parquet"))
+        rows += t.num_rows
+    want = bucket_count(rows, int(ray.cluster_resources()["CPU"]))
+    assert want > 1
+
+    out = str(tmp_path / "out")
+    res = run_flagship(str(d), out)
+    assert res["buckets"] == want
+    assert M.completed_partitions(out) == set(range(want))
+    parsed = sum(
+        pq.read_metadata(f).num_rows
+        for f in glob.glob(os.path.join(out, "parsed", "*", "*.parquet"))
+    )
+    assert parsed == rows
+
+
+def test_clean_partition_outputs_removes_exactly_the_given_partitions(tmp_path):
+    """One cleanup call over a subset of one kind's partitions removes
+    those ``<kind>=<pid>`` directories from every sink and leaves every
+    other partition's files -- of either kind -- untouched."""
+    import pyarrow as pa
+
+    from console_log_parser_ray.pipelines.run import write_sinks
+
+    out = str(tmp_path / "out")
+    tbl = pa.table({"x": [1, 2]})
+    sinks = ["parsed", "by_role/role=user", "by_tool/sink=shell", "vim_sessions"]
+    for kind in ("bucket", "shard"):
+        for pid in range(5):
+            write_sinks(out, kind, pid, [(s, tbl) for s in sinks])
+
+    def files():
+        snap = {}
+        for root, _dirs, names in os.walk(out):
+            for n in names:
+                st = os.stat(os.path.join(root, n))
+                snap[os.path.join(root, n)] = (st.st_ino, st.st_mtime_ns)
+        return snap
+
+    before = files()
+    M.clean_partition_outputs(out, [1, 3], "bucket")
+    after = files()
+
+    def pid_dir(path):
+        return next(p for p in path.split(os.sep) if p.startswith(("bucket=", "shard=")))
+
+    gone = {p for p in before if pid_dir(p) in ("bucket=1", "bucket=3")}
+    assert len(gone) == 2 * len(sinks)
+    assert set(after) == set(before) - gone
+    assert all(after[p] == before[p] for p in after)
+    for pid in (1, 3):
+        for s in sinks:
+            assert not os.path.exists(M.sink_dir(out, s, pid))
+    # no pids: nothing to walk, nothing removed
+    M.clean_partition_outputs(out, [], "shard")
+    assert files() == after

@@ -111,14 +111,14 @@ def test_heavy_conv_sinks_in_heavy_bucket_and_resume(
     # crash scenario A: heavy bucket uncommitted -> its re-run must not
     # duplicate rows in any committed hash bucket
     os.remove(M.manifest_path(out, 4))
-    M.clean_partition_outputs(out, 4)
+    M.clean_partition_outputs(out, [4])
     run_flagship(path, out, n_buckets=4, skew_threshold=100)
     assert routed_rows() == want
 
     # crash scenario B: a hash bucket uncommitted -> its cleanup must
     # not delete the giant's committed sink rows
     os.remove(M.manifest_path(out, 2))
-    M.clean_partition_outputs(out, 2)
+    M.clean_partition_outputs(out, [2])
     run_flagship(path, out, n_buckets=4, skew_threshold=100)
     assert routed_rows() == want
 
