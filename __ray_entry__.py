@@ -176,27 +176,22 @@ def _q_turn_events(sf_dir: str):
     reference's handler hooks -- SURVEY §2.8's extension surface)."""
     from console_log_parser_ray.stages.stats import extract_events
 
-    ds = _transcripts_ds(sf_dir).select_columns(
-        ["conv_id", "turn_idx", "text"]
-    )
-    return extract_events(ds)
+    return extract_events(_cache.ensure_transcripts(sf_dir))
 
 
 def _q_conv_fingerprint(sf_dir: str):
     """Conversation-level content fingerprints over the full transcript
     table (the conversation-dedup key at scale; shuffle-free on the
     conv-partitioned cache)."""
-    from console_log_parser_ray.stages.dedup import (
-        conversation_fingerprints_path,
-    )
+    from console_log_parser_ray.stages.dedup import conversation_fingerprints
 
-    return conversation_fingerprints_path(_cache.ensure_transcripts(sf_dir))
+    return conversation_fingerprints(_cache.ensure_transcripts(sf_dir))
 
 
 def _q_seq_histogram(sf_dir: str):
     from console_log_parser_ray.pipelines import flagship
 
-    return flagship.sequence_histogram_path(_cache.ensure_transcripts(sf_dir))
+    return flagship.sequence_histogram(_cache.ensure_transcripts(sf_dir))
 
 
 # ---------------------------------------------------------------------------
@@ -630,9 +625,9 @@ def _q_conv_text(sf_dir: str):
     turn texts): shuffle-free over the conv-partitioned transcripts
     cache (one task per file), one output row per conversation -- the
     export twin of conv_fingerprint."""
-    from console_log_parser_ray.stages.dedup import conversation_texts_path
+    from console_log_parser_ray.stages.dedup import conversation_texts
 
-    return conversation_texts_path(_cache.ensure_transcripts(sf_dir))
+    return conversation_texts(_cache.ensure_transcripts(sf_dir))
 
 
 def _q_mad_outliers(sf_dir: str):
@@ -7787,7 +7782,7 @@ def _q_dup_rate_by_source(sf_dir: str):
     import pyarrow.compute as pc
     from ray.data.aggregate import Sum
 
-    from console_log_parser_ray.stages.events import _string_bucket
+    from console_log_parser_ray.state.manifests import key_buckets
 
     ds = _docs(sf_dir).select_columns(["source", "text"])
 
@@ -7803,7 +7798,7 @@ def _q_dup_rate_by_source(sf_dir: str):
             }
         )
         return t.append_column(
-            "jb", _string_bucket(t.column("text").combine_chunks(), 64)
+            "jb", key_buckets(t.column("text"), 64)
         )
 
     def per_bucket(tbl):

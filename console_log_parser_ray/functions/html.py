@@ -450,6 +450,8 @@ def index_entries(parsed_ds, n_buckets: int = 256):
     """
     import pyarrow.compute as pc
 
+    from ..sources.cache import map_conversations
+
     def partial(tbl: pa.Table) -> pa.Table:
         title_key = pc.if_else(
             pc.equal(tbl.column("cmd_count"), 1),
@@ -482,27 +484,20 @@ def index_entries(parsed_ds, n_buckets: int = 256):
             df[["title", "conv_id", "n_cmds"]], preserve_index=False
         )
 
-    def rename_and_bucket(tbl: pa.Table) -> pa.Table:
-        import zlib
-
-        title = pc.fill_null(tbl.column("min(title_key_min)"), "")
-        bucket = pa.array(
-            [zlib.crc32(t.encode()) % n_buckets for t in title.to_pylist()],
-            pa.int32(),
-        )
+    def rename(tbl: pa.Table) -> pa.Table:
         return pa.table(
             {
-                "title": title,
+                "title": pc.fill_null(tbl.column("min(title_key_min)"), ""),
                 "conv_id": tbl.column("conv_id"),
                 "n_cmds": tbl.column("max(cmd_count_max)"),
-                "bucket": bucket,
             }
         )
 
-    return (
-        per_conv.map_batches(rename_and_bucket, batch_format="pyarrow")
-        .groupby("bucket")
-        .map_groups(dedup_bucket, batch_format="pyarrow")
+    return map_conversations(
+        per_conv.map_batches(rename, batch_format="pyarrow"),
+        dedup_bucket,
+        key="title",
+        n_buckets=n_buckets,
     )
 
 
@@ -521,7 +516,7 @@ def html_sink(parsed_ds, out_dir: str, palette: str = "MyDracula"):
     """
     import os
 
-    from ..stages.dedup import _conv_bucket_col
+    from ..sources.cache import map_conversations, per_key
     from .assets import assets_rel_dir, write_player_assets
 
     os.makedirs(out_dir, exist_ok=True)
@@ -550,26 +545,7 @@ def html_sink(parsed_ds, out_dir: str, palette: str = "MyDracula"):
             }
         )
 
-    def add_bucket(b: pa.Table) -> pa.Table:
-        return b.append_column("__hb", _conv_bucket_col(b, "conv_id", 64))
-
-    def per_bucket(tbl: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-
-        enc = pc.dictionary_encode(tbl.column("conv_id").combine_chunks())
-        outs = []
-        for code in range(len(enc.dictionary)):
-            sub = tbl.filter(
-                pc.equal(enc.indices, pa.scalar(code, enc.indices.type))
-            ).drop_columns(["__hb"])
-            outs.append(per_conv(sub))
-        return pa.concat_tables(outs)
-
-    docs = (
-        parsed_ds.map_batches(add_bucket, batch_format="pyarrow")
-        .groupby("__hb")
-        .map_groups(per_bucket, batch_format="pyarrow")
-    )
+    docs = map_conversations(parsed_ds, per_key(per_conv))
     entries = [
         (row["conv_id"], row["conv_id"], row["n_cmds"], [])
         for row in docs.iter_rows()

@@ -260,7 +260,7 @@ def replay_table(tbl: pa.Table, speed: float = 3.0,
     processing that turn (prompt regions therefore land on the turn
     where the prompt *ends*); ``replay_delay`` is the total simulated
     typing pause attributed to the turn.  Pure per-conversation state —
-    runs inside ``groupby(conv_id).map_groups`` at scale.
+    runs inside ``stream_replay``'s per-conversation calls at scale.
     """
     tbl = tbl.sort_by([("conv_id", "ascending"), ("turn_idx", "ascending")])
     conv_ids = tbl.column("conv_id").to_pylist()
@@ -304,24 +304,17 @@ def replay_table(tbl: pa.Table, speed: float = 3.0,
     )
 
 
-def stream_replay(ds, n_buckets: int = 64, **kw):
-    """Dataset-level replay extraction: conv-bucket groupby, one
-    replay_table per bucket (same partitioning contract as
-    stats.extract_events — a conversation never spans buckets)."""
-    import zlib
+def stream_replay(src, n_buckets: int = 64, **kw):
+    """Replay extraction over a path or Dataset of turns: one
+    ``replay_table`` call per file or conv bucket
+    (``map_conversations``; a conversation never spans calls)."""
+    from ..sources.cache import map_conversations
 
-    def add_bucket(b: pa.Table) -> pa.Table:
-        convs = b.column("conv_id").to_pylist()
-        buckets = [zlib.crc32(c.encode()) % n_buckets for c in convs]
-        return b.append_column("bucket", pa.array(buckets, pa.int32()))
-
-    def per_bucket(tbl: pa.Table) -> pa.Table:
-        return replay_table(tbl.drop_columns(["bucket"]), **kw)
-
-    return (
-        ds.map_batches(add_bucket, batch_format="pyarrow")
-        .groupby("bucket")
-        .map_groups(per_bucket, batch_format="pyarrow")
+    return map_conversations(
+        src,
+        lambda t: replay_table(t, **kw),
+        n_buckets=n_buckets,
+        columns=["conv_id", "turn_idx", "text"],
     )
 
 

@@ -1,18 +1,20 @@
-"""Session scan and sequence histogram over Ray Datasets.
+"""Session scan and sequence histogram over any turns input.
 
 The flagship pipeline itself -- parse -> enrich -> route -> aggregate --
 is ``pipelines.run.run_flagship``: one Ray task per partition runs the
-partition kernel (``process_partition``), and for conversation-complete
-files (``sources.cache.map_conv_files``) that task is also how registry
-queries parse, with no exchange.  This module holds the two Dataset
-shapes that are not files:
+partition kernel (``process_partition``).  This module holds the scan
+and the histogram for registry queries and arbitrary Datasets.  Both
+run through the one conversation exchange,
+``sources.cache.map_conversations``, so a conversation-complete
+directory costs one task per file and any other input one conv-bucket
+shuffle:
 
-* ``parse_sessions`` scans an arbitrary Dataset of turns (frames
-  reassembled from asciinema, an in-memory corpus): conversations are
-  hash-bucketed and each bucket is scanned in one ``map_groups`` call,
-  the one shuffle such an input needs;
-* ``sequence_histogram`` folds per-bucket statistics partials into the
-  global (kind, seq) histogram without an all-to-all shuffle.
+* ``parse_sessions`` runs one ``scan_bucket_table`` call per file or
+  bucket (frames reassembled from asciinema, an in-memory corpus, the
+  transcripts cache);
+* ``sequence_histogram`` folds per-file or per-bucket statistics
+  partials into the global (kind, seq) histogram without an all-to-all
+  shuffle.
 """
 
 from __future__ import annotations
@@ -20,60 +22,29 @@ from __future__ import annotations
 import pyarrow as pa
 import ray.data
 
+from ..sources.cache import map_conversations
 from ..stages.scan import make_bucket_stats_fn, scan_bucket_table
-from ..state.manifests import conv_buckets
-
-_N_BUCKETS = 64
 
 
-def add_bucket(n_buckets: int):
-    """conv_id -> bucket column (stable CRC hash, the runner's bucket ids)."""
-
-    def fn(batch):
-        return batch.append_column(
-            "bucket", conv_buckets(batch.column("conv_id"), n_buckets)
-        )
-
-    return fn
-
-
-def _by_bucket(ds: "ray.data.Dataset", fn) -> "ray.data.Dataset":
-    """Apply ``fn`` to each conv-hash bucket: whole conversations, many
-    per call."""
-    bucketed = ds.map_batches(add_bucket(_N_BUCKETS), batch_format="pyarrow")
-    return bucketed.groupby("bucket").map_groups(fn, batch_format="pyarrow")
-
-
-def parse_sessions(ds: "ray.data.Dataset") -> "ray.data.Dataset":
-    """The session scan of a Dataset of turns (conv_id, turn_idx, text
-    [, ts, has_eol]): one ``scan_bucket_table`` call per bucket."""
-    return _by_bucket(ds, scan_bucket_table)
-
-
-def sequence_histogram(ds: "ray.data.Dataset") -> "ray.data.Dataset":
-    """Global (kind, seq) histogram, mirroring the reference's
-    log_statistics (reference vtparser.py:751-787): per-bucket partial
-    histograms (distinct-string kinds stay exact because OSC/DCS string
-    sets are deduplicated inside each conversation before counting),
-    then a narrow combine over the small partials."""
-    return _reduce_histogram(_by_bucket(ds, make_bucket_stats_fn()))
-
-
-def sequence_histogram_path(input_path: str) -> "ray.data.Dataset":
-    """Shuffle-free histogram for conversation-partitioned inputs: one
-    stats task per input file, then the tiny partial combine."""
-    import os
-
-    from ..sources.cache import map_conv_files
-
-    columns = ["conv_id", "turn_idx", "text"]
-    if not os.path.exists(os.path.join(input_path, "_CONV_PARTITIONED")):
-        return sequence_histogram(
-            ray.data.read_parquet(input_path, columns=columns)
-        )
-    return _reduce_histogram(
-        map_conv_files(input_path, make_bucket_stats_fn(), columns)
+def parse_sessions(src) -> "ray.data.Dataset":
+    """The session scan of a path or Dataset of turns (conv_id,
+    turn_idx, text [, ts, has_eol])."""
+    return map_conversations(
+        src, scan_bucket_table, columns=["conv_id", "turn_idx", "text", "ts"]
     )
+
+
+def sequence_histogram(src) -> "ray.data.Dataset":
+    """Global (kind, seq) histogram of a path or Dataset of turns,
+    mirroring the reference's log_statistics (reference
+    vtparser.py:751-787): per-call partial histograms (distinct-string
+    kinds stay exact because OSC/DCS string sets are deduplicated inside
+    each conversation before counting), then a narrow combine over the
+    small partials."""
+    partials = map_conversations(
+        src, make_bucket_stats_fn(), columns=["conv_id", "turn_idx", "text"]
+    )
+    return _reduce_histogram(partials)
 
 
 def _combine_partials(batch):

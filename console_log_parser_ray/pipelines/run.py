@@ -44,6 +44,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
+from ..sources.cache import conv_complete
 from ..stages.enrich import EnrichConfig, EnrichTurns
 from ..stages.scan import scan_bucket_table
 from ..state import manifests as M
@@ -73,9 +74,7 @@ def run_flagship(
     input carries the ``_CONV_PARTITIONED`` marker, else bucketed).
     """
     conv_partitioned = (
-        os.path.exists(os.path.join(input_path, "_CONV_PARTITIONED"))
-        if plan is None
-        else plan == "sharded"
+        conv_complete(input_path) if plan is None else plan == "sharded"
     )
     if conv_partitioned:
         return _run_sharded(input_path, out_dir, cfg=cfg, resume=resume)
@@ -100,13 +99,16 @@ def process_partition(
     """One partition, start to commit: read its input files, scan ->
     enrich -> write every sink -> commit its manifest.  A partition
     with no input files commits an empty manifest so resume bookkeeping
-    stays complete."""
+    stays complete.  Null conv_ids are rejected, as the bucketed plan's
+    hash rejects them."""
     enriched = None
     sinks = {}
     if paths:
         tbl = pa.concat_tables(
             [pq.read_table(p, columns=_INPUT_COLUMNS) for p in paths]
         )
+        if tbl.column("conv_id").null_count:
+            raise M.null_key_error("conv_id")
         enriched = EnrichTurns(cfg_ref)(scan_bucket_table(tbl))
         sinks = write_sinks(
             out_dir,
@@ -349,7 +351,7 @@ def _add_bucket_and_filter(n_buckets: int, wanted: frozenset, heavy_ids=None):
     ) <= wanted and not heavy_ids
 
     def fn(batch: pa.Table) -> pa.Table:
-        bucket_arr = M.conv_buckets(batch.column("conv_id"), n_buckets, heavy_ids)
+        bucket_arr = M.key_buckets(batch.column("conv_id"), n_buckets, heavy_ids)
         batch = batch.append_column("bucket", bucket_arr)
         if all_wanted:
             return batch

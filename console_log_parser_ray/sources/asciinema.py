@@ -78,7 +78,7 @@ def frames_to_turns(frames_ds):
     pre-split and routed through the runner's heavy-conversation chunk
     path after assembly.
     """
-    from ..stages.dedup import _conv_bucket_col
+    from .cache import map_conversations, per_key
 
     def assemble(tbl: pa.Table) -> pa.Table:
         tbl = tbl.sort_by([("ts", "ascending"), ("frame_idx", "ascending")])
@@ -120,26 +120,7 @@ def frames_to_turns(frames_ds):
             }
         )
 
-    def add_bucket(b: pa.Table) -> pa.Table:
-        return b.append_column("__hb", _conv_bucket_col(b, "conv_id", 64))
-
-    def assemble_bucket(tbl: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-
-        enc = pc.dictionary_encode(tbl.column("conv_id").combine_chunks())
-        outs = []
-        for code in range(len(enc.dictionary)):
-            sub = tbl.filter(
-                pc.equal(enc.indices, pa.scalar(code, enc.indices.type))
-            ).drop_columns(["__hb"])
-            outs.append(assemble(sub))
-        return pa.concat_tables(outs)
-
-    return (
-        frames_ds.map_batches(add_bucket, batch_format="pyarrow")
-        .groupby("__hb")
-        .map_groups(assemble_bucket, batch_format="pyarrow")
-    )
+    return map_conversations(frames_ds, per_key(assemble))
 
 
 def extract_vim_recordings(frames_ds, parsed_ds, n_buckets: int = 64):
@@ -157,11 +138,11 @@ def extract_vim_recordings(frames_ds, parsed_ds, n_buckets: int = 64):
     driver-side span map, no broadcast, group dispatch capped at
     n_buckets.
     """
-    import zlib
-
     import pyarrow.compute as pc
 
     from ray.data.aggregate import Max, Min
+
+    from .cache import map_conversations
 
     def vim_rows(tbl: pa.Table) -> pa.Table:
         sub = tbl.filter(pc.greater_equal(tbl.column("vim_session_id"), 0))
@@ -179,17 +160,10 @@ def extract_vim_recordings(frames_ds, parsed_ds, n_buckets: int = 64):
         .aggregate(Min("ts_us"), Max("ts_us"))
     )
 
-    def _buckets(convs: list) -> pa.Array:
-        return pa.array(
-            [zlib.crc32(c.encode()) % n_buckets for c in convs], pa.int32()
-        )
-
     def tag_spans(tbl: pa.Table) -> pa.Table:
         n = tbl.num_rows
-        convs = tbl.column("conv_id").to_pylist()
         return pa.table(
             {
-                "bucket": _buckets(convs),
                 "conv_id": tbl.column("conv_id"),
                 "side": pa.array(["s"] * n, pa.string()),
                 "vim_session_id": tbl.column("vim_session_id"),
@@ -203,10 +177,8 @@ def extract_vim_recordings(frames_ds, parsed_ds, n_buckets: int = 64):
 
     def tag_frames(tbl: pa.Table) -> pa.Table:
         n = tbl.num_rows
-        convs = tbl.column("conv_id").to_pylist()
         return pa.table(
             {
-                "bucket": _buckets(convs),
                 "conv_id": tbl.column("conv_id"),
                 "side": pa.array(["f"] * n, pa.string()),
                 "vim_session_id": pa.nulls(n, pa.int32()),
@@ -283,6 +255,4 @@ def extract_vim_recordings(frames_ds, parsed_ds, n_buckets: int = 64):
             }
         )
 
-    return tagged.groupby("bucket").map_groups(
-        cut_group, batch_format="pyarrow"
-    )
+    return map_conversations(tagged, cut_group, n_buckets=n_buckets)

@@ -8,10 +8,16 @@ side-by-side comparison sees one consistent dataset.
 
 Generation is sharded across Ray tasks (one task per conversation
 range) when a Ray session is available, falling back to inline
-generation for tests.  Each file holds whole conversations
-(``_CONV_PARTITIONED``), and ``map_conv_files`` runs per-conversation
-work over such files with one task per file.  ``ensure_enriched``
-materializes the parse once per scale factor with the flagship runner.
+generation for tests.  Each file holds whole conversations, which the
+directory's ``_CONV_PARTITIONED`` marker records (``conv_complete``).
+``ensure_enriched`` materializes the parse once per scale factor with
+the flagship runner.
+
+Per-conversation work over any input runs through one exchange,
+``map_conversations``: one task per file for a conversation-complete
+directory (``map_conv_files``), else one ``key_buckets`` hash column ->
+``groupby`` -> ``map_groups``.  ``per_key`` splits such a call's table
+for kernels that take one key per call.
 """
 
 from __future__ import annotations
@@ -19,8 +25,10 @@ from __future__ import annotations
 import os
 
 import pyarrow as pa
+import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
+from ..state.manifests import key_buckets
 from .synth import gen_table
 
 CACHE_ROOT = "/tmp/clpr_transcripts"
@@ -132,6 +140,69 @@ def map_conv_files(path: str, fn, columns=None):
     return ray.data.from_items(files, override_num_blocks=len(files)).map_batches(
         per_file, batch_format="pyarrow", batch_size=None
     )
+
+
+def conv_complete(path: str) -> bool:
+    """True for a directory whose files each hold whole conversations
+    (it carries the ``_CONV_PARTITIONED`` marker)."""
+    return os.path.exists(os.path.join(path, "_CONV_PARTITIONED"))
+
+
+_BUCKET = "__bucket"
+
+
+def map_conversations(src, fn, key="conv_id", n_buckets=64, columns=None):
+    """Apply ``fn`` (pyarrow.Table -> pyarrow.Table) to tables that each
+    hold every row of the ``key`` values in them: whole conversations,
+    many per call.
+
+    ``src`` is a path or a Dataset.  A conversation-complete directory
+    runs one task per file (``map_conv_files``), with no exchange.  Any
+    other path is read (pruned to ``columns``) and, like a Dataset,
+    goes through one exchange: ``key_buckets`` column -> ``groupby`` ->
+    ``map_groups(fn)``, with the bucket column dropped before ``fn``
+    sees the table.  ``n_buckets`` bounds the group count (task
+    dispatch), never the key cardinality; size it so one bucket's rows
+    fit a worker.
+    """
+    import ray.data
+
+    if isinstance(src, str):
+        if conv_complete(src):
+            return map_conv_files(src, fn, columns)
+        src = ray.data.read_parquet(src, columns=columns)
+
+    def add_bucket(b: pa.Table) -> pa.Table:
+        return b.append_column(
+            _BUCKET, key_buckets(b.column(key), n_buckets, key=key)
+        )
+
+    def per_bucket(tbl: pa.Table) -> pa.Table:
+        return fn(tbl.drop_columns([_BUCKET]))
+
+    return (
+        src.map_batches(add_bucket, batch_format="pyarrow")
+        .groupby(_BUCKET)
+        .map_groups(per_bucket, batch_format="pyarrow")
+    )
+
+
+def per_key(fn, key="conv_id"):
+    """``fn`` called once per distinct ``key`` value of a table (in
+    first-appearance order), results concatenated: for kernels that take
+    exactly one key per call, run inside ``map_conversations``."""
+
+    def run(tbl: pa.Table) -> pa.Table:
+        enc = pc.dictionary_encode(tbl.column(key).combine_chunks())
+        codes = enc.indices
+        return pa.concat_tables(
+            [
+                fn(tbl.filter(pc.equal(codes, pa.scalar(c, codes.type))))
+                for c in range(len(enc.dictionary))
+            ]
+        )
+
+    return run
 
 
 def ensure_transcripts(sf_dir: str) -> str:

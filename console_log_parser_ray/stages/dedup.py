@@ -30,6 +30,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from ..sources.cache import map_conversations
 from .textan import ascii_tokens
 
 _MERSENNE = (1 << 61) - 1
@@ -132,6 +133,18 @@ def _text_hash_batch(batch: pa.Table, text_col: str) -> pa.Table:
     return batch.append_column("text_hash", pa.array(h, pa.uint64()))
 
 
+def _add_hash_bucket(b: pa.Table, n_buckets: int) -> pa.Table:
+    """Coarse shuffle bucket of the 64-bit ``text_hash``: its low bits
+    (``n_buckets`` is a power of two)."""
+    hb = pc.cast(
+        pc.bit_wise_and(
+            b.column("text_hash"), pa.scalar(n_buckets - 1, pa.uint64())
+        ),
+        pa.int32(),
+    )
+    return b.append_column("hash_bucket", hb)
+
+
 def exact_dedup(ds, text_col="text", id_col="doc_id", n_shuffle_buckets=256):
     """Keep one row (minimum id) per identical text.
 
@@ -144,18 +157,11 @@ def exact_dedup(ds, text_col="text", id_col="doc_id", n_shuffle_buckets=256):
     -- the partitioning knob to raise with corpus size.
     """
     hashed = ds.map_batches(
-        lambda b: _text_hash_batch(b, text_col), batch_format="pyarrow"
+        lambda b: _add_hash_bucket(
+            _text_hash_batch(b, text_col), n_shuffle_buckets
+        ),
+        batch_format="pyarrow",
     )
-
-    def add_bucket(b: pa.Table) -> pa.Table:
-        hb = pc.cast(
-            pc.bit_wise_and(
-                b.column("text_hash"),
-                pa.scalar(n_shuffle_buckets - 1, pa.uint64()),
-            ),
-            pa.int32(),
-        )
-        return b.append_column("hash_bucket", hb)
 
     def keep_first(tbl: pa.Table) -> pa.Table:
         import pandas as pd
@@ -177,44 +183,10 @@ def exact_dedup(ds, text_col="text", id_col="doc_id", n_shuffle_buckets=256):
         return tbl.take(pa.array(rows, pa.int64()))
 
     return (
-        hashed.map_batches(add_bucket, batch_format="pyarrow")
-        .groupby("hash_bucket")
+        hashed.groupby("hash_bucket")
         .map_groups(keep_first, batch_format="pyarrow")
         .drop_columns(["text_hash", "hash_bucket"])
     )
-
-
-def _conv_bucket_col(
-    b: pa.Table, conv_col: str, n_buckets: int
-) -> pa.Array:
-    """Shuffle-bucket column for conversation keys: crc32 per DISTINCT
-    conv id (dictionary-encode once -- conversations repeat heavily
-    within a block, so the Python hash loop runs per distinct value,
-    not per row).  Null conv ids are rejected explicitly: a null
-    conversation key has no identity to group on, and silently
-    crc32-ing a placeholder would merge unrelated rows."""
-    import zlib
-
-    col = b.column(conv_col)
-    if isinstance(col, pa.ChunkedArray):
-        col = col.combine_chunks()
-    if col.null_count:
-        raise ValueError(
-            f"null {conv_col!r} values are unsupported: conversation "
-            "operators group on the conv key; filter or impute nulls "
-            "upstream"
-        )
-    enc = pc.dictionary_encode(col)
-    dict_vals = enc.dictionary.to_pylist()
-    h = np.fromiter(
-        (zlib.crc32(s.encode()) % n_buckets for s in dict_vals),
-        dtype=np.int32,
-        count=len(dict_vals),
-    )
-    buckets = h[enc.indices.to_numpy(zero_copy_only=False)] if len(
-        dict_vals
-    ) else np.zeros(0, dtype=np.int32)
-    return pa.array(buckets, pa.int32())
 
 
 def _conv_joined(
@@ -263,7 +235,7 @@ def _conv_joined(
 
 
 def conversation_fingerprints(
-    ds, conv_col="conv_id", order_col="turn_idx", text_col="text",
+    src, conv_col="conv_id", order_col="turn_idx", text_col="text",
     n_buckets=64,
 ):
     """Per-conversation content fingerprint over the (large) transcript
@@ -271,24 +243,19 @@ def conversation_fingerprints(
     turn count -- the key for conversation-level exact dedup at
     10^12-turn scale.
 
-    One conv-bucket shuffle (conversations never split); each bucket
-    group emits one tiny row per conversation, so the output is
-    #conversations rows regardless of input size.  Size ``n_buckets``
-    so one bucket's turns fit a worker (conversation-partitioned
-    inputs can instead use the shuffle-free path below).
+    ``src`` is a path or a Dataset, run through ``map_conversations``:
+    one task per file of a conversation-complete directory, else one
+    conv-bucket shuffle (conversations never split; size ``n_buckets``
+    so one bucket's turns fit a worker).  Each call emits one tiny row
+    per conversation, so the output is #conversations rows regardless
+    of input size.
     """
-    def add_bucket(b: pa.Table) -> pa.Table:
-        return b.append_column(
-            "bucket", _conv_bucket_col(b, conv_col, n_buckets)
-        )
-
-    return (
-        ds.map_batches(add_bucket, batch_format="pyarrow")
-        .groupby("bucket")
-        .map_groups(
-            lambda t: _fingerprint_rows(t, conv_col, order_col, text_col),
-            batch_format="pyarrow",
-        )
+    return map_conversations(
+        src,
+        lambda t: _fingerprint_rows(t, conv_col, order_col, text_col),
+        key=conv_col,
+        n_buckets=n_buckets,
+        columns=[conv_col, order_col, text_col],
     )
 
 
@@ -307,46 +274,6 @@ def _fingerprint_rows(
             "n_turns": pa.array(n_turns, pa.int64()),
         }
     )
-
-
-def conversation_fingerprints_path(input_path: str, **kwargs):
-    """Shuffle-free fingerprints for conversation-partitioned inputs
-    (marker file `_CONV_PARTITIONED`): one task per input file, no data
-    movement -- the same fused per-shard shape as the flagship plan."""
-    import os
-
-    import ray.data
-
-    from ..sources.cache import map_conv_files
-
-    columns = ["conv_id", "turn_idx", "text"]
-    if not os.path.exists(os.path.join(input_path, "_CONV_PARTITIONED")):
-        return conversation_fingerprints(
-            ray.data.read_parquet(input_path, columns=columns), **kwargs
-        )
-
-    return map_conv_files(input_path, _fingerprint_rows, columns)
-
-
-def conversation_texts_path(input_path: str, **kwargs):
-    """Shuffle-free per-conversation reassembly for conversation-
-    partitioned inputs (marker file `_CONV_PARTITIONED`): one task per
-    input file, no data movement -- the content twin of
-    ``conversation_fingerprints_path``.  Falls back to the bucketed
-    shuffle when the marker is absent."""
-    import os
-
-    import ray.data
-
-    from ..sources.cache import map_conv_files
-
-    columns = ["conv_id", "turn_idx", "text"]
-    if not os.path.exists(os.path.join(input_path, "_CONV_PARTITIONED")):
-        return conversation_texts(
-            ray.data.read_parquet(input_path, columns=columns), **kwargs
-        )
-
-    return map_conv_files(input_path, _text_rows, columns)
 
 
 def conversation_exact_dedup(ds, **kwargs):
@@ -1447,32 +1374,26 @@ def dup_cluster_labels(
 
 
 def conversation_texts(
-    ds, conv_col="conv_id", order_col="turn_idx", text_col="text",
+    src, conv_col="conv_id", order_col="turn_idx", text_col="text",
     n_buckets=64,
 ):
     """Per-conversation document reassembly: the newline-joined turn
     texts in turn order plus the turn count -- the export shape that
     turns a turn-level transcript table back into one training
     document per conversation (the content twin of
-    ``conversation_fingerprints``, which emits only the md5).
+    ``conversation_fingerprints``, which emits only the md5, and run
+    through ``map_conversations`` the same way).
 
-    Same single conv-bucket shuffle: conversations never split, each
-    bucket group emits one row per conversation.  Output volume equals
-    the input text volume, so this is a terminal export stage -- write
-    it, don't collect it.
+    Each call emits one row per conversation.  Output volume equals the
+    input text volume, so this is a terminal export stage -- write it,
+    don't collect it.
     """
-    def add_bucket(b: pa.Table) -> pa.Table:
-        return b.append_column(
-            "bucket", _conv_bucket_col(b, conv_col, n_buckets)
-        )
-
-    return (
-        ds.map_batches(add_bucket, batch_format="pyarrow")
-        .groupby("bucket")
-        .map_groups(
-            lambda t: _text_rows(t, conv_col, order_col, text_col),
-            batch_format="pyarrow",
-        )
+    return map_conversations(
+        src,
+        lambda t: _text_rows(t, conv_col, order_col, text_col),
+        key=conv_col,
+        n_buckets=n_buckets,
+        columns=[conv_col, order_col, text_col],
     )
 
 
@@ -1874,18 +1795,11 @@ def exact_dedup_priority(
     unk = len(priority)
 
     hashed = ds.map_batches(
-        lambda b: _text_hash_batch(b, text_col), batch_format="pyarrow"
+        lambda b: _add_hash_bucket(
+            _text_hash_batch(b, text_col), n_shuffle_buckets
+        ),
+        batch_format="pyarrow",
     )
-
-    def add_bucket(b: pa.Table) -> pa.Table:
-        hb = pc.cast(
-            pc.bit_wise_and(
-                b.column("text_hash"),
-                pa.scalar(n_shuffle_buckets - 1, pa.uint64()),
-            ),
-            pa.int32(),
-        )
-        return b.append_column("hash_bucket", hb)
 
     def keep_best(tbl: pa.Table) -> pa.Table:
         texts = pc.dictionary_encode(tbl.column(text_col).combine_chunks())
@@ -1909,8 +1823,7 @@ def exact_dedup_priority(
         return tbl.take(pa.array(np.sort(order[first]), pa.int64()))
 
     return (
-        hashed.map_batches(add_bucket, batch_format="pyarrow")
-        .groupby("hash_bucket")
+        hashed.groupby("hash_bucket")
         .map_groups(keep_best, batch_format="pyarrow")
         .drop_columns(["text_hash", "hash_bucket"])
     )

@@ -17,6 +17,8 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from ..state.manifests import key_buckets
+
 
 def tumbling_window_agg(
     ds, window_us: int = 3_600_000_000, ts_col="ts", key_col="event_type"
@@ -368,34 +370,10 @@ def twebber_hops(frames_ds, pair_col="pair_id", n_buckets: int = 64):
             }
         )
 
-    def add_bucket(b: pa.Table) -> pa.Table:
-        import pandas as pd
+    from ..sources.cache import map_conversations, per_key
 
-        h = pd.util.hash_array(
-            b.column(pair_col).combine_chunks().to_numpy(
-                zero_copy_only=False
-            )
-        ).astype(np.int64, copy=False)
-        return b.append_column(
-            "pb", pa.array((np.abs(h) % n_buckets).astype(np.int32))
-        )
-
-    def walk_bucket(tbl: pa.Table) -> pa.Table:
-        enc = pc.dictionary_encode(tbl.column(pair_col).combine_chunks())
-        outs = []
-        for code in range(len(enc.dictionary)):
-            sub = tbl.filter(
-                pc.equal(enc.indices, pa.scalar(code, enc.indices.type))
-            ).drop_columns(["pb"])
-            outs.append(walk(sub))
-        if not outs:
-            return walk(tbl.drop_columns(["pb"]))
-        return pa.concat_tables(outs)
-
-    return (
-        frames_ds.map_batches(add_bucket, batch_format="pyarrow")
-        .groupby("pb")
-        .map_groups(walk_bucket, batch_format="pyarrow")
+    return map_conversations(
+        frames_ds, per_key(walk, pair_col), key=pair_col, n_buckets=n_buckets
     )
 
 
@@ -1480,9 +1458,7 @@ def approx_distinct_per_group(
         )
         return pa.table(
             {
-                "kb": _string_bucket(
-                    part.column(key_col).combine_chunks(), n_kb
-                ),
+                "kb": key_buckets(part.column(key_col), n_kb, key=key_col),
                 key_col: part.column(key_col),
                 "reg": part.column("reg"),
                 "rank": part.column("rank_max"),
@@ -1534,23 +1510,6 @@ def approx_distinct_per_group(
     )
 
 
-def _string_bucket(arr: pa.ChunkedArray | pa.Array, n_buckets: int):
-    """int32 bucket ids for a string column: crc32 over the
-    dictionary-encoded distinct values, so hashing cost is per distinct
-    string per batch, not per row."""
-    import zlib
-
-    if isinstance(arr, pa.ChunkedArray):
-        arr = arr.combine_chunks()
-    enc = pc.dictionary_encode(arr)
-    dv = enc.dictionary.to_pylist()
-    dh = np.array(
-        [zlib.crc32(s.encode()) % n_buckets for s in dv], dtype=np.int32
-    )
-    codes = enc.indices.to_numpy(zero_copy_only=False)
-    return pa.array(dh[codes], pa.int32())
-
-
 def transition_counts(
     ds,
     key_col: str = "conv_id",
@@ -1582,7 +1541,7 @@ def transition_counts(
                 key_col: keys,
                 order_col: b.column(order_col).cast(pa.int64()),
                 state_col: b.column(state_col),
-                "bucket": _string_bucket(keys, n_buckets)
+                "bucket": key_buckets(keys, n_buckets, key=key_col)
                 if pa.types.is_string(keys.type)
                 else _bucket31(keys.cast(pa.int64()), n_buckets),
             }
@@ -3391,7 +3350,7 @@ def gini_by_group(
         )
         return pa.table(
             {
-                "jb": _string_bucket(g, n_buckets),
+                "jb": key_buckets(g, n_buckets, key=group_col),
                 "grp": g,
                 "v": v,
             }
@@ -3981,7 +3940,7 @@ def topk_with_other(
             g = g.combine_chunks()
         return pa.table(
             {
-                "jb": _string_bucket(g, n_buckets),
+                "jb": key_buckets(g, n_buckets, key=group_col),
                 "g": g,
                 "c": b.column("c"),
                 "n": b.column("sum(n_part)").cast(pa.int64()),
@@ -4258,7 +4217,7 @@ def weighted_median_per_group(
             gk = gk.combine_chunks()
         return pa.table(
             {
-                "jb": _string_bucket(gk, n_buckets),
+                "jb": key_buckets(gk, n_buckets),
                 "gk": gk,
                 "gn": a.column("gn"),
                 "v": a.column("v"),

@@ -283,7 +283,8 @@ def token_budget(
     (id, group, n_tokens, h) projection shuffles -- text never leaves
     the first pass.
     """
-    from .events import _SAMPLE_MOD, _SAMPLE_MULT, _string_bucket
+    from ..state.manifests import key_buckets
+    from .events import _SAMPLE_MOD, _SAMPLE_MULT
 
     def project(b: pa.Table) -> pa.Table:
         texts = pc.fill_null(b.column(text_col).combine_chunks(), "")
@@ -301,7 +302,7 @@ def token_budget(
                 group_col: groups,
                 "n_tokens": nt,
                 "h": h,
-                "bucket": _string_bucket(groups, n_buckets),
+                "bucket": key_buckets(groups, n_buckets, key=group_col),
             }
         )
 

@@ -38,7 +38,7 @@ def profile_table(ds, columns: list[str] | None = None, n_buckets: int = 64):
 
     from ray.data.aggregate import Sum
 
-    from .events import _string_bucket
+    from ..state.manifests import key_buckets
 
     cols = list(columns) if columns else list(ds.schema().names)
 
@@ -68,7 +68,7 @@ def profile_table(ds, columns: list[str] | None = None, n_buckets: int = 64):
         val_col = pa.concat_arrays(vals)
         return pa.table(
             {
-                "vb": _string_bucket(val_col, n_buckets),
+                "vb": key_buckets(val_col, n_buckets),
                 "col_name": name_col,
                 "v": val_col,
             }

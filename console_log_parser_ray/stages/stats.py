@@ -398,21 +398,15 @@ def events_table(tbl: pa.Table) -> pa.Table:
     )
 
 
-def extract_events(ds, n_buckets: int = 64):
-    """Dataset-level event extraction: conv-bucket groupby, one
-    events_table per bucket."""
-    import zlib
+def extract_events(src, n_buckets: int = 64):
+    """Event extraction over a path or Dataset of turns: one
+    ``events_table`` call per file or conv bucket
+    (``map_conversations``)."""
+    from ..sources.cache import map_conversations
 
-    def add_bucket(b: pa.Table) -> pa.Table:
-        convs = b.column("conv_id").to_pylist()
-        buckets = [zlib.crc32(c.encode()) % n_buckets for c in convs]
-        return b.append_column("bucket", pa.array(buckets, pa.int32()))
-
-    def per_bucket(tbl: pa.Table) -> pa.Table:
-        return events_table(tbl.drop_columns(["bucket"]))
-
-    return (
-        ds.map_batches(add_bucket, batch_format="pyarrow")
-        .groupby("bucket")
-        .map_groups(per_bucket, batch_format="pyarrow")
+    return map_conversations(
+        src,
+        events_table,
+        n_buckets=n_buckets,
+        columns=["conv_id", "turn_idx", "text"],
     )

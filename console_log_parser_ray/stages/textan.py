@@ -14,6 +14,8 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from ..state.manifests import key_buckets
+
 _TOKEN_RE = r"\S+"
 # RE2's ASCII \s class, exactly ([\t\n\f\r ] -- no \v, no Unicode
 # whitespace): the ONE tokenization every SQL-oracled text operator
@@ -1204,17 +1206,9 @@ def _explode_spans(
     )
     d = pairs.group_by([id_col, "span"]).aggregate([])
     spans = d.column("span").combine_chunks()
-    enc = pc.dictionary_encode(spans)
-    import pandas as pd
-
-    dict_hash = pd.util.hash_array(
-        enc.dictionary.to_numpy(zero_copy_only=False)
-    ).astype(np.int64, copy=False)
-    sb = np.abs(dict_hash[enc.indices.to_numpy(zero_copy_only=False)]) \
-        % n_buckets
     return pa.table(
         {
-            "sb": pa.array(sb.astype(np.int32), pa.int32()),
+            "sb": key_buckets(spans, n_buckets, key="span"),
             id_col: d.column(id_col),
             "span": spans,
         }

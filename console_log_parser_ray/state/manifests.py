@@ -21,6 +21,10 @@ plan), written as ``<kind>=<id>`` directories:
 
 Conversations are assigned to ``n_buckets`` partitions by a stable hash
 of ``conv_id`` (the sharded plan uses the input files as partitions).
+That hash -- crc32 of the key modulo the bucket count, null keys
+rejected -- is ``key_buckets``, the only key -> bucket hash in the
+package: every conversation exchange (``sources.cache.map_conversations``)
+and keyed string shuffle uses it too, so they all agree on placement.
 A partition's manifest is written only after every sink finished
 writing that partition, so a killed run leaves at most one unfinished
 partition per task; on restart committed partitions are skipped and
@@ -42,15 +46,23 @@ def conv_bucket(conv_id: str, n_buckets: int) -> int:
     return zlib.crc32(conv_id.encode()) % n_buckets
 
 
-def conv_buckets(conv_ids, n_buckets: int, pinned=None) -> pa.Array:
-    """``conv_bucket`` over a column: hash only the distinct conv_ids (a
+def key_buckets(keys, n_buckets: int, pinned=None, key: str = "conv_id"):
+    """``conv_bucket`` over a string column: the one key -> bucket hash
+    of the package (the runner's scatter, every conversation exchange
+    and keyed string shuffle).  Only the distinct keys are hashed (a
     batch holds whole or few conversations, so distinct << rows), then
-    fan the ids back out through the dictionary indices.  ``pinned``
-    maps conv_ids to fixed bucket ids that override the hash."""
+    the ids fan back out through the dictionary indices.  ``pinned``
+    maps keys to fixed bucket ids that override the hash.
+
+    Null keys are rejected: a null has no identity to group on, and a
+    null bucket id would be filtered away by the scatter (silently
+    dropping rows).  ``key`` names the column in that error."""
+    if isinstance(keys, pa.ChunkedArray):
+        keys = keys.combine_chunks()
+    if keys.null_count:
+        raise null_key_error(key)
     pinned = pinned or {}
-    if isinstance(conv_ids, pa.ChunkedArray):
-        conv_ids = conv_ids.combine_chunks()
-    dic = pc.dictionary_encode(conv_ids)
+    dic = pc.dictionary_encode(keys)
     ids = pa.array(
         [
             pinned.get(c, conv_bucket(c, n_buckets))
@@ -59,6 +71,13 @@ def conv_buckets(conv_ids, n_buckets: int, pinned=None) -> pa.Array:
         pa.int32(),
     )
     return ids.take(dic.indices)
+
+
+def null_key_error(key: str) -> ValueError:
+    return ValueError(
+        f"null {key!r} values are unsupported: rows are grouped on "
+        "that key; filter or impute nulls upstream"
+    )
 
 
 def manifest_dir(out_dir: str) -> str:

@@ -417,14 +417,23 @@ def test_knn_same_result_fixed_size_list(ray_session):
 
 
 def test_conv_bucket_col_matches_per_row_crc32(ray_session):
-    """The dictionary-encoded bucket hash equals the old per-row crc32
-    (same shuffle placement, so resume manifests stay stable)."""
+    """The shared dictionary-encoded bucket hash equals the old per-row
+    crc32 (same shuffle placement, so resume manifests stay stable), for
+    a plain or chunked column and for any string key, not only conv
+    ids."""
     import zlib
 
-    from console_log_parser_ray.stages.dedup import _conv_bucket_col
+    from console_log_parser_ray.state.manifests import key_buckets
 
     convs = ["conv_%d" % (i % 7) for i in range(50)]
     tbl = pa.table({"conv_id": pa.array(convs, pa.string())})
-    got = _conv_bucket_col(tbl, "conv_id", 64).to_pylist()
+    got = key_buckets(tbl.column("conv_id"), 64).to_pylist()
     want = [zlib.crc32(c.encode()) % 64 for c in convs]
     assert got == want
+
+    chunked = pa.chunked_array([convs[:20], convs[20:]], pa.string())
+    assert key_buckets(chunked, 64).to_pylist() == want
+
+    titles = ["git status", "", "make -j4", "git status", "vim a.py"]
+    got = key_buckets(pa.array(titles), 7, key="title").to_pylist()
+    assert got == [zlib.crc32(t.encode()) % 7 for t in titles]
