@@ -4183,9 +4183,10 @@ def _q_kendall_qty_disc(sf_dir: str):
 
 
 def _dow_int64(ts_col):
-    """(epoch_day + 4) % 7 as int64 -- Monday=0 epoch weekday by pure
-    integer arithmetic (pyarrow has no mod kernel; epoch days are
-    positive so truncating divide matches SQL %)."""
+    """(epoch_day + 4) % 7 as int64 -- Sunday=0 epoch weekday (epoch
+    day 3, 1970-01-04, is a Sunday) by pure integer arithmetic
+    (pyarrow has no mod kernel; epoch days are positive so truncating
+    divide matches SQL %)."""
     import pyarrow as pa
     import pyarrow.compute as pc
 
@@ -5935,6 +5936,7 @@ def _q_brand_reorder(sf_dir: str):
     import ray.data
     from ray.data.aggregate import Count, Sum
 
+    from console_log_parser_ray.sources.cache import map_keyed
     from console_log_parser_ray.stages.dedup import _cached_get
     from console_log_parser_ray.stages.relational import lookup_join
 
@@ -5962,8 +5964,6 @@ def _q_brand_reorder(sf_dir: str):
         import numpy as np
         import pyarrow as pa
 
-        from console_log_parser_ray.stages.events import _bucket31
-
         g = (
             pa.table(
                 {
@@ -5979,7 +5979,7 @@ def _q_brand_reorder(sf_dir: str):
         packed = o * np.int64(4_294_967_296) + p
         return pa.table(
             {
-                "kb": _bucket31(pa.array(packed, pa.int64()), 64),
+                "packed": pa.array(packed, pa.int64()),
                 "o": g.column("o"),
                 "p": g.column("p"),
             }
@@ -6004,10 +6004,11 @@ def _q_brand_reorder(sf_dir: str):
     # global distinct (order, part) via ONE pair-key bucket fold
     # (dispatch bounded by bucket count, no two-column
     # sort-aggregate)
-    op = (
-        li.map_batches(op_partial, batch_format="pyarrow")
-        .groupby("kb")
-        .map_groups(op_distinct, batch_format="pyarrow")
+    op = map_keyed(
+        li.map_batches(op_partial, batch_format="pyarrow"),
+        op_distinct,
+        key="packed",
+        n_buckets=64,
     )
     orders = ray.data.read_parquet(
         os.path.join(sf_dir, "orders.parquet"),
@@ -6041,8 +6042,6 @@ def _q_brand_reorder(sf_dir: str):
                 "brand_reorder: custkey/partkey outside [0, 2^32) "
                 "breaks the cp pack"
             )
-        from console_log_parser_ray.stages.events import _bucket31
-
         g = (
             pa.table(
                 {
@@ -6057,10 +6056,7 @@ def _q_brand_reorder(sf_dir: str):
             .group_by("cp")
             .aggregate([("one", "sum")])
         )
-        g = g.rename_columns(["cp", "n_p"])
-        return g.append_column(
-            "kb", _bucket31(g.column("cp").combine_chunks(), 64)
-        )
+        return g.rename_columns(["cp", "n_p"])
 
     def fold_cp(tbl):
         import pyarrow as pa
@@ -6105,9 +6101,12 @@ def _q_brand_reorder(sf_dir: str):
         )
 
     agg = (
-        j.map_batches(pack_cp, batch_format="pyarrow")
-        .groupby("kb")
-        .map_groups(fold_cp, batch_format="pyarrow")
+        map_keyed(
+            j.map_batches(pack_cp, batch_format="pyarrow"),
+            fold_cp,
+            key="cp",
+            n_buckets=64,
+        )
         .map_batches(brand_part, batch_format="pyarrow")
         .groupby("bi")
         .aggregate(Sum("pair_p"), Sum("rep_p"))
@@ -6144,6 +6143,8 @@ def _q_order_size_hist(sf_dir: str):
 
     import pyarrow as pa
 
+    from console_log_parser_ray.sources.cache import map_keyed
+
     li = ray.data.read_parquet(
         os.path.join(sf_dir, "lineitem.parquet"),
         columns=["l_orderkey"],
@@ -6152,8 +6153,6 @@ def _q_order_size_hist(sf_dir: str):
     def partial(b):
         import pyarrow as pa
         import pyarrow.compute as pc
-
-        from console_log_parser_ray.stages.events import _bucket31
 
         t = b.filter(pc.is_valid(b.column("l_orderkey")))
         g = (
@@ -6165,7 +6164,6 @@ def _q_order_size_hist(sf_dir: str):
         )
         return pa.table(
             {
-                "kb": _bucket31(g.column("o").combine_chunks(), 64),
                 "o": g.column("o"),
                 "c_p": g.column("count_all").cast(pa.int64()),
             }
@@ -6196,9 +6194,12 @@ def _q_order_size_hist(sf_dir: str):
         )
 
     return (
-        li.map_batches(partial, batch_format="pyarrow")
-        .groupby("kb")
-        .map_groups(fold_hist, batch_format="pyarrow")
+        map_keyed(
+            li.map_batches(partial, batch_format="pyarrow"),
+            fold_hist,
+            key="o",
+            n_buckets=64,
+        )
         .groupby("n_items")
         .aggregate(Sum("h_p"))
         .rename_columns({"sum(h_p)": "n_orders"})
@@ -6426,7 +6427,7 @@ def _q_tool_rules(sf_dir: str):
     partials = _enriched_conv_partials(
         sf_dir,
         ["conv_id", "tool"],
-        lambda t: pair_count_partials(project(t), 64),
+        lambda t: pair_count_partials(project(t)),
     )
     res = association_rules(
         None, "g", "i", min_support=2, k=30, partials=partials
@@ -6522,8 +6523,8 @@ def _q_segment_cadence(sf_dir: str):
     import ray.data
     from ray.data.aggregate import Sum
 
+    from console_log_parser_ray.sources.cache import map_keyed
     from console_log_parser_ray.stages.dedup import _cached_get
-    from console_log_parser_ray.stages.events import _bucket31
 
     import pyarrow.parquet as pq
 
@@ -6558,7 +6559,6 @@ def _q_segment_cadence(sf_dir: str):
         c = t.column("o_custkey").cast(pa.int64())
         return pa.table(
             {
-                "jb": _bucket31(c, 64),
                 "c": c,
                 "t": t.column("o_orderdate").cast(pa.int64()),
             }
@@ -6607,9 +6607,12 @@ def _q_segment_cadence(sf_dir: str):
         )
 
     hist = (
-        orders.map_batches(project, batch_format="pyarrow")
-        .groupby("jb")
-        .map_groups(per_bucket, batch_format="pyarrow")
+        map_keyed(
+            orders.map_batches(project, batch_format="pyarrow"),
+            per_bucket,
+            key="c",
+            n_buckets=64,
+        )
         .groupby(["si", "gap"])
         .aggregate(Sum("c_part"))
         .take_all()
@@ -6948,8 +6951,8 @@ def _q_supplier_hhi(sf_dir: str):
     import ray.data
     from ray.data.aggregate import Sum
 
+    from console_log_parser_ray.sources.cache import map_keyed
     from console_log_parser_ray.stages.dedup import _cached_get
-    from console_log_parser_ray.stages.events import _bucket31
 
     import pyarrow.parquet as pq
 
@@ -7001,10 +7004,7 @@ def _q_supplier_hhi(sf_dir: str):
             .group_by("ts")
             .aggregate([("q", "sum")])
         )
-        g = g.rename_columns(["ts", "q_p"])
-        return g.append_column(
-            "kb", _bucket31(g.column("ts").combine_chunks(), 64)
-        )
+        return g.rename_columns(["ts", "q_p"])
 
     def fold(tbl):
         import numpy as np
@@ -7038,9 +7038,12 @@ def _q_supplier_hhi(sf_dir: str):
         )
 
     agg = (
-        li.map_batches(partial, batch_format="pyarrow")
-        .groupby("kb")
-        .map_groups(fold, batch_format="pyarrow")
+        map_keyed(
+            li.map_batches(partial, batch_format="pyarrow"),
+            fold,
+            key="ts",
+            n_buckets=64,
+        )
         .groupby("ti")
         .aggregate(Sum("n_p"), Sum("s1_p"), Sum("s2_p"))
         .take_all()
@@ -7782,12 +7785,12 @@ def _q_dup_rate_by_source(sf_dir: str):
     import pyarrow.compute as pc
     from ray.data.aggregate import Sum
 
-    from console_log_parser_ray.state.manifests import key_buckets
+    from console_log_parser_ray.sources.cache import map_keyed
 
     ds = _docs(sf_dir).select_columns(["source", "text"])
 
     def project(b):
-        t = pa.table(
+        return pa.table(
             {
                 "source": pc.fill_null(
                     b.column("source").combine_chunks(), ""
@@ -7796,9 +7799,6 @@ def _q_dup_rate_by_source(sf_dir: str):
                     b.column("text").combine_chunks(), ""
                 ),
             }
-        )
-        return t.append_column(
-            "jb", key_buckets(t.column("text"), 64)
         )
 
     def per_bucket(tbl):
@@ -7826,9 +7826,12 @@ def _q_dup_rate_by_source(sf_dir: str):
         )
 
     agg = (
-        ds.map_batches(project, batch_format="pyarrow")
-        .groupby("jb")
-        .map_groups(per_bucket, batch_format="pyarrow")
+        map_keyed(
+            ds.map_batches(project, batch_format="pyarrow"),
+            per_bucket,
+            key="text",
+            n_buckets=64,
+        )
         .groupby("source")
         .aggregate(Sum("n_p"), Sum("d_p"))
         .take_all()
@@ -8200,8 +8203,8 @@ def _q_blamed_suppliers(sf_dir: str):
     import ray.data
     from ray.data.aggregate import Sum
 
+    from console_log_parser_ray.sources.cache import map_keyed
     from console_log_parser_ray.stages.dedup import _cached_get
-    from console_log_parser_ray.stages.events import _bucket31
     from console_log_parser_ray.stages.relational import (
         fk_searchsorted,
         lookup_join,
@@ -8244,15 +8247,12 @@ def _q_blamed_suppliers(sf_dir: str):
             .group_by(["o", "s"])
             .aggregate([("late", "max")])
         )
-        out = pa.table(
+        return pa.table(
             {
                 "o": g.column("o"),
                 "s": g.column("s"),
                 "late_p": g.column("late_max").cast(pa.int64()),
             }
-        )
-        return out.append_column(
-            "ob", _bucket31(out.column("o").combine_chunks(), 64)
         )
 
     def per_bucket(tbl: pa.Table) -> pa.Table:
@@ -8285,9 +8285,12 @@ def _q_blamed_suppliers(sf_dir: str):
         )
 
     rows = (
-        j.map_batches(pair_partial, batch_format="pyarrow")
-        .groupby("ob")
-        .map_groups(per_bucket, batch_format="pyarrow")
+        map_keyed(
+            j.map_batches(pair_partial, batch_format="pyarrow"),
+            per_bucket,
+            key="o",
+            n_buckets=64,
+        )
         .groupby("s")
         .aggregate(Sum("n_p"))
         .take_all()
@@ -8766,7 +8769,7 @@ def _q_sessions_per_user_hist(sf_dir: str):
     import pyarrow as pa
     from ray.data.aggregate import Sum
 
-    from console_log_parser_ray.stages.events import _bucket31
+    from console_log_parser_ray.sources.cache import map_keyed
 
     ev = _events(sf_dir, ["user_id", "ts"])
     GAP = 30 * 60 * 1_000_000
@@ -8783,7 +8786,6 @@ def _q_sessions_per_user_hist(sf_dir: str):
         u = t.column("user_id").cast(pa.int64())
         return pa.table(
             {
-                "jb": _bucket31(u.combine_chunks(), 64),
                 "u": u,
                 "t": t.column("ts").cast(pa.int64()),
             }
@@ -8819,9 +8821,12 @@ def _q_sessions_per_user_hist(sf_dir: str):
         )
 
     return (
-        ev.map_batches(project, batch_format="pyarrow")
-        .groupby("jb")
-        .map_groups(per_bucket, batch_format="pyarrow")
+        map_keyed(
+            ev.map_batches(project, batch_format="pyarrow"),
+            per_bucket,
+            key="u",
+            n_buckets=64,
+        )
         .groupby("n_sessions")
         .aggregate(Sum("nu_p"))
         .rename_columns({"sum(nu_p)": "n_users"})
@@ -8839,8 +8844,8 @@ def _q_repeat_customers(sf_dir: str):
     import ray.data
     from ray.data.aggregate import Sum
 
+    from console_log_parser_ray.sources.cache import map_keyed
     from console_log_parser_ray.stages.dedup import _cached_get
-    from console_log_parser_ray.stages.events import _bucket31
     from console_log_parser_ray.stages.relational import fk_searchsorted
 
     t = pq.read_table(
@@ -8869,14 +8874,11 @@ def _q_repeat_customers(sf_dir: str):
             .group_by("c")
             .aggregate([([], "count_all")])
         )
-        out = pa.table(
+        return pa.table(
             {
                 "c": g.column("c"),
                 "n_p": g.column("count_all").cast(pa.int64()),
             }
-        )
-        return out.append_column(
-            "jb", _bucket31(out.column("c").combine_chunks(), 64)
         )
 
     def per_bucket(tbl: pa.Table, _r=ref) -> pa.Table:
@@ -8909,9 +8911,12 @@ def _q_repeat_customers(sf_dir: str):
         )
 
     agg = (
-        orders.map_batches(partial, batch_format="pyarrow")
-        .groupby("jb")
-        .map_groups(per_bucket, batch_format="pyarrow")
+        map_keyed(
+            orders.map_batches(partial, batch_format="pyarrow"),
+            per_bucket,
+            key="c",
+            n_buckets=64,
+        )
         .groupby("si")
         .aggregate(Sum("nc_p"), Sum("nr_p"))
         .take_all()

@@ -450,7 +450,7 @@ def index_entries(parsed_ds, n_buckets: int = 256):
     """
     import pyarrow.compute as pc
 
-    from ..sources.cache import map_conversations
+    from ..sources.cache import map_keyed
 
     def partial(tbl: pa.Table) -> pa.Table:
         title_key = pc.if_else(
@@ -493,7 +493,7 @@ def index_entries(parsed_ds, n_buckets: int = 256):
             }
         )
 
-    return map_conversations(
+    return map_keyed(
         per_conv.map_batches(rename, batch_format="pyarrow"),
         dedup_bucket,
         key="title",
@@ -516,7 +516,7 @@ def html_sink(parsed_ds, out_dir: str, palette: str = "MyDracula"):
     """
     import os
 
-    from ..sources.cache import map_conversations, per_key
+    from ..sources.cache import map_keyed, per_key
     from .assets import assets_rel_dir, write_player_assets
 
     os.makedirs(out_dir, exist_ok=True)
@@ -545,7 +545,7 @@ def html_sink(parsed_ds, out_dir: str, palette: str = "MyDracula"):
             }
         )
 
-    docs = map_conversations(parsed_ds, per_key(per_conv))
+    docs = map_keyed(parsed_ds, per_key(per_conv))
     entries = [
         (row["conv_id"], row["conv_id"], row["n_cmds"], [])
         for row in docs.iter_rows()

@@ -307,10 +307,10 @@ def replay_table(tbl: pa.Table, speed: float = 3.0,
 def stream_replay(src, n_buckets: int = 64, **kw):
     """Replay extraction over a path or Dataset of turns: one
     ``replay_table`` call per file or conv bucket
-    (``map_conversations``; a conversation never spans calls)."""
-    from ..sources.cache import map_conversations
+    (``map_keyed``; a conversation never spans calls)."""
+    from ..sources.cache import map_keyed
 
-    return map_conversations(
+    return map_keyed(
         src,
         lambda t: replay_table(t, **kw),
         n_buckets=n_buckets,

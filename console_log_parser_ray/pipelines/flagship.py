@@ -4,10 +4,9 @@ The flagship pipeline itself -- parse -> enrich -> route -> aggregate --
 is ``pipelines.run.run_flagship``: one Ray task per partition runs the
 partition kernel (``process_partition``).  This module holds the scan
 and the histogram for registry queries and arbitrary Datasets.  Both
-run through the one conversation exchange,
-``sources.cache.map_conversations``, so a conversation-complete
-directory costs one task per file and any other input one conv-bucket
-shuffle:
+run through the one keyed exchange, ``sources.cache.map_keyed``, keyed
+on ``conv_id``, so a conversation-complete directory costs one task per
+file and any other input one conv-bucket shuffle:
 
 * ``parse_sessions`` runs one ``scan_bucket_table`` call per file or
   bucket (frames reassembled from asciinema, an in-memory corpus, the
@@ -22,14 +21,14 @@ from __future__ import annotations
 import pyarrow as pa
 import ray.data
 
-from ..sources.cache import map_conversations
+from ..sources.cache import map_keyed
 from ..stages.scan import make_bucket_stats_fn, scan_bucket_table
 
 
 def parse_sessions(src) -> "ray.data.Dataset":
     """The session scan of a path or Dataset of turns (conv_id,
     turn_idx, text [, ts, has_eol])."""
-    return map_conversations(
+    return map_keyed(
         src, scan_bucket_table, columns=["conv_id", "turn_idx", "text", "ts"]
     )
 
@@ -41,7 +40,7 @@ def sequence_histogram(src) -> "ray.data.Dataset":
     kinds stay exact because OSC/DCS string sets are deduplicated inside
     each conversation before counting), then a narrow combine over the
     small partials."""
-    partials = map_conversations(
+    partials = map_keyed(
         src, make_bucket_stats_fn(), columns=["conv_id", "turn_idx", "text"]
     )
     return _reduce_histogram(partials)

@@ -78,7 +78,7 @@ def frames_to_turns(frames_ds):
     pre-split and routed through the runner's heavy-conversation chunk
     path after assembly.
     """
-    from .cache import map_conversations, per_key
+    from .cache import map_keyed, per_key
 
     def assemble(tbl: pa.Table) -> pa.Table:
         tbl = tbl.sort_by([("ts", "ascending"), ("frame_idx", "ascending")])
@@ -120,7 +120,7 @@ def frames_to_turns(frames_ds):
             }
         )
 
-    return map_conversations(frames_ds, per_key(assemble))
+    return map_keyed(frames_ds, per_key(assemble))
 
 
 def extract_vim_recordings(frames_ds, parsed_ds, n_buckets: int = 64):
@@ -142,7 +142,7 @@ def extract_vim_recordings(frames_ds, parsed_ds, n_buckets: int = 64):
 
     from ray.data.aggregate import Max, Min
 
-    from .cache import map_conversations
+    from .cache import map_keyed
 
     def vim_rows(tbl: pa.Table) -> pa.Table:
         sub = tbl.filter(pc.greater_equal(tbl.column("vim_session_id"), 0))
@@ -255,4 +255,4 @@ def extract_vim_recordings(frames_ds, parsed_ds, n_buckets: int = 64):
             }
         )
 
-    return map_conversations(tagged, cut_group, n_buckets=n_buckets)
+    return map_keyed(tagged, cut_group, n_buckets=n_buckets)

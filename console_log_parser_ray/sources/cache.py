@@ -13,10 +13,11 @@ directory's ``_CONV_PARTITIONED`` marker records (``conv_complete``).
 ``ensure_enriched`` materializes the parse once per scale factor with
 the flagship runner.
 
-Per-conversation work over any input runs through one exchange,
-``map_conversations``: one task per file for a conversation-complete
-directory (``map_conv_files``), else one ``key_buckets`` hash column ->
-``groupby`` -> ``map_groups``.  ``per_key`` splits such a call's table
+Per-key work (per conversation, user, group, ...) over any input runs
+through one exchange, ``map_keyed``: one task per file for a
+conversation-complete directory (``map_conv_files``), else one
+``key_buckets`` hash column -> ``groupby`` -> ``map_groups``, for
+string and integer keys alike.  ``per_key`` splits such a call's table
 for kernels that take one key per call.
 """
 
@@ -151,17 +152,22 @@ def conv_complete(path: str) -> bool:
 _BUCKET = "__bucket"
 
 
-def map_conversations(src, fn, key="conv_id", n_buckets=64, columns=None):
+def map_keyed(src, fn, key="conv_id", n_buckets=64, columns=None):
     """Apply ``fn`` (pyarrow.Table -> pyarrow.Table) to tables that each
-    hold every row of the ``key`` values in them: whole conversations,
-    many per call.
+    hold every row of the ``key`` values in them: whole keys (a
+    conversation, a user, ...), many per call.
 
-    ``src`` is a path or a Dataset.  A conversation-complete directory
-    runs one task per file (``map_conv_files``), with no exchange.  Any
-    other path is read (pruned to ``columns``) and, like a Dataset,
-    goes through one exchange: ``key_buckets`` column -> ``groupby`` ->
+    ``src`` is a path, a Dataset, or a list of Datasets of one schema
+    (a tagged union: each side is bucketed before the union, so the
+    hash runs in that side's own map tasks instead of one more task
+    per block).  A conversation-complete directory runs one task per
+    file (``map_conv_files``), with no exchange.  Any other path is
+    read (pruned to ``columns``) and, like a Dataset, goes through one
+    exchange: ``key_buckets`` column -> ``groupby`` ->
     ``map_groups(fn)``, with the bucket column dropped before ``fn``
-    sees the table.  ``n_buckets`` bounds the group count (task
+    sees the table.  String and integer keys hash by their own rule
+    (``key_buckets``): null string keys raise, null integer keys arrive
+    together in one call.  ``n_buckets`` bounds the group count (task
     dispatch), never the key cardinality; size it so one bucket's rows
     fit a worker.
     """
@@ -180,17 +186,19 @@ def map_conversations(src, fn, key="conv_id", n_buckets=64, columns=None):
     def per_bucket(tbl: pa.Table) -> pa.Table:
         return fn(tbl.drop_columns([_BUCKET]))
 
-    return (
-        src.map_batches(add_bucket, batch_format="pyarrow")
-        .groupby(_BUCKET)
-        .map_groups(per_bucket, batch_format="pyarrow")
-    )
+    ds, *rest = [
+        s.map_batches(add_bucket, batch_format="pyarrow")
+        for s in (src if isinstance(src, list) else [src])
+    ]
+    if rest:
+        ds = ds.union(*rest)
+    return ds.groupby(_BUCKET).map_groups(per_bucket, batch_format="pyarrow")
 
 
 def per_key(fn, key="conv_id"):
     """``fn`` called once per distinct ``key`` value of a table (in
     first-appearance order), results concatenated: for kernels that take
-    exactly one key per call, run inside ``map_conversations``."""
+    exactly one key per call, run inside ``map_keyed``."""
 
     def run(tbl: pa.Table) -> pa.Table:
         enc = pc.dictionary_encode(tbl.column(key).combine_chunks())

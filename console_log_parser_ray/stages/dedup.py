@@ -30,7 +30,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from ..sources.cache import map_conversations
+from ..sources.cache import map_keyed
 from .textan import ascii_tokens
 
 _MERSENNE = (1 << 61) - 1
@@ -243,14 +243,14 @@ def conversation_fingerprints(
     turn count -- the key for conversation-level exact dedup at
     10^12-turn scale.
 
-    ``src`` is a path or a Dataset, run through ``map_conversations``:
+    ``src`` is a path or a Dataset, run through ``map_keyed``:
     one task per file of a conversation-complete directory, else one
     conv-bucket shuffle (conversations never split; size ``n_buckets``
     so one bucket's turns fit a worker).  Each call emits one tiny row
     per conversation, so the output is #conversations rows regardless
     of input size.
     """
-    return map_conversations(
+    return map_keyed(
         src,
         lambda t: _fingerprint_rows(t, conv_col, order_col, text_col),
         key=conv_col,
@@ -1382,13 +1382,13 @@ def conversation_texts(
     turns a turn-level transcript table back into one training
     document per conversation (the content twin of
     ``conversation_fingerprints``, which emits only the md5, and run
-    through ``map_conversations`` the same way).
+    through ``map_keyed`` the same way).
 
     Each call emits one row per conversation.  Output volume equals the
     input text volume, so this is a terminal export stage -- write it,
     don't collect it.
     """
-    return map_conversations(
+    return map_keyed(
         src,
         lambda t: _text_rows(t, conv_col, order_col, text_col),
         key=conv_col,
@@ -1715,7 +1715,7 @@ def fuzzy_pairs_ed1(
         return d.append_column(
             "bucket",
             pc.cast(
-                _pair_mod(d.column("sh").combine_chunks(), n_buckets),
+                _mod(d.column("sh").combine_chunks(), n_buckets),
                 pa.int32(),
             ),
         )
@@ -1762,12 +1762,6 @@ def fuzzy_pairs_ed1(
         .map_groups(pairs_in_bucket, batch_format="pyarrow")
     )
     return distinct_rows(cand, ["id_a", "id_b"], n_buckets=64)
-
-
-def _pair_mod(arr: pa.Array, n: int):
-    """Non-negative arr % n via pyarrow (BIGINT-overflow-safe)."""
-    q = pc.divide(arr, pa.scalar(n, pa.int64()))
-    return pc.subtract(arr, pc.multiply(q, pa.scalar(n, pa.int64())))
 
 
 def exact_dedup_priority(
@@ -2068,7 +2062,7 @@ def setsim_join(
             return b.append_column(
                 "dfb",
                 pc.cast(
-                    _pair_mod(
+                    _mod(
                         b.column("sh_hash").combine_chunks(),
                         n_df_buckets,
                     ),
@@ -2109,27 +2103,15 @@ def setsim_join(
             ),
         )
 
-        def tag_doc(b: pa.Table) -> pa.Table:
-            from .events import _bucket31
-
-            return b.append_column(
-                "db",
-                _bucket31(
-                    b.column(id_col).combine_chunks(), n_df_buckets
-                ),
-            )
-
-        prefixes = (
-            joined.map_batches(tag_doc, batch_format="pyarrow")
-            .groupby("db")
-            .map_groups(_prefix_rows, batch_format="pyarrow")
+        prefixes = map_keyed(
+            joined, _prefix_rows, key=id_col, n_buckets=n_df_buckets
         )
 
     def tag_pair_bucket(b: pa.Table) -> pa.Table:
         return b.append_column(
             "cb",
             pc.cast(
-                _pair_mod(
+                _mod(
                     b.column("sh_hash").combine_chunks(),
                     n_pair_buckets,
                 ),

@@ -17,7 +17,8 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from ..state.manifests import key_buckets
+from ..sources.cache import map_keyed
+from ..state.manifests import H32_MOD, h32
 
 
 def tumbling_window_agg(
@@ -98,10 +99,6 @@ def hopping_window_agg(
     )
 
 
-_SAMPLE_MULT = 2654435761  # Knuth multiplicative hash constant
-_SAMPLE_MOD = 1 << 32
-
-
 def deterministic_sample(ds, rate_pct: int = 10, id_col="doc_id"):
     """Deterministic hash sample: keep rows whose multiplicative id
     hash falls below the rate.  Reproducible across runs/engines (the
@@ -111,17 +108,10 @@ def deterministic_sample(ds, rate_pct: int = 10, id_col="doc_id"):
     needs that ``random_sample`` lacks."""
 
     def keep(b: pa.Table) -> pa.Table:
-        ids = b.column(id_col).cast(pa.int64())
-        # mask ids to 31 bits BEFORE multiplying: the product then stays
-        # below 2^62, in range for int64 here AND for the oracle's
-        # BIGINT (which raises on overflow rather than wrapping) -- the
-        # engine and the SQL stay bit-identical for every id value
-        ids31 = pc.bit_wise_and(ids, pa.scalar((1 << 31) - 1, pa.int64()))
-        h = pc.multiply(ids31, pa.scalar(_SAMPLE_MULT, pa.int64()))
-        # h % 2^32 via bit_and with the mask (ids are non-negative)
-        bucket = pc.bit_wise_and(h, pa.scalar(_SAMPLE_MOD - 1, pa.int64()))
-        thresh = (_SAMPLE_MOD * rate_pct) // 100
-        return b.filter(pc.less(bucket, pa.scalar(thresh, pa.int64())))
+        thresh = (H32_MOD * rate_pct) // 100
+        return b.filter(
+            pc.less(h32(b.column(id_col)), pa.scalar(thresh, pa.int64()))
+        )
 
     return ds.map_batches(keep, batch_format="pyarrow")
 
@@ -141,7 +131,6 @@ def sessionize(
         key = b.column(user_col).cast(pa.int64())
         return pa.table(
             {
-                "jb": _bucket31(key, n_buckets),
                 user_col: key,
                 "t": b.column(ts_col).cast(pa.int64()),
                 "e": b.column("event_id").cast(pa.int64()),
@@ -181,10 +170,11 @@ def sessionize(
             }
         )
 
-    return (
-        ds.map_batches(project, batch_format="pyarrow")
-        .groupby("jb")
-        .map_groups(per_bucket, batch_format="pyarrow")
+    return map_keyed(
+        ds.map_batches(project, batch_format="pyarrow"),
+        per_bucket,
+        key=user_col,
+        n_buckets=n_buckets,
     )
 
 
@@ -203,7 +193,6 @@ def asof_join_events_orders(events_ds, orders_ds, n_buckets: int = 64):
         key = b.column("user_id").cast(pa.int64())
         return pa.table(
             {
-                "jb": _bucket31(key, n_buckets),
                 "key": key,
                 "t": b.column("ts").cast(pa.int64()),
                 "side": pa.array(np.ones(b.num_rows, dtype=np.int8)),
@@ -217,7 +206,6 @@ def asof_join_events_orders(events_ds, orders_ds, n_buckets: int = 64):
         key = b.column("o_custkey").cast(pa.int64())
         return pa.table(
             {
-                "jb": _bucket31(key, n_buckets),
                 "key": key,
                 "t": b.column("o_orderdate").cast(pa.int64()),
                 "side": pa.array(np.zeros(b.num_rows, dtype=np.int8)),
@@ -227,9 +215,10 @@ def asof_join_events_orders(events_ds, orders_ds, n_buckets: int = 64):
             }
         )
 
-    ev = events_ds.map_batches(tag_events, batch_format="pyarrow")
-    od = orders_ds.map_batches(tag_orders, batch_format="pyarrow")
-    both = ev.union(od)
+    both = [
+        events_ds.map_batches(tag_events, batch_format="pyarrow"),
+        orders_ds.map_batches(tag_orders, batch_format="pyarrow"),
+    ]
 
     def walk(tbl: pa.Table) -> pa.Table:
         key = tbl.column("key").to_numpy(zero_copy_only=False)
@@ -284,7 +273,7 @@ def asof_join_events_orders(events_ds, orders_ds, n_buckets: int = 64):
             }
         )
 
-    return both.groupby("jb").map_groups(walk, batch_format="pyarrow")
+    return map_keyed(both, walk, key="key", n_buckets=n_buckets)
 
 
 def twebber_hops(frames_ds, pair_col="pair_id", n_buckets: int = 64):
@@ -370,9 +359,9 @@ def twebber_hops(frames_ds, pair_col="pair_id", n_buckets: int = 64):
             }
         )
 
-    from ..sources.cache import map_conversations, per_key
+    from ..sources.cache import per_key
 
-    return map_conversations(
+    return map_keyed(
         frames_ds, per_key(walk, pair_col), key=pair_col, n_buckets=n_buckets
     )
 
@@ -738,20 +727,11 @@ def event_gaps(
     """
 
     def project(b: pa.Table) -> pa.Table:
-        users = b.column(user_col).cast(pa.int64())
-        u31 = pc.bit_wise_and(users, pa.scalar((1 << 31) - 1, pa.int64()))
-        h = pc.multiply(u31, pa.scalar(_SAMPLE_MULT, pa.int64()))
-        h = pc.bit_wise_and(h, pa.scalar(_SAMPLE_MOD - 1, pa.int64()))
-        bucket = pa.array(
-            np.mod(h.to_numpy(zero_copy_only=False), n_buckets),
-            pa.int64(),
-        )
         return pa.table(
             {
                 id_col: b.column(id_col).cast(pa.int64()),
-                user_col: users,
+                user_col: b.column(user_col).cast(pa.int64()),
                 ts_col: b.column(ts_col),
-                "bucket": bucket,
             }
         )
 
@@ -783,10 +763,11 @@ def event_gaps(
             }
         )
 
-    return (
-        ds.map_batches(project, batch_format="pyarrow")
-        .groupby("bucket")
-        .map_groups(per_bucket, batch_format="pyarrow")
+    return map_keyed(
+        ds.map_batches(project, batch_format="pyarrow"),
+        per_bucket,
+        key=user_col,
+        n_buckets=n_buckets,
     )
 
 
@@ -889,18 +870,12 @@ def sample_per_group(
     """
     from .relational import _pair_bucket_col
 
-    def hash_col(b: pa.Table):
-        ids = b.column(id_col).cast(pa.int64())
-        ids31 = pc.bit_wise_and(ids, pa.scalar((1 << 31) - 1, pa.int64()))
-        h = pc.multiply(ids31, pa.scalar(_SAMPLE_MULT, pa.int64()))
-        return pc.bit_wise_and(h, pa.scalar(_SAMPLE_MOD - 1, pa.int64()))
-
     def local_topk(b: pa.Table) -> pa.Table:
         t = pa.table(
             {
                 id_col: b.column(id_col).cast(pa.int64()),
                 group_col: b.column(group_col),
-                "h": hash_col(b),
+                "h": h32(b.column(id_col)),
             }
         )
         df = t.to_pandas()
@@ -1009,12 +984,9 @@ def pivot_counts(
         g = b.select([key_col, cat_col]).group_by(
             [key_col, cat_col]
         ).aggregate([([], "count_all")])
-        key = g.column(key_col).cast(pa.int64())
-        jb = _bucket31(key, n_buckets)
         return pa.table(
             {
-                "jb": jb,
-                key_col: key,
+                key_col: g.column(key_col).cast(pa.int64()),
                 cat_col: g.column(cat_col),
                 "n": g.column("count_all").cast(pa.int64()),
             }
@@ -1040,23 +1012,11 @@ def pivot_counts(
             )
         return pa.table(cols)
 
-    return (
-        ds.map_batches(partial, batch_format="pyarrow")
-        .groupby("jb")
-        .map_groups(fold_pivot, batch_format="pyarrow")
-    )
-
-
-def _bucket31(key_arr, n_buckets: int):
-    """int32 bucket ids from a 31-bit multiplicative hash of int64 keys
-    (overflow-safe in engines whose BIGINT raises on overflow)."""
-    ids31 = pc.bit_wise_and(key_arr, pa.scalar((1 << 31) - 1, pa.int64()))
-    h = pc.multiply(ids31, pa.scalar(_SAMPLE_MULT, pa.int64()))
-    b = pc.bit_wise_and(h, pa.scalar(_SAMPLE_MOD - 1, pa.int64()))
-    q = pc.divide(b, pa.scalar(n_buckets, pa.int64()))
-    return pc.cast(
-        pc.subtract(b, pc.multiply(q, pa.scalar(n_buckets, pa.int64()))),
-        pa.int32(),
+    return map_keyed(
+        ds.map_batches(partial, batch_format="pyarrow"),
+        fold_pivot,
+        key=key_col,
+        n_buckets=n_buckets,
     )
 
 
@@ -1094,7 +1054,6 @@ def funnel_two_step(
         key = t.column(user_col).cast(pa.int64())
         return pa.table(
             {
-                "jb": _bucket31(key, n_buckets),
                 user_col: key,
                 "t_us": t.column(ts_col).cast(pa.int64()),
                 "is_first": pc.equal(t.column(type_col), first_ev),
@@ -1135,10 +1094,11 @@ def funnel_two_step(
             }
         )
 
-    return (
-        ds.map_batches(prefilter, batch_format="pyarrow")
-        .groupby("jb")
-        .map_groups(resolve, batch_format="pyarrow")
+    return map_keyed(
+        ds.map_batches(prefilter, batch_format="pyarrow"),
+        resolve,
+        key=user_col,
+        n_buckets=n_buckets,
     )
 
 
@@ -1185,7 +1145,6 @@ def funnel_steps(
         ).cast(pa.int8())
         return pa.table(
             {
-                "jb": _bucket31(key, n_buckets),
                 user_col: key,
                 "t_us": t.column(ts_col).cast(pa.int64()),
                 "step": si,
@@ -1239,10 +1198,11 @@ def funnel_steps(
         out["converted"] = pa.array(converted, pa.bool_())
         return pa.table(out)
 
-    return (
-        ds.map_batches(prefilter, batch_format="pyarrow")
-        .groupby("jb")
-        .map_groups(resolve, batch_format="pyarrow")
+    return map_keyed(
+        ds.map_batches(prefilter, batch_format="pyarrow"),
+        resolve,
+        key=user_col,
+        n_buckets=n_buckets,
     )
 
 
@@ -1275,9 +1235,6 @@ def distinct_count_per_group(
         d = pairs.group_by([key_col, val_col]).aggregate([])
         return pa.table(
             {
-                "vb": _bucket31(
-                    d.column(val_col).combine_chunks(), n_buckets
-                ),
                 key_col: d.column(key_col),
                 val_col: d.column(val_col),
             }
@@ -1296,9 +1253,12 @@ def distinct_count_per_group(
     from ray.data.aggregate import Sum
 
     return (
-        ds.map_batches(local_distinct, batch_format="pyarrow")
-        .groupby("vb")
-        .map_groups(count_in_bucket, batch_format="pyarrow")
+        map_keyed(
+            ds.map_batches(local_distinct, batch_format="pyarrow"),
+            count_in_bucket,
+            key=val_col,
+            n_buckets=n_buckets,
+        )
         .groupby(key_col)
         .aggregate(Sum("n_part"))
         .rename_columns({"sum(n_part)": "n_distinct"})
@@ -1342,7 +1302,6 @@ def running_user_totals(
                 user_col: users,
                 ts_col: b.column(ts_col),
                 "cents": pa.array(cents, pa.int64()),
-                "bucket": _bucket31(users, n_buckets),
             }
         )
 
@@ -1377,10 +1336,11 @@ def running_user_totals(
             }
         )
 
-    return (
-        ds.map_batches(project, batch_format="pyarrow")
-        .groupby("bucket")
-        .map_groups(per_bucket, batch_format="pyarrow")
+    return map_keyed(
+        ds.map_batches(project, batch_format="pyarrow"),
+        per_bucket,
+        key=user_col,
+        n_buckets=n_buckets,
     )
 
 
@@ -1458,7 +1418,6 @@ def approx_distinct_per_group(
         )
         return pa.table(
             {
-                "kb": key_buckets(part.column(key_col), n_kb, key=key_col),
                 key_col: part.column(key_col),
                 "reg": part.column("reg"),
                 "rank": part.column("rank_max"),
@@ -1503,10 +1462,11 @@ def approx_distinct_per_group(
             }
         )
 
-    return (
-        ds.map_batches(local_regs, batch_format="pyarrow")
-        .groupby("kb")
-        .map_groups(fold_bucket, batch_format="pyarrow")
+    return map_keyed(
+        ds.map_batches(local_regs, batch_format="pyarrow"),
+        fold_bucket,
+        key=key_col,
+        n_buckets=n_kb,
     )
 
 
@@ -1541,9 +1501,6 @@ def transition_counts(
                 key_col: keys,
                 order_col: b.column(order_col).cast(pa.int64()),
                 state_col: b.column(state_col),
-                "bucket": key_buckets(keys, n_buckets, key=key_col)
-                if pa.types.is_string(keys.type)
-                else _bucket31(keys.cast(pa.int64()), n_buckets),
             }
         )
 
@@ -1584,9 +1541,12 @@ def transition_counts(
     from ray.data.aggregate import Sum
 
     return (
-        ds.map_batches(project, batch_format="pyarrow")
-        .groupby("bucket")
-        .map_groups(per_bucket, batch_format="pyarrow")
+        map_keyed(
+            ds.map_batches(project, batch_format="pyarrow"),
+            per_bucket,
+            key=key_col,
+            n_buckets=n_buckets,
+        )
         .groupby(["from_state", "to_state"])
         .aggregate(Sum("n_part"))
         .rename_columns({"sum(n_part)": "n"})
@@ -1627,7 +1587,6 @@ def rolling_user_sum(
                 user_col: users,
                 ts_col: b.column(ts_col),
                 "cents": pa.array(cents, pa.int64()),
-                "bucket": _bucket31(users, n_buckets),
             }
         )
 
@@ -1666,10 +1625,11 @@ def rolling_user_sum(
             }
         )
 
-    return (
-        ds.map_batches(project, batch_format="pyarrow")
-        .groupby("bucket")
-        .map_groups(per_bucket, batch_format="pyarrow")
+    return map_keyed(
+        ds.map_batches(project, batch_format="pyarrow"),
+        per_bucket,
+        key=user_col,
+        n_buckets=n_buckets,
     )
 
 
@@ -1719,7 +1679,6 @@ def audience_overlap(
         np.bitwise_or.at(masks, inv, np.int64(1) << ci)
         return pa.table(
             {
-                "ub": _bucket31(pa.array(uu, pa.int64()), n_buckets),
                 user_col: pa.array(uu, pa.int64()),
                 "mask": pa.array(masks, pa.int64()),
             }
@@ -1742,9 +1701,12 @@ def audience_overlap(
     from ray.data.aggregate import Sum
 
     hist = (
-        ds.map_batches(local_masks, batch_format="pyarrow")
-        .groupby("ub")
-        .map_groups(hist_in_bucket, batch_format="pyarrow")
+        map_keyed(
+            ds.map_batches(local_masks, batch_format="pyarrow"),
+            hist_in_bucket,
+            key=user_col,
+            n_buckets=n_buckets,
+        )
         .groupby("mask")
         .aggregate(Sum("n"))
         .to_pandas()  # <= 2^|categories| rows, independent of data size
@@ -1917,7 +1879,6 @@ def user_history(
                 user_col: users,
                 ts_col: b.column(ts_col),
                 state_col: b.column(state_col),
-                "bucket": _bucket31(users, n_buckets),
             }
         )
 
@@ -1954,10 +1915,11 @@ def user_history(
             }
         )
 
-    return (
-        ds.map_batches(project, batch_format="pyarrow")
-        .groupby("bucket")
-        .map_groups(per_bucket, batch_format="pyarrow")
+    return map_keyed(
+        ds.map_batches(project, batch_format="pyarrow"),
+        per_bucket,
+        key=user_col,
+        n_buckets=n_buckets,
     )
 
 
@@ -2007,10 +1969,7 @@ def gapfill_user_windows(
         g = t.group_by([user_col, "window_id"]).aggregate(
             [("__one", "sum")]
         )
-        g = g.rename_columns([user_col, "window_id", "__n"])
-        return g.append_column(
-            "bucket", _bucket31(g.column(user_col), n_buckets)
-        )
+        return g.rename_columns([user_col, "window_id", "__n"])
 
     def per_bucket(tbl: pa.Table) -> pa.Table:
         df = (
@@ -2059,10 +2018,11 @@ def gapfill_user_windows(
             }
         )
 
-    return (
-        ds.map_batches(partial, batch_format="pyarrow")
-        .groupby("bucket")
-        .map_groups(per_bucket, batch_format="pyarrow")
+    return map_keyed(
+        ds.map_batches(partial, batch_format="pyarrow"),
+        per_bucket,
+        key=user_col,
+        n_buckets=n_buckets,
     )
 
 
@@ -2097,16 +2057,9 @@ def latest_state(
         return df.groupby(key_cols, sort=False, dropna=False).tail(1)
 
     def local_latest(b: pa.Table) -> pa.Table:
-        out = pa.Table.from_pandas(
+        return pa.Table.from_pandas(
             keep_latest(b.to_pandas()), preserve_index=False
         ).replace_schema_metadata(None)
-        return out.append_column(
-            "bucket",
-            _bucket31(
-                out.column(key_cols[0]).combine_chunks().cast(pa.int64()),
-                n_buckets,
-            ),
-        )
 
     names = list(ds.schema().names)
 
@@ -2116,10 +2069,11 @@ def latest_state(
             preserve_index=False,
         ).replace_schema_metadata(None)
 
-    return (
-        ds.map_batches(local_latest, batch_format="pyarrow")
-        .groupby("bucket")
-        .map_groups(per_bucket, batch_format="pyarrow")
+    return map_keyed(
+        ds.map_batches(local_latest, batch_format="pyarrow"),
+        per_bucket,
+        key=key_cols[0],
+        n_buckets=n_buckets,
     )
 
 
@@ -2152,7 +2106,6 @@ def scd2_intervals(
                 state_col: b.column(state_col),
                 id_col: b.column(id_col).cast(pa.int64()),
                 ts_col: b.column(ts_col),
-                "bucket": _bucket31(users, n_buckets),
             }
         )
 
@@ -2189,10 +2142,11 @@ def scd2_intervals(
             }
         )
 
-    return (
-        ds.map_batches(project, batch_format="pyarrow")
-        .groupby("bucket")
-        .map_groups(per_bucket, batch_format="pyarrow")
+    return map_keyed(
+        ds.map_batches(project, batch_format="pyarrow"),
+        per_bucket,
+        key=user_col,
+        n_buckets=n_buckets,
     )
 
 
@@ -2237,7 +2191,6 @@ def rolling_time_sum(
                 user_col: users,
                 ts_col: b.column(ts_col),
                 "cents": pa.array(cents, pa.int64()),
-                "bucket": _bucket31(users, n_buckets),
             }
         )
 
@@ -2288,10 +2241,11 @@ def rolling_time_sum(
             }
         )
 
-    return (
-        ds.map_batches(project, batch_format="pyarrow")
-        .groupby("bucket")
-        .map_groups(per_bucket, batch_format="pyarrow")
+    return map_keyed(
+        ds.map_batches(project, batch_format="pyarrow"),
+        per_bucket,
+        key=user_col,
+        n_buckets=n_buckets,
     )
 
 
@@ -2324,7 +2278,6 @@ def throttle_events(
                 user_col: users,
                 state_col: b.column(state_col),
                 ts_col: b.column(ts_col),
-                "bucket": _bucket31(users, n_buckets),
             }
         )
 
@@ -2355,10 +2308,11 @@ def throttle_events(
             [id_col, user_col, state_col, ts_col]
         ).filter(pa.array(keep))
 
-    return (
-        ds.map_batches(project, batch_format="pyarrow")
-        .groupby("bucket")
-        .map_groups(per_bucket, batch_format="pyarrow")
+    return map_keyed(
+        ds.map_batches(project, batch_format="pyarrow"),
+        per_bucket,
+        key=user_col,
+        n_buckets=n_buckets,
     )
 
 
@@ -2441,11 +2395,7 @@ def cohort_retention(
             pa.scalar(window_us, pa.int64()),
         )
         pairs = pa.table({user_col: users, "win": w})
-        d = pairs.group_by([user_col, "win"]).aggregate([])
-        return d.append_column(
-            "bucket",
-            _bucket31(d.column(user_col).combine_chunks(), n_buckets),
-        )
+        return pairs.group_by([user_col, "win"]).aggregate([])
 
     def per_bucket(tbl: pa.Table) -> pa.Table:
         d = tbl.group_by([user_col, "win"]).aggregate([])
@@ -2476,9 +2426,12 @@ def cohort_retention(
         )
 
     return (
-        ds.map_batches(local_pairs, batch_format="pyarrow")
-        .groupby("bucket")
-        .map_groups(per_bucket, batch_format="pyarrow")
+        map_keyed(
+            ds.map_batches(local_pairs, batch_format="pyarrow"),
+            per_bucket,
+            key=user_col,
+            n_buckets=n_buckets,
+        )
         .groupby(["cohort", "win"])
         .aggregate(Sum("n_part"))
         .map_batches(finish, batch_format="pyarrow")
@@ -2591,7 +2544,6 @@ def top_paths(
         key = b.column(user_col).cast(pa.int64())
         return pa.table(
             {
-                "jb": _bucket31(key, n_buckets),
                 user_col: key,
                 "t": b.column(ts_col).cast(pa.int64()),
                 "e": b.column("event_id").cast(pa.int64()),
@@ -2648,9 +2600,12 @@ def top_paths(
         )
 
     return (
-        ds.map_batches(project, batch_format="pyarrow")
-        .groupby("jb")
-        .map_groups(per_bucket, batch_format="pyarrow")
+        map_keyed(
+            ds.map_batches(project, batch_format="pyarrow"),
+            per_bucket,
+            key=user_col,
+            n_buckets=n_buckets,
+        )
         .groupby("path")
         .aggregate(Sum("n_part"))
         .map_batches(finish, batch_format="pyarrow")
@@ -2692,7 +2647,6 @@ def time_weighted_avg(
         key = b.column(user_col).cast(pa.int64())
         return pa.table(
             {
-                "jb": _bucket31(key, n_buckets),
                 user_col: key,
                 "t_us": b.column(ts_col).cast(pa.int64()),
                 "eid": b.column(id_col).cast(pa.int64()),
@@ -2759,10 +2713,11 @@ def time_weighted_avg(
             }
         )
 
-    return (
-        ds.map_batches(prefilter, batch_format="pyarrow")
-        .groupby("jb")
-        .map_groups(resolve, batch_format="pyarrow")
+    return map_keyed(
+        ds.map_batches(prefilter, batch_format="pyarrow"),
+        resolve,
+        key=user_col,
+        n_buckets=n_buckets,
     )
 
 
@@ -2808,9 +2763,6 @@ def group_entropy(
         agg = t.group_by([key_col, val_col]).aggregate([("n_occ", "sum")])
         return pa.table(
             {
-                "kb": _bucket31(
-                    agg.column(key_col).combine_chunks(), n_buckets
-                ),
                 key_col: agg.column(key_col),
                 val_col: agg.column(val_col),
                 "n_occ": agg.column("n_occ_sum"),
@@ -2857,10 +2809,11 @@ def group_entropy(
             }
         )
 
-    return (
-        ds.map_batches(local_counts, batch_format="pyarrow")
-        .groupby("kb")
-        .map_groups(entropy_in_bucket, batch_format="pyarrow")
+    return map_keyed(
+        ds.map_batches(local_counts, batch_format="pyarrow"),
+        entropy_in_bucket,
+        key=key_col,
+        n_buckets=n_buckets,
     )
 
 
@@ -2900,7 +2853,6 @@ def activity_streaks(
         d = t.group_by([key_col, "day"]).aggregate([])
         return pa.table(
             {
-                "kb": _bucket31(d.column(key_col).combine_chunks(), n_buckets),
                 key_col: d.column(key_col),
                 "day": d.column("day"),
             }
@@ -2937,10 +2889,11 @@ def activity_streaks(
             }
         )
 
-    return (
-        ds.map_batches(local_days, batch_format="pyarrow")
-        .groupby("kb")
-        .map_groups(streaks_in_bucket, batch_format="pyarrow")
+    return map_keyed(
+        ds.map_batches(local_days, batch_format="pyarrow"),
+        streaks_in_bucket,
+        key=key_col,
+        n_buckets=n_buckets,
     )
 
 
@@ -2985,7 +2938,6 @@ def nearest_event_join(
                 user_col: users,
                 ts_col: t.column(ts_col),
                 "is_anchor": pc.equal(t.column(type_col), anchor_type),
-                "bucket": _bucket31(users, n_buckets),
             }
         )
 
@@ -3102,10 +3054,11 @@ def nearest_event_join(
             }
         )
 
-    return (
-        ds.map_batches(project, batch_format="pyarrow")
-        .groupby("bucket")
-        .map_groups(per_bucket, batch_format="pyarrow")
+    return map_keyed(
+        ds.map_batches(project, batch_format="pyarrow"),
+        per_bucket,
+        key=user_col,
+        n_buckets=n_buckets,
     )
 
 
@@ -3350,7 +3303,6 @@ def gini_by_group(
         )
         return pa.table(
             {
-                "jb": key_buckets(g, n_buckets, key=group_col),
                 "grp": g,
                 "v": v,
             }
@@ -3397,10 +3349,11 @@ def gini_by_group(
             }
         )
 
-    return (
-        ds.map_batches(prefilter, batch_format="pyarrow")
-        .groupby("jb")
-        .map_groups(resolve, batch_format="pyarrow")
+    return map_keyed(
+        ds.map_batches(prefilter, batch_format="pyarrow"),
+        resolve,
+        key="grp",
+        n_buckets=n_buckets,
     )
 
 
@@ -3439,7 +3392,6 @@ def interp_join(
         u = b.column(q_user_col).cast(pa.int64())
         return pa.table(
             {
-                "jb": _bucket31(u, n_buckets),
                 "u": u,
                 "t": b.column(q_ts_col).cast(pa.int64()),
                 "side": pa.array(np.ones(b.num_rows, dtype=np.int8)),
@@ -3453,7 +3405,6 @@ def interp_join(
         u = b.column(user_col).cast(pa.int64())
         return pa.table(
             {
-                "jb": _bucket31(u, n_buckets),
                 "u": u,
                 "t": b.column(ts_col).cast(pa.int64()),
                 "side": pa.array(np.zeros(b.num_rows, dtype=np.int8)),
@@ -3463,9 +3414,10 @@ def interp_join(
             }
         )
 
-    both = queries_ds.map_batches(tag_q, batch_format="pyarrow").union(
-        events_ds.map_batches(tag_e, batch_format="pyarrow")
-    )
+    both = [
+        queries_ds.map_batches(tag_q, batch_format="pyarrow"),
+        events_ds.map_batches(tag_e, batch_format="pyarrow"),
+    ]
 
     def resolve(tbl: pa.Table) -> pa.Table:
         df = tbl.select(["u", "t", "side", "qid", "eid", "v"]).to_pandas()
@@ -3539,9 +3491,7 @@ def interp_join(
             }
         )
 
-    return both.groupby("jb").map_groups(
-        resolve, batch_format="pyarrow"
-    )
+    return map_keyed(both, resolve, key="u", n_buckets=n_buckets)
 
 
 def interval_concurrency(
@@ -3724,7 +3674,6 @@ def session_entry_exit(
         key = b.column(user_col).cast(pa.int64())
         return pa.table(
             {
-                "jb": _bucket31(key, n_buckets),
                 "u": key,
                 "t": b.column(ts_col).cast(pa.int64()),
                 "e": b.column(id_col).cast(pa.int64()),
@@ -3764,9 +3713,12 @@ def session_entry_exit(
         )
 
     agg = (
-        ds.map_batches(project, batch_format="pyarrow")
-        .groupby("jb")
-        .map_groups(per_bucket, batch_format="pyarrow")
+        map_keyed(
+            ds.map_batches(project, batch_format="pyarrow"),
+            per_bucket,
+            key="u",
+            n_buckets=n_buckets,
+        )
         .groupby(["entry_type", "exit_type"])
         .aggregate(Sum("n_part"))
     )
@@ -3821,7 +3773,6 @@ def cusum_alerts(
         )
         return pa.table(
             {
-                "jb": _bucket31(key, n_buckets),
                 "u": key,
                 "t": b.column(ts_col).cast(pa.int64()),
                 "e": b.column(id_col).cast(pa.int64()),
@@ -3880,10 +3831,11 @@ def cusum_alerts(
             }
         )
 
-    return (
-        ds.map_batches(project, batch_format="pyarrow")
-        .groupby("jb")
-        .map_groups(per_bucket, batch_format="pyarrow")
+    return map_keyed(
+        ds.map_batches(project, batch_format="pyarrow"),
+        per_bucket,
+        key="u",
+        n_buckets=n_buckets,
     )
 
 
@@ -3940,7 +3892,6 @@ def topk_with_other(
             g = g.combine_chunks()
         return pa.table(
             {
-                "jb": key_buckets(g, n_buckets, key=group_col),
                 "g": g,
                 "c": b.column("c"),
                 "n": b.column("sum(n_part)").cast(pa.int64()),
@@ -3971,10 +3922,11 @@ def topk_with_other(
             }
         )
 
-    return (
-        folded.map_batches(bucketize, batch_format="pyarrow")
-        .groupby("jb")
-        .map_groups(per_bucket, batch_format="pyarrow")
+    return map_keyed(
+        folded.map_batches(bucketize, batch_format="pyarrow"),
+        per_bucket,
+        key="g",
+        n_buckets=n_buckets,
     )
 
 
@@ -4016,7 +3968,6 @@ def new_vs_returning(
             u = u.combine_chunks()
         return pa.table(
             {
-                "jb": _bucket31(u, n_buckets),
                 "u": u,
                 "day": d.column("day"),
             }
@@ -4064,9 +4015,12 @@ def new_vs_returning(
         )
 
     return (
-        ds.map_batches(local_pairs, batch_format="pyarrow")
-        .groupby("jb")
-        .map_groups(per_bucket, batch_format="pyarrow")
+        map_keyed(
+            ds.map_batches(local_pairs, batch_format="pyarrow"),
+            per_bucket,
+            key="u",
+            n_buckets=n_buckets,
+        )
         .groupby("day")
         .aggregate(Sum("act_part"), Sum("new_part"))
         .map_batches(finish, batch_format="pyarrow")
@@ -4217,7 +4171,6 @@ def weighted_median_per_group(
             gk = gk.combine_chunks()
         return pa.table(
             {
-                "jb": key_buckets(gk, n_buckets),
                 "gk": gk,
                 "gn": a.column("gn"),
                 "v": a.column("v"),
@@ -4262,10 +4215,11 @@ def weighted_median_per_group(
             }
         )
 
-    return (
-        ds.map_batches(partial, batch_format="pyarrow")
-        .groupby("jb")
-        .map_groups(per_bucket, batch_format="pyarrow")
+    return map_keyed(
+        ds.map_batches(partial, batch_format="pyarrow"),
+        per_bucket,
+        key="gk",
+        n_buckets=n_buckets,
     )
 
 
@@ -4478,7 +4432,6 @@ def _user_span_hist(ds, user_col, ts_col, day_us, n_buckets):
             u = u.combine_chunks()
         return pa.table(
             {
-                "jb": _bucket31(u, n_buckets),
                 "u": u,
                 "f": g.column("day_min"),
                 "l": g.column("day_max"),
@@ -4517,9 +4470,12 @@ def _user_span_hist(ds, user_col, ts_col, day_us, n_buckets):
         )
 
     return (
-        ds.map_batches(partial, batch_format="pyarrow")
-        .groupby("jb")
-        .map_groups(per_bucket, batch_format="pyarrow")
+        map_keyed(
+            ds.map_batches(partial, batch_format="pyarrow"),
+            per_bucket,
+            key="u",
+            n_buckets=n_buckets,
+        )
         .groupby(["dur", "cens"])
         .aggregate(Sum("n_part"))
         .take_all()
@@ -4919,7 +4875,7 @@ def _joint_value_hist(
     ``kendall_tau_b``).
 
     Per-block Arrow (x, y) count partials ride a single mixed
-    pair-key hash bucket (the ``_bucket31`` wrapping-int64 mix) so the
+    pair-key hash bucket (a wrapping-int64 mix of the pair) so the
     fold groups on ONE small int key instead of a two-column
     sort-aggregate -- measured ~4x cheaper when the joint histogram is
     near row-count sized (continuous y).  The folded histogram is
@@ -4948,7 +4904,7 @@ def _joint_value_hist(
         mix = xs_np * np.int64(-7046029254386353131) + ys_np
         return pa.table(
             {
-                "kb": _bucket31(pa.array(mix, pa.int64()), 64),
+                "mix": pa.array(mix, pa.int64()),
                 "x": g.column("x"),
                 "y": g.column("y"),
                 "n_part": g.column("count_all").cast(pa.int64()),
@@ -4970,9 +4926,12 @@ def _joint_value_hist(
         )
 
     hist_ds = (
-        ds.map_batches(partial, batch_format="pyarrow")
-        .groupby("kb")
-        .map_groups(fold_bucket, batch_format="pyarrow")
+        map_keyed(
+            ds.map_batches(partial, batch_format="pyarrow"),
+            fold_bucket,
+            key="mix",
+            n_buckets=64,
+        )
         .materialize()
     )
     n_rows = hist_ds.count()
@@ -6045,7 +6004,6 @@ def last_touch_attribution(
                 "et": t.column(type_col),
                 "is_conv": pc.equal(t.column(type_col), conversion_type),
                 "cents": pc.cast(cents_f, pa.int64()),
-                "bucket": _bucket31(users, n_buckets),
             }
         )
 
@@ -6133,9 +6091,12 @@ def last_touch_attribution(
         )
 
     folded = (
-        ds.map_batches(project, batch_format="pyarrow")
-        .groupby("bucket")
-        .map_groups(per_bucket, batch_format="pyarrow")
+        map_keyed(
+            ds.map_batches(project, batch_format="pyarrow"),
+            per_bucket,
+            key="u",
+            n_buckets=n_buckets,
+        )
         .groupby("attr_type")
         .aggregate(Sum("n_part"), Sum("v_part"), Sum("nv_part"))
     )
@@ -7657,7 +7618,6 @@ def bot_regularity(
         u = t.column(user_col).cast(pa.int64())
         return pa.table(
             {
-                "jb": _bucket31(u, n_buckets),
                 "u": u,
                 "t": t.column(ts_col).cast(pa.int64()),
             }
@@ -7743,9 +7703,12 @@ def bot_regularity(
         )
 
     cands = (
-        ds.map_batches(project, batch_format="pyarrow")
-        .groupby("jb")
-        .map_groups(per_bucket, batch_format="pyarrow")
+        map_keyed(
+            ds.map_batches(project, batch_format="pyarrow"),
+            per_bucket,
+            key="u",
+            n_buckets=n_buckets,
+        )
         .take_all()
     )
     cands.sort(key=lambda r: (r["cv"], r["user_id"]))
@@ -7994,7 +7957,6 @@ def time_to_convert(
         u = t.column(user_col).cast(pa.int64())
         return pa.table(
             {
-                "jb": _bucket31(u, n_buckets),
                 "u": u,
                 "t": t.column(ts_col).cast(pa.int64()),
                 "is_start": pc.equal(
@@ -8031,10 +7993,11 @@ def time_to_convert(
             }
         )
 
-    return (
-        ds.map_batches(project, batch_format="pyarrow")
-        .groupby("jb")
-        .map_groups(per_bucket, batch_format="pyarrow")
+    return map_keyed(
+        ds.map_batches(project, batch_format="pyarrow"),
+        per_bucket,
+        key="u",
+        n_buckets=n_buckets,
     )
 
 
@@ -8276,7 +8239,6 @@ def bounce_rate(
         u = t.column(user_col).cast(pa.int64())
         return pa.table(
             {
-                "jb": _bucket31(u, n_buckets),
                 "u": u,
                 "t": t.column(ts_col).cast(pa.int64()),
             }
@@ -8304,9 +8266,12 @@ def bounce_rate(
 
     n_sessions = n_bounced = 0
     for tbl in (
-        ds.map_batches(project, batch_format="pyarrow")
-        .groupby("jb")
-        .map_groups(per_bucket, batch_format="pyarrow")
+        map_keyed(
+            ds.map_batches(project, batch_format="pyarrow"),
+            per_bucket,
+            key="u",
+            n_buckets=n_buckets,
+        )
         .iter_batches(batch_format="pyarrow")
     ):
         n_sessions += int(pc.sum(tbl.column("s_part")).as_py() or 0)
@@ -8574,7 +8539,6 @@ def session_duration_quantiles(
         u = t.column(user_col).cast(pa.int64())
         return pa.table(
             {
-                "jb": _bucket31(u, n_buckets),
                 "u": u,
                 "t": t.column(ts_col).cast(pa.int64()),
             }
@@ -8603,9 +8567,12 @@ def session_duration_quantiles(
         )
 
     hist_ds = (
-        ds.map_batches(project, batch_format="pyarrow")
-        .groupby("jb")
-        .map_groups(per_bucket, batch_format="pyarrow")
+        map_keyed(
+            ds.map_batches(project, batch_format="pyarrow"),
+            per_bucket,
+            key="u",
+            n_buckets=n_buckets,
+        )
         .groupby("d")
         .aggregate(Sum("c_part"))
         .materialize()
@@ -9048,9 +9015,10 @@ def seasonal_strength(
     """Seasonality-strength statistic (Hyndman's STL-feature shape):
     1 - Var(deseasonalized residual) / Var(series) over the daily
     metric, with the seasonal component estimated as the per-phase
-    mean (phase = (day + offset) % period; offset 4 makes Monday
-    phase 0) -- the single-number answer to "HOW weekly is revenue",
-    where ``dow_profile``/``acf_daily`` only show the profile.
+    mean (phase = (day + offset) % period; offset 4 makes Sunday
+    phase 0, as 1970-01-04 is a Sunday) -- the single-number answer
+    to "HOW weekly is revenue", where ``dow_profile``/``acf_daily``
+    only show the profile.
 
     Exactness: the daily series folds to exact integer cents; the
     per-day residual is quantized with the IDENTICAL expression tree

@@ -39,19 +39,14 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from .events import _SAMPLE_MOD, _SAMPLE_MULT
+from ..sources.cache import map_keyed
+from ..state.manifests import H32_MOD, h32, key_buckets
 
 
 def _shard_col(ids: pa.Array, n_shards: int) -> pa.Array:
-    ids64 = ids.cast(pa.int64())
-    ids31 = pc.bit_wise_and(ids64, pa.scalar((1 << 31) - 1, pa.int64()))
-    h = pc.multiply(ids31, pa.scalar(_SAMPLE_MULT, pa.int64()))
-    h = pc.bit_wise_and(h, pa.scalar(_SAMPLE_MOD - 1, pa.int64()))
     # n_shards need not be a power of two; the modulo of the 32-bit
     # hash is what the SQL oracle states verbatim
-    return pa.array(
-        np.mod(h.to_numpy(zero_copy_only=False), n_shards), pa.int64()
-    )
+    return key_buckets(ids, n_shards).cast(pa.int64())
 
 
 def shard_assignments(ds, n_shards: int, id_col: str = "doc_id"):
@@ -168,7 +163,7 @@ def mix_domains(ds, weight_fn, group_col: str = "source", id_col: str = "doc_id"
     mg = min(weighted, key=lambda g: (counts[g] / weighted[g], g))
     mn, mw = counts[mg], weighted[mg]
     thresholds = {
-        g: (_SAMPLE_MOD * mn * w) // (mw * counts[g])
+        g: (H32_MOD * mn * w) // (mw * counts[g])
         for g, w in weighted.items()
     }
 
@@ -179,15 +174,12 @@ def mix_domains(ds, weight_fn, group_col: str = "source", id_col: str = "doc_id"
 
     def keep(b: pa.Table) -> pa.Table:
         b = b.combine_chunks()  # one chunk -> elementwise kernels align
-        ids = b.column(id_col).cast(pa.int64())
-        ids31 = pc.bit_wise_and(ids, pa.scalar((1 << 31) - 1, pa.int64()))
-        h = pc.multiply(ids31, pa.scalar(_SAMPLE_MULT, pa.int64()))
-        bucket = pc.bit_wise_and(h, pa.scalar(_SAMPLE_MOD - 1, pa.int64()))
+        h = h32(b.column(id_col))
         # vectorized dict lookup: group -> threshold (absent/zero-weight
         # groups take null -> 0 -> always filtered out)
         idx = pc.index_in(b.column(group_col), thr_groups)
         thr = pc.fill_null(pc.take(thr_values, idx), 0)
-        return b.filter(pc.less(bucket, thr))
+        return b.filter(pc.less(h, thr))
 
     return ds.map_batches(keep, batch_format="pyarrow")
 
@@ -283,26 +275,16 @@ def token_budget(
     (id, group, n_tokens, h) projection shuffles -- text never leaves
     the first pass.
     """
-    from ..state.manifests import key_buckets
-    from .events import _SAMPLE_MOD, _SAMPLE_MULT
-
     def project(b: pa.Table) -> pa.Table:
         texts = pc.fill_null(b.column(text_col).combine_chunks(), "")
         nt = pc.count_substring_regex(texts, r"\S+").cast(pa.int64())
         ids = b.column(id_col).combine_chunks().cast(pa.int64())
-        ids31 = pc.bit_wise_and(ids, pa.scalar((1 << 31) - 1, pa.int64()))
-        h = pc.bit_wise_and(
-            pc.multiply(ids31, pa.scalar(_SAMPLE_MULT, pa.int64())),
-            pa.scalar(_SAMPLE_MOD - 1, pa.int64()),
-        )
-        groups = b.column(group_col).combine_chunks()
         return pa.table(
             {
                 id_col: ids,
-                group_col: groups,
+                group_col: b.column(group_col).combine_chunks(),
                 "n_tokens": nt,
-                "h": h,
-                "bucket": key_buckets(groups, n_buckets, key=group_col),
+                "h": h32(ids),
             }
         )
 
@@ -336,10 +318,11 @@ def token_budget(
             }
         )
 
-    return (
-        ds.map_batches(project, batch_format="pyarrow")
-        .groupby("bucket")
-        .map_groups(per_bucket, batch_format="pyarrow")
+    return map_keyed(
+        ds.map_batches(project, batch_format="pyarrow"),
+        per_bucket,
+        key=group_col,
+        n_buckets=n_buckets,
     )
 
 

@@ -23,6 +23,8 @@ import pyarrow.compute as pc
 
 from ray.data.aggregate import Sum
 
+from ..sources.cache import map_keyed
+
 
 def pagerank(
     edges,
@@ -309,15 +311,10 @@ def cooccur_pair_edges(
     one pair-key-hash bucket shuffle for the global distinct -- no
     driver collect, no broadcast.
     """
-    import pandas as pd
-
-    from .events import _bucket31
-
     def project(b: pa.Table) -> pa.Table:
         g = b.column(group_col).cast(pa.int64())
         return pa.table(
             {
-                "jb": _bucket31(g, n_buckets),
                 "g": g,
                 "i": b.column(item_col).cast(pa.int64()),
             }
@@ -337,9 +334,7 @@ def cooccur_pair_edges(
         key = pc.bit_wise_or(
             pc.shift_left(a, pa.scalar(32, pa.int64())), b_
         )
-        return pa.table(
-            {"kb": _bucket31(key, n_buckets), "a": a, "b": b_}
-        )
+        return pa.table({"key": key, "a": a, "b": b_})
 
     def distinct_in_bucket(tbl: pa.Table) -> pa.Table:
         df = tbl.select(["a", "b"]).to_pandas().drop_duplicates()
@@ -350,12 +345,14 @@ def cooccur_pair_edges(
             }
         )
 
-    return (
-        ds.map_batches(project, batch_format="pyarrow")
-        .groupby("jb")
-        .map_groups(pairs_in_bucket, batch_format="pyarrow")
-        .groupby("kb")
-        .map_groups(distinct_in_bucket, batch_format="pyarrow")
+    pairs = map_keyed(
+        ds.map_batches(project, batch_format="pyarrow"),
+        pairs_in_bucket,
+        key="g",
+        n_buckets=n_buckets,
+    )
+    return map_keyed(
+        pairs, distinct_in_bucket, key="key", n_buckets=n_buckets
     )
 
 
@@ -825,12 +822,12 @@ def degree_assortativity(edges, max_distinct: int = 2_000_000):
     )
 
 
-def pair_count_partials(tbl: pa.Table, n_buckets: int = 64) -> pa.Table:
+def pair_count_partials(tbl: pa.Table) -> pa.Table:
     """The per-group-bucket kernel of :func:`association_rules`: fold
     one GROUP-COMPLETE (g, i) membership table into its pair-count
     partials plus sentinel rows ((i, -1) = per-item distinct-group
-    count, (-1, -1) = distinct-group count), pair-hash bucketed for
-    the (a, b) fold.
+    count, (-1, -1) = distinct-group count), each with its packed
+    ``(a, b)`` pair key for the fold's exchange.
 
     Module-level so callers with already-group-partitioned storage
     (e.g. the conversation-complete enriched-transcripts cache) can
@@ -839,8 +836,6 @@ def pair_count_partials(tbl: pa.Table, n_buckets: int = 64) -> pa.Table:
     shuffle entirely.  Every g in ``tbl`` must have ALL its rows
     present -- that is the partial-exactness condition.
     """
-    from .events import _bucket31
-
     df = tbl.select(["g", "i"]).to_pandas().drop_duplicates()
     if (df["i"] < 0).any():
         raise ValueError(
@@ -875,9 +870,7 @@ def pair_count_partials(tbl: pa.Table, n_buckets: int = 64) -> pa.Table:
     packed = a * np.int64(4_294_967_296) + b
     return pa.table(
         {
-            "kb": _bucket31(
-                pa.array(packed, pa.int64()), n_buckets
-            ),
+            "packed": pa.array(packed, pa.int64()),
             "a": pa.array(a, pa.int64()),
             "b": pa.array(b, pa.int64()),
             "c_part": pa.array(cnt, pa.int64()),
@@ -923,7 +916,6 @@ def association_rules(
     from ray.data.aggregate import Count, Sum
 
     from .dedup import _cached_get
-    from .events import _bucket31
 
     def project(b: pa.Table) -> pa.Table:
         t = b.filter(
@@ -938,16 +930,9 @@ def association_rules(
             .group_by(["g", "i"])
             .aggregate([([], "count_all")])
         )
-        gg = d.column("g").combine_chunks()
-        return pa.table(
-            {
-                "jb": _bucket31(gg, n_buckets),
-                "g": gg,
-                "i": d.column("i"),
-            }
-        )
+        return d.select(["g", "i"])
 
-    # single consumer (the jb shuffle) -- keep the projection
+    # single consumer (the group-hash exchange) -- keep the projection
     # streaming.  ``partials`` short-circuits the whole group-hash
     # exchange: a caller whose storage is already group-partitioned
     # passes a Dataset of pair_count_partials tables instead.
@@ -960,13 +945,10 @@ def association_rules(
     # partials plus the bucket's distinct-group total: a group lives
     # in exactly one bucket, so all three are exact partials, and a
     # single (a, b) groupby folds them together -- two all-to-alls
-    # total (the jb shuffle and this fold) instead of four, since
+    # total (the group exchange and this fold) instead of four, since
     # Ray's fixed per-shuffle cost dominates at this output size.
     # Sentinels: (i, -1) = item count, (-1, -1) = group count; item
     # ids must be >= 0.
-    def bucket_part(tbl: pa.Table) -> pa.Table:
-        return pair_count_partials(tbl, n_buckets)
-
     def fold_pairs(tbl: pa.Table) -> pa.Table:
         g = (
             tbl.select(["a", "b", "c_part"])
@@ -989,15 +971,13 @@ def association_rules(
     parts = (
         partials
         if partials is not None
-        else proj.groupby("jb").map_groups(
-            bucket_part, batch_format="pyarrow"
+        else map_keyed(
+            proj, pair_count_partials, key="g", n_buckets=n_buckets
         )
     )
-    folded = (
-        parts.groupby("kb")
-        .map_groups(fold_pairs, batch_format="pyarrow")
-        .materialize()
-    )
+    folded = map_keyed(
+        parts, fold_pairs, key="packed", n_buckets=n_buckets
+    ).materialize()
 
     def sentinels(b: pa.Table) -> pa.Table:
         return b.filter(

@@ -12,6 +12,8 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from ..sources.cache import map_keyed
+
 
 def profile_table(ds, columns: list[str] | None = None, n_buckets: int = 64):
     """Per-column profile: ``(col_name, n_rows, n_nulls, n_distinct)``
@@ -37,8 +39,6 @@ def profile_table(ds, columns: list[str] | None = None, n_buckets: int = 64):
     import pandas as pd
 
     from ray.data.aggregate import Sum
-
-    from ..state.manifests import key_buckets
 
     cols = list(columns) if columns else list(ds.schema().names)
 
@@ -68,7 +68,6 @@ def profile_table(ds, columns: list[str] | None = None, n_buckets: int = 64):
         val_col = pa.concat_arrays(vals)
         return pa.table(
             {
-                "vb": key_buckets(val_col, n_buckets),
                 "col_name": name_col,
                 "v": val_col,
             }
@@ -97,9 +96,12 @@ def profile_table(ds, columns: list[str] | None = None, n_buckets: int = 64):
         )
     )
     distinct = (
-        ds.map_batches(melt_distinct, batch_format="pyarrow")
-        .groupby("vb")
-        .map_groups(distinct_in_bucket, batch_format="pyarrow")
+        map_keyed(
+            ds.map_batches(melt_distinct, batch_format="pyarrow"),
+            distinct_in_bucket,
+            key="v",
+            n_buckets=n_buckets,
+        )
         .groupby("col_name")
         .aggregate(Sum("d_part"))
         .to_pandas()
@@ -146,8 +148,6 @@ def constraint_report(
     import pandas as pd
 
     from ray.data.aggregate import Sum
-
-    from .events import _bucket31
 
     parts = []
 
@@ -203,7 +203,6 @@ def constraint_report(
                 )
                 return pa.table(
                     {
-                        "vb": _bucket31(g.column("v"), n_buckets),
                         "v": g.column("v"),
                         "n": g.column("count_all").cast(pa.int64()),
                     }
@@ -225,9 +224,12 @@ def constraint_report(
 
         pfn, bfn = mk_unique(c)
         dups = (
-            ds.map_batches(pfn, batch_format="pyarrow")
-            .groupby("vb")
-            .map_groups(bfn, batch_format="pyarrow")
+            map_keyed(
+                ds.map_batches(pfn, batch_format="pyarrow"),
+                bfn,
+                key="v",
+                n_buckets=n_buckets,
+            )
             .sum("d_part")
         )
         parts.append(
@@ -251,7 +253,6 @@ def constraint_report(
                 )
                 return pa.table(
                     {
-                        "vb": _bucket31(g.column("v"), n_buckets),
                         "v": g.column("v"),
                         "n": g.column("count_all").cast(pa.int64()),
                         "is_ref": pa.array(
@@ -269,9 +270,6 @@ def constraint_report(
                 )
                 return pa.table(
                     {
-                        "vb": _bucket31(
-                            v.cast(pa.int64()), n_buckets
-                        ),
                         "v": v.cast(pa.int64()),
                         "n": pa.array(
                             np.zeros(len(v), dtype=np.int64)
@@ -298,12 +296,12 @@ def constraint_report(
             return child_partial, ref_partial, per_bucket
 
         cfn, rfn, bfn = mk_fk(c, ref_c)
-        miss = (
-            ds.map_batches(cfn, batch_format="pyarrow")
-            .union(ref_ds.map_batches(rfn, batch_format="pyarrow"))
-            .groupby("vb")
-            .map_groups(bfn, batch_format="pyarrow")
-            .sum("d_part")
+        both = [
+            ds.map_batches(cfn, batch_format="pyarrow"),
+            ref_ds.map_batches(rfn, batch_format="pyarrow"),
+        ]
+        miss = map_keyed(both, bfn, key="v", n_buckets=n_buckets).sum(
+            "d_part"
         )
         parts.append(
             pd.DataFrame(

@@ -40,6 +40,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import ray
 
+from ..state.manifests import h32
 from .dedup import _cached_get, _mod
 
 _JOIN_TYPES = {
@@ -904,9 +905,6 @@ def global_row_number(
     )
 
 
-_SAMPLE_MULT = 2654435761  # Knuth multiplicative hash constant
-
-
 def _global_value_offsets(
     hist_ds, value_col: str, count_col: str, descending: bool,
     n_vals: int, n_ranges: int = 4096,
@@ -931,12 +929,7 @@ def _global_value_offsets(
 
     def sample(b: pa.Table) -> pa.Table:
         v = b.column(value_col).combine_chunks().cast(pa.int64())
-        v31 = pc.bit_wise_and(v, pa.scalar((1 << 31) - 1, pa.int64()))
-        h = pc.bit_wise_and(
-            pc.multiply(v31, pa.scalar(_SAMPLE_MULT, pa.int64())),
-            pa.scalar((1 << 32) - 1, pa.int64()),
-        )
-        keep = pc.less(h, pa.scalar(p32, pa.int64()))
+        keep = pc.less(h32(v), pa.scalar(p32, pa.int64()))
         return pa.table({value_col: v.filter(keep)})
 
     bounds = np.unique(

@@ -401,10 +401,10 @@ def events_table(tbl: pa.Table) -> pa.Table:
 def extract_events(src, n_buckets: int = 64):
     """Event extraction over a path or Dataset of turns: one
     ``events_table`` call per file or conv bucket
-    (``map_conversations``)."""
-    from ..sources.cache import map_conversations
+    (``map_keyed``)."""
+    from ..sources.cache import map_keyed
 
-    return map_conversations(
+    return map_keyed(
         src,
         events_table,
         n_buckets=n_buckets,

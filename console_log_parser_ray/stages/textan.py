@@ -14,7 +14,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from ..state.manifests import key_buckets
+from ..sources.cache import map_keyed
 
 _TOKEN_RE = r"\S+"
 # RE2's ASCII \s class, exactly ([\t\n\f\r ] -- no \v, no Unicode
@@ -1145,14 +1145,8 @@ def rarest_token(
         sorted_ids = ids[order]
         first[1:] = sorted_ids[1:] != sorted_ids[:-1]
         sel = order[first]
-        from .events import _bucket31
-
-        db = _bucket31(
-            pa.array(ids[sel], pa.int64()), n_doc_buckets
-        ).to_numpy(zero_copy_only=False)
         return pa.table(
             {
-                "db": pa.array(db.astype(np.int32), pa.int32()),
                 id_col: pa.array(ids[sel], pa.int64()),
                 "rare_tok": pa.array(toks[sel], pa.string()),
                 "rare_df": pa.array(row_df[sel], pa.int64()),
@@ -1176,25 +1170,25 @@ def rarest_token(
             }
         )
 
-    return (
+    cands = (
         ds.map_batches(
             lambda b: _explode_tok_occ(b, text_col, id_col, n_buckets),
             batch_format="pyarrow",
         )
         .groupby("jb")
         .map_groups(candidates_in_bucket, batch_format="pyarrow")
-        .groupby("db")
-        .map_groups(fold_candidates, batch_format="pyarrow")
+    )
+    return map_keyed(
+        cands, fold_candidates, key=id_col, n_buckets=n_doc_buckets
     )
 
 
 def _explode_spans(
-    batch: pa.Table, text_col: str, id_col: str, k: int, n_buckets: int
+    batch: pa.Table, text_col: str, id_col: str, k: int
 ) -> pa.Table:
-    """Distinct (doc, k-token-span) rows for one batch, bucketed by a
-    span hash so every occurrence of a span string lands in ONE bucket
-    group.  Span strings are built by k vectorized object-array
-    concats over the flattened token tape -- no per-row Python loop."""
+    """Distinct (doc, k-token-span) rows for one batch.  Span strings
+    are built by k vectorized object-array concats over the flattened
+    token tape -- no per-row Python loop."""
     texts = pc.fill_null(batch.column(text_col).combine_chunks(), "")
     ids = batch.column(id_col).combine_chunks().cast(pa.int64())
     doc_idx, span = _ngram_tape(texts, k)
@@ -1204,15 +1198,7 @@ def _explode_spans(
             "span": span,
         }
     )
-    d = pairs.group_by([id_col, "span"]).aggregate([])
-    spans = d.column("span").combine_chunks()
-    return pa.table(
-        {
-            "sb": key_buckets(spans, n_buckets, key="span"),
-            id_col: d.column(id_col),
-            "span": spans,
-        }
-    )
+    return pairs.group_by([id_col, "span"]).aggregate([])
 
 
 def dup_spans(
@@ -1262,12 +1248,15 @@ def dup_spans(
     from ray.data.aggregate import Sum
 
     return (
-        ds.map_batches(
-            lambda b: _explode_spans(b, text_col, id_col, k, n_buckets),
-            batch_format="pyarrow",
+        map_keyed(
+            ds.map_batches(
+                lambda b: _explode_spans(b, text_col, id_col, k),
+                batch_format="pyarrow",
+            ),
+            df_in_bucket,
+            key="span",
+            n_buckets=n_buckets,
         )
-        .groupby("sb")
-        .map_groups(df_in_bucket, batch_format="pyarrow")
         .groupby(id_col)
         .aggregate(Sum("n_part"), Sum("d_part"))
         .rename_columns(

@@ -21,10 +21,17 @@ plan), written as ``<kind>=<id>`` directories:
 
 Conversations are assigned to ``n_buckets`` partitions by a stable hash
 of ``conv_id`` (the sharded plan uses the input files as partitions).
-That hash -- crc32 of the key modulo the bucket count, null keys
-rejected -- is ``key_buckets``, the only key -> bucket hash in the
-package: every conversation exchange (``sources.cache.map_conversations``)
-and keyed string shuffle uses it too, so they all agree on placement.
+That hash is ``key_buckets``, the only key -> bucket hash in the
+package; the runner's scatter and every keyed exchange
+(``sources.cache.map_keyed``) use it, so they all agree on placement.
+It picks the hash from the key column's Arrow type:
+
+* string keys: crc32 of the key modulo the bucket count; null keys
+  raise (a null has no identity to group on);
+* integer keys: ``h32`` (Knuth's multiplicative hash, the one int id
+  hash, also the deterministic samplers' and the SQL oracles') modulo
+  the bucket count; null keys keep a null bucket and so form one group,
+  like SQL's ``PARTITION BY``.
 A partition's manifest is written only after every sink finished
 writing that partition, so a killed run leaves at most one unfinished
 partition per task; on restart committed partitions are skipped and
@@ -46,19 +53,47 @@ def conv_bucket(conv_id: str, n_buckets: int) -> int:
     return zlib.crc32(conv_id.encode()) % n_buckets
 
 
-def key_buckets(keys, n_buckets: int, pinned=None, key: str = "conv_id"):
-    """``conv_bucket`` over a string column: the one key -> bucket hash
-    of the package (the runner's scatter, every conversation exchange
-    and keyed string shuffle).  Only the distinct keys are hashed (a
-    batch holds whole or few conversations, so distinct << rows), then
-    the ids fan back out through the dictionary indices.  ``pinned``
-    maps keys to fixed bucket ids that override the hash.
+H32_MULT = 2654435761  # Knuth multiplicative hash constant
+H32_MOD = 1 << 32
 
+
+def h32(ids):
+    """Knuth multiplicative hash of integer ids into ``[0, 2^32)`` as
+    int64: ``((k & 0x7fffffff) * 2654435761) mod 2^32``, nulls kept.
+    Ids are masked to 31 bits BEFORE multiplying, so the product stays
+    below 2^63 -- in range for int64 here AND for a SQL engine's BIGINT
+    (which raises on overflow rather than wrapping): the oracle SQL
+    mirrors it bit for bit."""
+    ids31 = pc.bit_wise_and(
+        ids.cast(pa.int64()), pa.scalar(0x7FFFFFFF, pa.int64())
+    )
+    h = pc.multiply(ids31, pa.scalar(H32_MULT, pa.int64()))
+    return pc.bit_wise_and(h, pa.scalar(H32_MOD - 1, pa.int64()))
+
+
+def key_buckets(keys, n_buckets: int, pinned=None, key: str = "conv_id"):
+    """int32 bucket ids in ``[0, n_buckets)`` for a key column: the one
+    key -> bucket hash of the package (the runner's scatter and every
+    keyed exchange), chosen by the column's Arrow type.
+
+    Integer keys: ``h32(k) % n_buckets``; a null key keeps a null
+    bucket, so all null keys form one group.
+
+    String keys: ``conv_bucket`` of each key.  Only the distinct keys
+    are hashed (a batch holds whole or few conversations, so distinct
+    << rows), then the ids fan back out through the dictionary indices.
+    ``pinned`` maps keys to fixed bucket ids that override the hash.
     Null keys are rejected: a null has no identity to group on, and a
     null bucket id would be filtered away by the scatter (silently
     dropping rows).  ``key`` names the column in that error."""
     if isinstance(keys, pa.ChunkedArray):
         keys = keys.combine_chunks()
+    if pa.types.is_integer(keys.type):
+        h = h32(keys)
+        n = pa.scalar(n_buckets, pa.int64())
+        return pc.subtract(h, pc.multiply(pc.divide(h, n), n)).cast(
+            pa.int32()
+        )
     if keys.null_count:
         raise null_key_error(key)
     pinned = pinned or {}

@@ -1,13 +1,17 @@
-"""The one conversation exchange, ``sources.cache.map_conversations``.
+"""The one keyed exchange, ``sources.cache.map_keyed``, and its hash,
+``state.manifests.key_buckets``.
 
 Each per-conversation operator gives the same rows three ways: through
 a conversation-complete directory (one task per file), through a plain
 Dataset (the conv-bucket shuffle, at several bucket counts), and by
 calling its table-level kernel in-process on the whole table.  No
 reference files are needed: the kernel on the whole table is the
-oracle for the exchange.
+oracle for the exchange.  Integer-keyed operators (per user) give the
+same frame at every bucket count, and integer placement is pinned to
+the plain-Python formula every SQL oracle states.
 """
 
+import numpy as np
 import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
@@ -16,10 +20,11 @@ import pytest
 
 from console_log_parser_ray.functions import replay
 from console_log_parser_ray.pipelines import flagship
-from console_log_parser_ray.sources.cache import map_conversations
+from console_log_parser_ray.sources.cache import map_keyed
 from console_log_parser_ray.sources.synth import gen_table
-from console_log_parser_ray.stages import dedup, stats
+from console_log_parser_ray.stages import dedup, events, stats
 from console_log_parser_ray.stages.scan import scan_bucket_table
+from console_log_parser_ray.state.manifests import key_buckets
 
 
 def _histogram(df: pd.DataFrame) -> pd.DataFrame:
@@ -96,7 +101,7 @@ def test_path_and_dataset_match_kernel(ray_session, name, turns, conv_dir):
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_exchange_bucket_counts(ray_session, name, n_buckets, turns):
     _, kernel, fold = CASES[name]
-    out = map_conversations(
+    out = map_keyed(
         ray_session.data.from_arrow(turns), kernel, n_buckets=n_buckets
     ).to_pandas()
     pd.testing.assert_frame_equal(
@@ -125,3 +130,98 @@ def test_null_conv_id_rejected_by_both_plans(ray_session, tmp_path):
     for plan in ("bucketed", "sharded"):
         with pytest.raises(Exception, match="null 'conv_id'"):
             run_flagship(str(src), str(tmp_path / plan), plan=plan, resume=False)
+
+
+@pytest.mark.parametrize("n_buckets", [1, 3, 64])
+def test_int_key_buckets_pinned(n_buckets):
+    """Integer placement is h32(k) % n, the formula the samplers and the
+    SQL oracles state: a changed value would move rows between groups."""
+    ids = [0, 1, 2**31 - 1, 2**31, 2**32 + 5, -1, 2**63 - 1]
+    want = [
+        ((k & 0x7FFFFFFF) * 2654435761 % 2**32) % n_buckets for k in ids
+    ]
+    got = key_buckets(pa.array(ids, pa.int64()), n_buckets)
+    assert got.type == pa.int32()
+    assert got.to_pylist() == want
+
+
+@pytest.mark.parametrize(
+    "keys", [[1, None, 2, None, 3, None, 4, 5], ["a", None, "b"]]
+)
+def test_null_keys(ray_session, keys):
+    """Null integer keys are one group (SQL's PARTITION BY rule): they
+    are kept and arrive together in one call.  Null string keys have no
+    identity to group on and raise."""
+
+    def calls(tbl: pa.Table) -> pa.Table:  # one row per exchange call
+        return pa.table(
+            {
+                "n": pa.array([tbl.num_rows], pa.int64()),
+                "n_null": pa.array([tbl.column("k").null_count], pa.int64()),
+            }
+        )
+
+    ds = ray_session.data.from_arrow(pa.table({"k": keys})).repartition(3)
+    if isinstance(keys[0], str):
+        with pytest.raises(Exception, match="null 'k'"):
+            map_keyed(ds, calls, key="k", n_buckets=4).materialize()
+        return
+    out = map_keyed(ds, calls, key="k", n_buckets=4).to_pandas()
+    assert out["n"].sum() == len(keys)
+    with_nulls = out[out["n_null"] > 0]
+    assert with_nulls["n_null"].tolist() == [keys.count(None)]
+
+
+@pytest.fixture(scope="module")
+def user_tables():
+    rng = np.random.default_rng(11)
+    n = 400
+    ev = pa.table(
+        {
+            "event_id": pa.array(np.arange(n), pa.int64()),
+            "user_id": pa.array(rng.integers(0, 40, n), pa.int64()),
+            "ts": pa.array(rng.integers(0, 10**10, n), pa.timestamp("us")),
+            "value": pa.array(rng.normal(5.0, 3.0, n), pa.float64()),
+        }
+    )
+    m = 120
+    od = pa.table(
+        {
+            "o_orderkey": pa.array(np.arange(m), pa.int64()),
+            "o_custkey": pa.array(rng.integers(0, 40, m), pa.int64()),
+            "o_orderdate": pa.array(
+                rng.integers(0, 10**10, m), pa.timestamp("us")
+            ),
+            "o_totalprice": pa.array(rng.normal(100.0, 20.0, m)),
+        }
+    )
+    return ev, od
+
+
+USER_OPS = {
+    "sessionize": lambda ds, od, n: events.sessionize(ds, n_buckets=n),
+    "running_user_totals": lambda ds, od, n: events.running_user_totals(
+        ds, n_buckets=n
+    ),
+    "asof_join_events_orders": (
+        lambda ds, od, n: events.asof_join_events_orders(ds, od, n_buckets=n)
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(USER_OPS))
+def test_user_key_bucket_counts(ray_session, name, user_tables):
+    ev, od = user_tables
+    frames = [
+        _canon(
+            USER_OPS[name](
+                ray_session.data.from_arrow(ev).repartition(4),
+                ray_session.data.from_arrow(od),
+                n,
+            ).to_pandas()
+        )
+        for n in (1, 4, 64)
+    ]
+    assert len(frames[0])
+    for f in frames[1:]:
+        pd.testing.assert_frame_equal(f, frames[0])

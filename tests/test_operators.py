@@ -544,11 +544,8 @@ def test_tumbling_window_agg(ray_session):
 
 def test_deterministic_sample_stable_and_correct(ray_session):
     ray = ray_session
-    from console_log_parser_ray.stages.events import (
-        _SAMPLE_MOD,
-        _SAMPLE_MULT,
-        deterministic_sample,
-    )
+    from console_log_parser_ray.stages.events import deterministic_sample
+    from console_log_parser_ray.state.manifests import H32_MOD, H32_MULT
 
     tbl = pa.table({"doc_id": pa.array(range(1000), pa.int64())})
     got = sorted(
@@ -560,7 +557,7 @@ def test_deterministic_sample_stable_and_correct(ray_session):
     want = [
         i
         for i in range(1000)
-        if (i * _SAMPLE_MULT) % _SAMPLE_MOD < (_SAMPLE_MOD * 10) // 100
+        if (i * H32_MULT) % H32_MOD < (H32_MOD * 10) // 100
     ]
     assert got == want
     # stable under repartitioning
@@ -809,11 +806,8 @@ def test_sample_per_group_bounded_and_deterministic(ray_session):
 
     import ray.data
 
-    from console_log_parser_ray.stages.events import (
-        _SAMPLE_MOD,
-        _SAMPLE_MULT,
-        sample_per_group,
-    )
+    from console_log_parser_ray.stages.events import sample_per_group
+    from console_log_parser_ray.state.manifests import H32_MOD, H32_MULT
 
     rows = [
         {"doc_id": i, "source": "s{}".format(i % 3)} for i in range(60)
@@ -826,7 +820,7 @@ def test_sample_per_group_bounded_and_deterministic(ray_session):
         by_src.setdefault(r["source"], []).append(r["doc_id"])
     # expected: per source, the 5 ids with smallest multiplicative hash
     def h(i):
-        return ((i & 0x7FFFFFFF) * _SAMPLE_MULT) % _SAMPLE_MOD
+        return ((i & 0x7FFFFFFF) * H32_MULT) % H32_MOD
 
     for s in ("s0", "s1", "s2"):
         ids = [i for i in range(60) if "s{}".format(i % 3) == s]
@@ -1853,11 +1847,8 @@ def test_mix_domains_thresholds_and_drop(ray_session):
     """The binding domain keeps every row; other domains are hash-
     thresholded to the target mixture; zero-weight domains drop."""
     ray = ray_session
-    from console_log_parser_ray.stages.events import (
-        _SAMPLE_MOD,
-        _SAMPLE_MULT,
-    )
     from console_log_parser_ray.stages.export import mix_domains
+    from console_log_parser_ray.state.manifests import H32_MOD, H32_MULT
 
     # a: 40 rows w=4, b: 10 rows w=1, c: 50 rows w=0 (dropped)
     # ratios n/w -> a: 10.0, b: 10.0  (tie -> name order: 'a' binds)
@@ -1873,13 +1864,13 @@ def test_mix_domains_thresholds_and_drop(ray_session):
         for r in mix_domains(ds, {"a": 4, "b": 1, "c": 0}).take_all()
     }
     thr = {
-        "a": _SAMPLE_MOD,  # binding: (2^32 * 40*4) // (4*40)
-        "b": (_SAMPLE_MOD * 40 * 1) // (4 * 10),  # == 2^32 -> all kept
+        "a": H32_MOD,  # binding: (2^32 * 40*4) // (4*40)
+        "b": (H32_MOD * 40 * 1) // (4 * 10),  # == 2^32 -> all kept
     }
     want = {
         (i, s)
         for i, s in zip(ids, srcs)
-        if s in thr and (i * _SAMPLE_MULT) % _SAMPLE_MOD < thr[s]
+        if s in thr and (i * H32_MULT) % H32_MOD < thr[s]
     }
     assert kept == want
     assert all(s != "c" for _, s in kept)
@@ -8605,7 +8596,7 @@ def test_association_rules_partials_path_matches(ray_session):
     hi = tbl.filter(pc.greater_equal(tbl.column("g"), 100))
     partials = ray.data.from_arrow(
         pa.concat_tables(
-            [pair_count_partials(lo, 64), pair_count_partials(hi, 64)]
+            [pair_count_partials(lo), pair_count_partials(hi)]
         )
     )
     got = association_rules(

@@ -5381,7 +5381,7 @@ def r5_family(seed):
     hi = rows.filter(_pc.greater_equal(rows.column("g"), 75))
     partials = ray.data.from_arrow(
         pa.concat_tables(
-            [pair_count_partials(lo, 64), pair_count_partials(hi, 64)]
+            [pair_count_partials(lo), pair_count_partials(hi)]
         )
     )
     mine = association_rules(
