@@ -3882,8 +3882,9 @@ def _q_vocab_coverage(sf_dir: str):
 
 
 def _q_hill_order_values(sf_dir: str):
-    """Hill heavy-tail index over the top-500 order values in cents
-    (stages/events.hill_tail_index): per-block top-k prune,
+    """Hill heavy-tail index over the top-500 order values in cents,
+    the 501st as the threshold (stages/events.hill_tail_index):
+    per-block top-(k+1) prune,
     micro-nat quantized lns, one float division."""
     import pyarrow as pa
     import pyarrow.compute as pc
@@ -11677,9 +11678,9 @@ def oracle_sql() -> dict[str, str]:
         "AS tau_b FROM g"
     )
     out["cramers_action_dow"] = (
-        # observed-cell chi-square terms quantized to integer
-        # micro-units (identical expression tree), order-free sum,
-        # single-float V
+        # observed-cell chi-square terms plus the absent cells' mass
+        # (n*n - sum ra*cb)/n, each quantized to integer micro-units
+        # (identical expression tree), order-free sum, single-float V
         "WITH src AS (SELECT coalesce(event_type, '') AS a, "
         "(((epoch_us(ts) // 86400000000) + 4) % 7) AS b FROM events "
         "WHERE ts IS NOT NULL), "
@@ -11697,9 +11698,13 @@ def oracle_sql() -> dict[str, str]:
         "CAST(n AS DOUBLE))) * 1000000.0) AS BIGINT) AS term_q FROM "
         "(SELECT *, CAST(o AS HUGEINT) * n - CAST(ra AS HUGEINT) * cb "
         "AS d FROM m)), "
-        "s AS (SELECT CAST(sum(term_q) AS HUGEINT) AS sum_q FROM q) "
+        "t AS (SELECT CAST(floor(CAST(CAST(max(n) AS HUGEINT) * max(n) - "
+        "sum(CAST(ra AS HUGEINT) * cb) AS DOUBLE) / CAST(max(n) AS DOUBLE) "
+        "* 1000000.0) AS BIGINT) AS absent_q, CAST(sum(term_q) AS HUGEINT) "
+        "AS obs_q FROM q), "
+        "s AS (SELECT absent_q, obs_q + absent_q AS sum_q FROM t) "
         "SELECT q.a, q.b, q.o, q.ra, q.cb, q.n, k.r_cats, k.c_cats, "
-        "q.term_q, CAST(s.sum_q AS DOUBLE) / 1000000.0 AS chi2, "
+        "q.term_q, s.absent_q, CAST(s.sum_q AS DOUBLE) / 1000000.0 AS chi2, "
         "CASE WHEN least(k.r_cats, k.c_cats) > 1 THEN "
         "sqrt(CAST(s.sum_q AS DOUBLE) / (1000000.0 * "
         "CAST(q.n * (least(k.r_cats, k.c_cats) - 1) AS DOUBLE))) END "
@@ -11905,20 +11910,21 @@ def oracle_sql() -> dict[str, str]:
         "CAST(t.total AS DOUBLE) AS coverage FROM m, t"
     )
     out["hill_order_values"] = (
-        # exact top-k cents, micro-nat quantized lns, one division
+        # exact top-501 cents, micro-nat quantized lns, the 501st as
+        # the threshold, one division
         "WITH src AS (SELECT CAST(floor(o_totalprice * 100) AS "
         "BIGINT) AS c FROM orders WHERE o_totalprice IS NOT NULL), "
         "topk AS (SELECT c, row_number() OVER (ORDER BY c DESC) AS "
-        "rnk FROM src QUALIFY rnk <= 500), "
+        "rnk FROM src QUALIFY rnk <= 501), "
         "q AS (SELECT rnk, c, CAST(floor(ln(CAST(c AS DOUBLE)) * "
         "1000000.0) AS BIGINT) AS lnq FROM topk), "
-        "g AS (SELECT CAST(sum(lnq) AS BIGINT) AS s, "
-        "CAST(min(c) AS BIGINT) AS x_k, "
-        "CAST((SELECT lnq FROM q WHERE rnk = 500) AS BIGINT) AS "
-        "lnq_k FROM q) "
-        "SELECT CAST(500 AS BIGINT) AS k, x_k, s AS s_lnq, "
+        "g AS (SELECT CAST(sum(lnq) FILTER (WHERE rnk <= 500) AS "
+        "BIGINT) AS s, CAST(min(c) AS BIGINT) AS x_k1, "
+        "CAST((SELECT lnq FROM q WHERE rnk = 501) AS BIGINT) AS "
+        "lnq_k1 FROM q) "
+        "SELECT CAST(500 AS BIGINT) AS k, x_k1, s AS s_lnq, "
         "CAST(500 * 1000000 AS DOUBLE) / "
-        "CAST(s - 500 * lnq_k AS DOUBLE) AS alpha FROM g"
+        "CAST(s - 500 * lnq_k1 AS DOUBLE) AS alpha FROM g"
     )
     out["rbo_sparse_dense"] = (
         # the two leg rankings hybrid_rrf pins, prefix overlaps per

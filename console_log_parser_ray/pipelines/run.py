@@ -32,6 +32,12 @@ uncommitted partial output first, and re-runs only the remainder --
 sinks are exactly-once at partition granularity.  The aggregates and
 ``routed_rows`` come from ALL committed manifests, so a resumed run
 reports the same totals as a clean one.
+
+Every partition and scatter chunk is one plain Ray task (``_run_tasks``),
+retried as a Ray Data map task would be.  A run starts no Ray Data
+executor, so no ``_StatsActor`` or ``AutoscalingRequester`` sits beside
+the kernel; only ``skew_threshold``'s heavy-conversation pre-pass
+(``find_heavy_conversations``) is a Ray Data groupby.
 """
 
 from __future__ import annotations
@@ -220,34 +226,36 @@ def conv_rollup_table(parsed: pa.Table) -> pa.Table:
     )
 
 
-def _partition_task(out_dir: str, kind: str, cfg_ref):
-    """Ray Data UDF over partition items ``{pid, paths, lineage}``: runs
-    the kernel on each, committing in-task."""
+def _run_tasks(fn, calls: list):
+    """Run ``fn(*args)`` for each ``args`` in ``calls``, one plain
+    one-CPU Ray task each, and wait for all of them.
 
-    def fn(batch: pa.Table) -> pa.Table:
-        pids = []
-        for item in batch.to_pylist():
-            process_partition(
-                out_dir, kind, item["pid"], item["paths"], cfg_ref,
-                item["lineage"],
-            )
-            pids.append(item["pid"])
-        return pa.table({"pid": pa.array(pids, pa.int32())})
+    The tasks keep the fault semantics of a Ray Data map task
+    (``ray/data/_internal/remote_fn.py``): a task is retried without
+    limit when its worker dies (``max_retries=-1``), and also when it
+    raises ``RaySystemError``; any other exception fails the run.  A
+    retry is idempotent: every file a task writes has a deterministic
+    name and is written atomically (tmp + rename), and a manifest is
+    written only after its partition's sinks are whole.
 
-    return fn
+    The driver waits on the tasks' futures, not inside ``ray.get``:
+    ``ray.get`` runs signal handlers in its own C++ wait and turns an
+    exception they raise (a caller's SIGALRM time limit) into a
+    ``SystemError``, or drops it, while a wait in Python lets it
+    through as raised."""
+    import concurrent.futures as cf
 
+    import ray
 
-def _run_partitions(out_dir: str, kind: str, cfg_ref, items: list):
-    """One Ray task per partition item."""
-    import ray.data
-
-    if not items:
-        return
-    ray.data.from_items(items, override_num_blocks=len(items)).map_batches(
-        _partition_task(out_dir, kind, cfg_ref),
-        batch_format="pyarrow",
-        batch_size=None,
-    ).count()
+    task = ray.remote(
+        num_cpus=1,
+        max_retries=-1,
+        retry_exceptions=[ray.exceptions.RaySystemError],
+    )(fn)
+    futs = [task.remote(*args).future() for args in calls]
+    cf.wait(futs, return_when=cf.FIRST_EXCEPTION)
+    for f in futs:
+        f.result()
 
 
 def _atomic_write_table(tbl: pa.Table, path: str):
@@ -323,12 +331,11 @@ def _run_sharded(input_path, out_dir, cfg=None, resume=True):
     done = M.completed_partitions(out_dir, "shard") if resume else set()
     todo = [s for s in range(len(in_files)) if s not in done]
     M.clean_partition_outputs(out_dir, todo, "shard")
-    _run_partitions(
-        out_dir,
-        "shard",
-        ray.put(cfg or EnrichConfig()),
+    cfg_ref = ray.put(cfg or EnrichConfig())
+    _run_tasks(
+        process_partition,
         [
-            {"pid": s, "paths": [in_files[s]], "lineage": {"input": in_files[s]}}
+            (out_dir, "shard", s, [in_files[s]], cfg_ref, {"input": in_files[s]})
             for s in todo
         ],
     )
@@ -345,68 +352,35 @@ def _run_sharded(input_path, out_dir, cfg=None, resume=True):
 # ---------------------------------------------------------------------------
 
 
-def _add_bucket_and_filter(n_buckets: int, wanted: frozenset, heavy_ids=None):
-    all_wanted = len(wanted) >= n_buckets and frozenset(
-        range(n_buckets)
-    ) <= wanted and not heavy_ids
-
-    def fn(batch: pa.Table) -> pa.Table:
-        bucket_arr = M.key_buckets(batch.column("conv_id"), n_buckets, heavy_ids)
-        batch = batch.append_column("bucket", bucket_arr)
-        if all_wanted:
-            return batch
-        mask = pc.is_in(
-            bucket_arr, value_set=pa.array(sorted(wanted), pa.int32())
-        )
-        return batch.filter(mask)
-
-    return fn
-
-
-def _scatter_task(
-    staging: str, n_buckets: int, wanted: frozenset, heavy_ids=None
+def _scatter(
+    paths: list, idx: int, staging: str, n_buckets: int, wanted: frozenset,
+    heavy_ids: dict,
 ):
-    """Per-input-file scatter worker (phase 1 of the storage shuffle):
-    read the file, assign conversation buckets, split, and write one
-    staged parquet per touched bucket.
+    """Scatter one chunk of input files (phase 1 of the storage
+    shuffle, one Ray task per chunk): read the chunk, assign
+    conversation buckets, and write one staged parquet per wanted
+    bucket it touches.
 
-    File names are deterministic per (bucket, source file index) and
-    writes are atomic, so a retried scatter task overwrites its own
-    staged output byte-identically instead of duplicating rows.  An
-    input block holds whole (or few) conversations, so each scatter
-    task touches only a handful of buckets -- the staged file count is
-    ~#input-files x #convs-per-file, not #input-files x #buckets.
+    One staged file per (bucket, chunk) instead of per (bucket, file)
+    keeps the staged-file count, and its open/footer overhead on the
+    gather side, an order of magnitude down.  File names are
+    deterministic per (bucket, chunk index ``idx``) and writes are
+    atomic, so a retried scatter task overwrites its own staged output
+    byte-identically instead of duplicating rows.
     """
-    bucketer = _add_bucket_and_filter(n_buckets, wanted, heavy_ids)
-
-    def fn(batch: pa.Table) -> pa.Table:
-        touched = []
-        for item in batch.column("item").to_pylist():
-            # each task covers a CHUNK of input files: one staged file
-            # per (bucket, chunk) instead of per (bucket, file) keeps
-            # the staged-file count (and its open/footer overhead on
-            # the gather side) an order of magnitude down
-            paths, idx = item["paths"], item["idx"]
-            tbl = pa.concat_tables(
-                [pq.read_table(p, columns=_INPUT_COLUMNS) for p in paths]
-            )
-            tbl = bucketer(tbl)
-            if not tbl.num_rows:
-                continue
-            buckets = tbl.column("bucket")
-            for b in pc.unique(buckets).to_pylist():
-                sub = tbl.filter(pc.equal(buckets, b)).drop_columns(
-                    ["bucket"]
-                )
-                d = os.path.join(staging, f"bucket={b}")
-                os.makedirs(d, exist_ok=True)
-                _atomic_write_table(
-                    sub, os.path.join(d, f"src-{idx:06d}.parquet")
-                )
-                touched.append(b)
-        return pa.table({"bucket": pa.array(touched, pa.int32())})
-
-    return fn
+    tbl = pa.concat_tables(
+        [pq.read_table(p, columns=_INPUT_COLUMNS) for p in paths]
+    )
+    buckets = M.key_buckets(tbl.column("conv_id"), n_buckets, heavy_ids)
+    for b in pc.unique(buckets).to_pylist():
+        if b not in wanted:
+            continue
+        d = os.path.join(staging, f"bucket={b}")
+        os.makedirs(d, exist_ok=True)
+        _atomic_write_table(
+            tbl.filter(pc.equal(buckets, b)),
+            os.path.join(d, f"src-{idx:06d}.parquet"),
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -835,34 +809,27 @@ def _run_bucketed(
         # the staged-file count stays ~n_tasks x n_buckets, not
         # n_files x n_buckets
         n_chunks = min(len(in_files), max(1, 2 * n_cpus))
-        chunks = [
-            in_files[i::n_chunks] for i in range(n_chunks)
-        ]
-        items = [
-            {"item": {"paths": ps, "idx": i}}
-            for i, ps in enumerate(chunks)
-            if ps
-        ]
-        ray.data.from_items(
-            items, override_num_blocks=max(1, len(items))
-        ).map_batches(
-            _scatter_task(staging, n_buckets, wanted, heavy_ids),
-            batch_format="pyarrow",
-            batch_size=None,
-        ).count()
-        lineage = {"input": input_path, "n_buckets": n_buckets}
-        _run_partitions(
-            out_dir,
-            "bucket",
-            cfg_ref,
+        _run_tasks(
+            _scatter,
             [
-                {
-                    "pid": b,
-                    "paths": sorted(
+                (in_files[i::n_chunks], i, staging, n_buckets, wanted, heavy_ids)
+                for i in range(n_chunks)
+            ],
+        )
+        lineage = {"input": input_path, "n_buckets": n_buckets}
+        _run_tasks(
+            process_partition,
+            [
+                (
+                    out_dir,
+                    "bucket",
+                    b,
+                    sorted(
                         _g.glob(os.path.join(staging, f"bucket={b}", "*.parquet"))
                     ),
-                    "lineage": lineage,
-                }
+                    cfg_ref,
+                    lineage,
+                )
                 for b in sorted(wanted)
             ],
         )

@@ -5196,20 +5196,24 @@ def cramers_v(
         d      = o*n - ra*cb                     (exact int)
         term_q = floor(d_f*d_f / (racb_f * n_f) * scale)
 
-    so the total chi2 = sum(term_q)/scale is an ORDER-FREE integer
-    sum plus one float division, and V = sqrt(chi2 / (n*(min(r,c)-1)))
-    is a single float expression of exact ints.  (Cells absent from
-    the table contribute no term: for independence testing on
-    observed categoricals every margin product is represented by its
-    observed cells' terms -- the SQL mirror states the same observed-
-    cells-only sum.)  d*d runs in arbitrary-precision Python ints
-    here and HUGEINT in the mirror (exact to ~10^19-row corpora).
+    An absent cell (o = 0) still has a term, ra*cb/n.  The r*c
+    expected counts sum to n, so all absent cells together contribute
+    m/n with the exact int m = n*n - sum_observed(ra*cb), quantized
+    once (no loop over the r*c grid):
+
+        absent_q = floor(m_f / n_f * scale)
+
+    so the total chi2 = (sum(term_q) + absent_q)/scale is an
+    ORDER-FREE integer sum plus one float division, and
+    V = sqrt(chi2 / (n*(min(r,c)-1))) is a single float expression of
+    exact ints.  d*d and m run in arbitrary-precision Python ints here
+    and HUGEINT in the mirror (exact to ~10^19-row corpora).
 
     Scale shape: one streaming pass of per-block cell partials
     bounded by |A| x |B| (``max_cells`` guard), driver fold, zero
     shuffles.  Output: one row per observed cell carrying its exact
-    counts and term, with the table-level chi2 / V repeated (the
-    per-cell terms ARE the drill-down a reviewer asks for next).
+    counts and term, with the table-level absent_q / chi2 / V repeated
+    (the per-cell terms ARE the drill-down a reviewer asks for next).
     """
     import math
 
@@ -5235,7 +5239,11 @@ def cramers_v(
                 )
             )
         )
-    sum_q = sum(term_l)
+    absent_q = 0
+    if n > 0:
+        m = n * n - sum(ra[a] * cb[b] for (a, b), _ in rows)
+        absent_q = int(math.floor(float(m) / float(n) * float(scale)))
+    sum_q = sum(term_l) + absent_q
     chi2 = float(sum_q) / float(scale) if n > 0 else None
     mink = min(r_cats, c_cats)
     v = (
@@ -5257,6 +5265,7 @@ def cramers_v(
             "r_cats": pa.array([r_cats] * k, pa.int64()),
             "c_cats": pa.array([c_cats] * k, pa.int64()),
             "term_q": pa.array(term_l, pa.int64()),
+            "absent_q": pa.array([absent_q] * k, pa.int64()),
             "chi2": pa.array([chi2] * k, pa.float64()),
             "v": pa.array([v] * k, pa.float64()),
         }
@@ -9968,25 +9977,30 @@ def hill_tail_index(
     k: int = 500,
     scale: int = 1_000_000,
 ):
-    """Hill estimator of the heavy-tail index over the metric's
-    top-``k`` order statistics:
+    """Hill estimator of the heavy-tail index over the metric's top
+    ``k`` order statistics x_(1) >= ... >= x_(k), with the next one,
+    x_(k+1), as the threshold (the textbook form: the threshold is
+    not one of the k summed log-excesses, so none is zero by
+    construction):
 
-        alpha = k / (sum_{i<=k} ln(x_i) - k * ln(x_k))
+        alpha = k / sum_{i<=k} (ln(x_(i)) - ln(x_(k+1)))
 
     -- the tail-heaviness readout behind capacity and risk sizing
     (alpha < 2: variance may not exist; ``gumbel_block_maxima``
     models block extremes, Hill models the whole upper tail).
 
-    Exactness: the top-k values are exact ints via per-block top-k
-    partials + one bounded sort; each ln quantizes to integer
-    micro-nats with the identical libm expression
+    Exactness: the top k+1 values are exact ints via per-block
+    top-(k+1) partials + one bounded sort; each ln quantizes to
+    integer micro-nats with the identical libm expression
     (``floor(ln(x_f) * scale)``), so the denominator is an exact
     integer difference and alpha is ONE float division
-    (``k*scale / (S - k*lnq_k)``).  Requires k distinct-rank values
-    with x_k > 0 and a nonzero denominator (raises otherwise).
+    (``k*scale / (S - k*lnq_(k+1))``, S the top k's sum).  Requires
+    k+1 values with x_(k+1) > 0 and a nonzero denominator (raises
+    otherwise).  Output: ``k``, the threshold ``x_k1`` = x_(k+1),
+    ``s_lnq`` = S and ``alpha``.
 
-    Scale shape: per-block top-k candidate prune (top_k * blocks
-    rows sorted), driver finish bounded by k.
+    Scale shape: per-block top-(k+1) candidate prune, driver finish
+    bounded by k.
     """
     import math
 
@@ -9997,7 +10011,7 @@ def hill_tail_index(
             .cast(pa.int64())
             .to_numpy(zero_copy_only=False)
         )
-        kk = min(k, len(x))
+        kk = min(k + 1, len(x))
         if kk == 0:
             return pa.table({"x": pa.array([], pa.int64())})
         sel = np.argpartition(-x, kk - 1)[:kk]
@@ -10011,24 +10025,24 @@ def hill_tail_index(
             ).take_all()
         ),
         reverse=True,
-    )[:k]
-    if len(vals) < k or vals[-1] <= 0:
+    )[: k + 1]
+    if len(vals) <= k or vals[-1] <= 0:
         raise ValueError(
-            "hill_tail_index: need k positive tail values"
+            "hill_tail_index: need k+1 positive tail values"
         )
     lnq = [
         int(math.floor(math.log(float(x)) * float(scale)))
         for x in vals
     ]
-    s = sum(lnq)
-    den = s - k * lnq[-1]
+    s = sum(lnq[:k])
+    den = s - k * lnq[k]
     if den <= 0:
         raise ValueError("hill_tail_index: degenerate tail")
     alpha = float(k * scale) / float(den)
     return pa.table(
         {
             "k": pa.array([k], pa.int64()),
-            "x_k": pa.array([vals[-1]], pa.int64()),
+            "x_k1": pa.array([vals[k]], pa.int64()),
             "s_lnq": pa.array([s], pa.int64()),
             "alpha": pa.array([alpha], pa.float64()),
         }

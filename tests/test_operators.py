@@ -8925,13 +8925,14 @@ def test_cramers_v_differential(ray_session):
     rs = obs.sum(axis=1, keepdims=True)
     cs = obs.sum(axis=0, keepdims=True)
     exp = rs * cs / n
-    mask = obs > 0  # observed-cells-only sum, as documented
-    chi2_ref = float((((obs - exp) ** 2 / exp)[mask]).sum())
+    # every r x c cell, absent ones (b >= 5 rows are all "click") too
+    chi2_ref = float(((obs - exp) ** 2 / exp).sum())
     v_ref = np.sqrt(chi2_ref / (n * (min(ct.shape) - 1)))
     k = len(tbl)
-    assert k == int(mask.sum())
+    assert k == int((obs > 0).sum()) < obs.size
     assert (tbl["n"] == n).all()
-    assert abs(tbl["chi2"].iloc[0] - chi2_ref) < k / 1e6 + 1e-9
+    # k cell terms plus the absent mass, each floored to 1e-6
+    assert abs(tbl["chi2"].iloc[0] - chi2_ref) < (k + 1) / 1e6 + 1e-9
     assert abs(tbl["v"].iloc[0] - v_ref) < 1e-4
     assert tbl["v"].iloc[0] > 0.2  # planted association
     # exact margins per cell
@@ -8941,6 +8942,62 @@ def test_cramers_v_differential(ray_session):
     assert row["cb"] == int(ct[6].sum())
     with pytest.raises(ValueError, match="max_cells"):
         cramers_v(ray.data.from_arrow(t), max_cells=3)
+
+
+@pytest.mark.parametrize(
+    "counts, v_exact",
+    [
+        # every cell populated
+        ({("x", 0): 10, ("x", 1): 20, ("y", 0): 30, ("y", 1): 5}, None),
+        # perfect association: the off-diagonal cells are absent, V = 1
+        ({("x", 0): 40, ("y", 1): 25, ("z", 2): 35}, 1.0),
+        # scattered empty cells in a 3 x 4 table
+        (
+            {
+                ("x", 0): 12, ("x", 3): 7, ("y", 1): 9, ("y", 2): 4,
+                ("y", 3): 1, ("z", 0): 3, ("z", 2): 15,
+            },
+            None,
+        ),
+    ],
+)
+def test_cramers_v_brute_force_all_cells(ray_session, counts, v_exact):
+    """chi2 and V equal the textbook sum of (o - E)^2 / E over all
+    r x c cells, empty ones included, in plain Python."""
+    import math
+
+    import pyarrow as pa
+
+    import ray.data
+
+    from console_log_parser_ray.stages.events import cramers_v
+
+    rows = [k for k, c in counts.items() for _ in range(c)]
+    t = pa.table(
+        {
+            "a": pa.array([a for a, _ in rows], pa.string()),
+            "b": pa.array([b for _, b in rows], pa.int64()),
+        }
+    )
+    got = cramers_v(ray.data.from_arrow(t).repartition(3)).to_pylist()
+
+    n = len(rows)
+    avals = sorted({a for a, _ in counts})
+    bvals = sorted({b for _, b in counts})
+    ra = {a: sum(c for (x, _), c in counts.items() if x == a) for a in avals}
+    cb = {b: sum(c for (_, y), c in counts.items() if y == b) for b in bvals}
+    chi2 = 0.0
+    for a in avals:
+        for b in bvals:
+            e = ra[a] * cb[b] / n
+            chi2 += (counts.get((a, b), 0) - e) ** 2 / e
+    v = math.sqrt(chi2 / (n * (min(len(avals), len(bvals)) - 1)))
+
+    assert len(got) == len(counts)
+    assert abs(got[0]["chi2"] - chi2) < (len(counts) + 1) / 1e6
+    assert abs(got[0]["v"] - v) < 1e-6
+    if v_exact is not None:
+        assert abs(got[0]["v"] - v_exact) < 1e-6
 
 
 def test_theil_u_differential(ray_session):
@@ -10389,14 +10446,46 @@ def test_vocab_coverage_and_hill_differential(ray_session):
     hill = hill_tail_index(
         ray.data.from_arrow(vt).repartition(5), k=k
     ).to_pylist()[0]
-    top = np.sort(vals)[-k:][::-1]
+    top = np.sort(vals)[-(k + 1):][::-1]
     lnq = [math.floor(math.log(float(x)) * 1e6) for x in top]
-    s = sum(lnq)
-    ref = float(k * 1_000_000) / float(s - k * lnq[-1])
-    assert hill["x_k"] == int(top[-1])
+    s = sum(lnq[:k])
+    ref = float(k * 1_000_000) / float(s - k * lnq[k])
+    assert hill["x_k1"] == int(top[k])
     assert hill["s_lnq"] == s
     assert hill["alpha"] == ref
     assert 0.5 < hill["alpha"] < 2.0  # Pareto(1)-ish tail
+
+
+def test_hill_tail_index_brute_force_pareto(ray_session):
+    """alpha equals the textbook Hill estimator in plain Python: the top
+    k order statistics over the (k+1)-th as threshold, every log-excess
+    non-zero; on a Pareto(1.5) sample it recovers the tail index."""
+    import math
+    import random
+
+    import pyarrow as pa
+
+    import ray.data
+
+    from console_log_parser_ray.stages.events import hill_tail_index
+
+    rng = random.Random(11)
+    vals = [int(1000 * (1.0 - rng.random()) ** (-1 / 1.5)) for _ in range(20000)]
+    k = 400
+    got = hill_tail_index(
+        ray.data.from_arrow(pa.table({"c": pa.array(vals, pa.int64())})).repartition(4),
+        k=k,
+    ).to_pylist()[0]
+
+    top = sorted(vals, reverse=True)[: k + 1]
+    excess = [math.log(x) - math.log(top[k]) for x in top[:k]]
+    assert all(e > 0 for e in excess)
+    alpha = k / sum(excess)
+    assert got["k"] == k and got["x_k1"] == top[k]
+    assert abs(got["alpha"] - alpha) < 1e-5 * alpha  # micro-nat floors
+    assert abs(got["alpha"] - 1.5) < 0.25
+    with pytest.raises(ValueError, match="k\\+1"):
+        hill_tail_index(ray.data.from_arrow(pa.table({"c": pa.array(vals[:k], pa.int64())})), k=k)
 
 
 def test_langid_eval_differential(ray_session, tmp_path):

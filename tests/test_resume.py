@@ -2,6 +2,7 @@
 buckets are skipped; final sinks equal a clean run's."""
 
 import glob
+import hashlib
 import os
 import shutil
 
@@ -60,6 +61,70 @@ def test_resume_completes_partial_run(ray_session, small_input, tmp_path):
     run_flagship(small_input, crash_dir, n_buckets=8)
     assert len(M.completed_partitions(crash_dir)) == 8
     assert _parsed_rows(crash_dir) == want
+
+
+def _digests(out_dir):
+    out = {}
+    for sub in ("parsed", "sinks"):
+        for f in glob.glob(os.path.join(out_dir, sub, "**", "*.parquet"), recursive=True):
+            with open(f, "rb") as fh:
+                out[os.path.relpath(f, out_dir)] = hashlib.sha256(fh.read()).hexdigest()
+    return out
+
+
+@pytest.mark.parametrize("plan", ["sharded", "bucketed"])
+def test_flagship_runs_without_ray_data(ray_session, small_input, tmp_path, monkeypatch, plan):
+    """Both plans launch their partitions (and the bucketed scatter) as
+    plain Ray tasks: with Ray Data's entry points raising in the driver
+    the run still finishes, and its sink bytes equal an unpatched run's."""
+    import ray.data
+
+    from console_log_parser_ray.pipelines.run import run_flagship
+
+    want_dir = str(tmp_path / "want")
+    run_flagship(small_input, want_dir, n_buckets=4, plan=plan, resume=False)
+    want = _digests(want_dir)
+    assert want
+
+    def no_ray_data(*_a, **_k):
+        raise AssertionError("the flagship called Ray Data")
+
+    monkeypatch.setattr(ray.data, "from_items", no_ray_data)
+    monkeypatch.setattr(ray.data, "read_parquet", no_ray_data)
+    got_dir = str(tmp_path / "got")
+    run_flagship(small_input, got_dir, n_buckets=4, plan=plan, resume=False)
+    assert _digests(got_dir) == want
+
+
+def test_partition_wait_lets_a_time_limit_through(ray_session):
+    """An exception raised by a signal handler while the flagship waits
+    for its tasks (a caller's SIGALRM time limit) reaches the caller as
+    raised and at once, not when the tasks end."""
+    import signal
+    import time
+
+    from console_log_parser_ray.pipelines.run import _run_tasks
+
+    class Expired(BaseException):
+        pass
+
+    def expire(_signum, _frame):
+        raise Expired
+
+    def nap(s):
+        time.sleep(s)
+
+    _run_tasks(nap, [(0,)])  # warm: the alarm must land in the wait
+    old = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, 0.5)
+    t = time.perf_counter()
+    try:
+        with pytest.raises(Expired):
+            _run_tasks(nap, [(5,)])
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, old)
+    assert time.perf_counter() - t < 4
 
 
 def test_resume_skips_completed(ray_session, small_input, tmp_path):

@@ -5483,9 +5483,13 @@ def r5b_family(seed):
         "CAST(n AS DOUBLE))) * 1000000.0) AS BIGINT) AS term_q FROM "
         "(SELECT *, CAST(o AS HUGEINT) * n - CAST(ra AS HUGEINT) * cb "
         "AS d FROM m)), "
-        "s AS (SELECT CAST(sum(term_q) AS HUGEINT) AS sum_q FROM q) "
+        "t AS (SELECT CAST(floor(CAST(CAST(max(n) AS HUGEINT) * max(n) - "
+        "sum(CAST(ra AS HUGEINT) * cb) AS DOUBLE) / CAST(max(n) AS DOUBLE) "
+        "* 1000000.0) AS BIGINT) AS absent_q, CAST(sum(term_q) AS HUGEINT) "
+        "AS obs_q FROM q), "
+        "s AS (SELECT absent_q, obs_q + absent_q AS sum_q FROM t) "
         "SELECT q.a, q.b, q.o, q.ra, q.cb, q.n, k.r_cats, k.c_cats, "
-        "q.term_q, CAST(s.sum_q AS DOUBLE) / 1000000.0 AS chi2, "
+        "q.term_q, s.absent_q, CAST(s.sum_q AS DOUBLE) / 1000000.0 AS chi2, "
         "CASE WHEN least(k.r_cats, k.c_cats) > 1 THEN "
         "sqrt(CAST(s.sum_q AS DOUBLE) / (1000000.0 * "
         "CAST(q.n * (least(k.r_cats, k.c_cats) - 1) AS DOUBLE))) END "
@@ -5493,8 +5497,8 @@ def r5b_family(seed):
     ).fetchdf()
     check(
         "cramers_v", seed, mine, ref, ["a", "b"],
-        ["o", "ra", "cb", "n", "r_cats", "c_cats", "term_q", "chi2",
-         "v"],
+        ["o", "ra", "cb", "n", "r_cats", "c_cats", "term_q", "absent_q",
+         "chi2", "v"],
     )
     mine = theil_u(
         ray.data.from_arrow(ct).repartition(4)
