@@ -37,12 +37,23 @@ Every partition and scatter chunk is one plain Ray task (``_run_tasks``),
 retried as a Ray Data map task would be.  A run starts no Ray Data
 executor, so no ``_StatsActor`` or ``AutoscalingRequester`` sits beside
 the kernel; only ``skew_threshold``'s heavy-conversation pre-pass
-(``find_heavy_conversations``) is a Ray Data groupby.
+(``find_heavy_conversations``) is a Ray Data groupby.  The driver waits
+for every task in Python on the calling thread (``_wait``; several
+giants are interleaved there, not run from threads), so a caller's
+signal handler -- a time limit -- interrupts a run at once, and the
+run cancels its tasks.
+
+Every file a run writes -- sinks, staged scatter files, aggregates --
+goes through one writer, ``_atomic_write_table``, with one encoding
+plan read off the Arrow types: integers and timestamps delta-packed,
+strings dictionary-coded, no statistics (no reader filters these
+files).
 """
 
 from __future__ import annotations
 
 import collections
+import functools
 import math
 import os
 
@@ -56,6 +67,10 @@ from ..stages.scan import scan_bucket_table
 from ..state import manifests as M
 
 _INPUT_COLUMNS = ["conv_id", "turn_idx", "text", "ts"]
+
+# every sink a partition writes; the enriched-rows cache
+# (``sources.cache.ensure_enriched``) asks for ``("parsed",)`` alone
+_SINKS = ("parsed", "by_role", "by_tool", "vim_sessions", "conv_rollup")
 
 # Bucketed plan sizing (see ``bucket_count``).  A bucket's fixed cost --
 # ~12 sink files, a manifest, a Ray task, its cleanup -- is ~40-60 ms;
@@ -100,15 +115,16 @@ def run_flagship(
 
 
 def process_partition(
-    out_dir: str, kind: str, pid: int, paths: list, cfg_ref, lineage: dict
+    out_dir: str, kind: str, pid: int, paths: list, cfg_ref, lineage: dict,
+    sinks: tuple = _SINKS,
 ):
     """One partition, start to commit: read its input files, scan ->
-    enrich -> write every sink -> commit its manifest.  A partition
-    with no input files commits an empty manifest so resume bookkeeping
-    stays complete.  Null conv_ids are rejected, as the bucketed plan's
-    hash rejects them."""
+    enrich -> write each of ``sinks`` -> commit its manifest.  A
+    partition with no input files commits an empty manifest so resume
+    bookkeeping stays complete.  Null conv_ids are rejected, as the
+    bucketed plan's hash rejects them."""
     enriched = None
-    sinks = {}
+    written = {}
     if paths:
         tbl = pa.concat_tables(
             [pq.read_table(p, columns=_INPUT_COLUMNS) for p in paths]
@@ -116,33 +132,34 @@ def process_partition(
         if tbl.column("conv_id").null_count:
             raise M.null_key_error("conv_id")
         enriched = EnrichTurns(cfg_ref)(scan_bucket_table(tbl))
-        sinks = write_sinks(
-            out_dir,
-            kind,
-            pid,
-            [*_fan_out(enriched), ("conv_rollup", conv_rollup_table(enriched))],
-        )
-    commit_partition(out_dir, kind, pid, lineage, sinks, enriched)
+        written = write_sinks(out_dir, kind, pid, _fan_out(enriched, sinks))
+    commit_partition(out_dir, kind, pid, lineage, written, enriched)
 
 
-def _fan_out(enriched: pa.Table):
-    """(sink, table) pairs of the parsed and routed sinks; the sink name
-    is the manifest key."""
-    yield "parsed", enriched
-    for role in pc.unique(enriched.column("role")).to_pylist():
-        yield (
-            f"by_role/role={role}",
-            enriched.filter(pc.equal(enriched.column("role"), role)),
+def _fan_out(enriched: pa.Table, sinks: tuple):
+    """(sink, table) pairs of the wanted ``sinks``, each built only when
+    wanted; the sink name is the manifest key."""
+    if "parsed" in sinks:
+        yield "parsed", enriched
+    if "by_role" in sinks:
+        for role in pc.unique(enriched.column("role")).to_pylist():
+            yield (
+                f"by_role/role={role}",
+                enriched.filter(pc.equal(enriched.column("role"), role)),
+            )
+    if "by_tool" in sinks:
+        for sink in pc.unique(enriched.column("sink")).to_pylist():
+            yield (
+                f"by_tool/sink={sink}",
+                enriched.filter(pc.equal(enriched.column("sink"), sink)),
+            )
+    if "vim_sessions" in sinks:
+        vim = enriched.filter(pc.is_valid(enriched.column("vim_text")))
+        yield "vim_sessions", vim.select(
+            ["conv_id", "turn_idx", "ts", "vim_session_id", "vim_text"]
         )
-    for sink in pc.unique(enriched.column("sink")).to_pylist():
-        yield (
-            f"by_tool/sink={sink}",
-            enriched.filter(pc.equal(enriched.column("sink"), sink)),
-        )
-    vim = enriched.filter(pc.is_valid(enriched.column("vim_text")))
-    yield "vim_sessions", vim.select(
-        ["conv_id", "turn_idx", "ts", "vim_session_id", "vim_text"]
-    )
+    if "conv_rollup" in sinks:
+        yield "conv_rollup", conv_rollup_table(enriched)
 
 
 def write_sinks(
@@ -228,7 +245,7 @@ def conv_rollup_table(parsed: pa.Table) -> pa.Table:
 
 def _run_tasks(fn, calls: list):
     """Run ``fn(*args)`` for each ``args`` in ``calls``, one plain
-    one-CPU Ray task each, and wait for all of them.
+    one-CPU Ray task each, and wait for all of them (``_wait``).
 
     The tasks keep the fault semantics of a Ray Data map task
     (``ray/data/_internal/remote_fn.py``): a task is retried without
@@ -236,15 +253,7 @@ def _run_tasks(fn, calls: list):
     raises ``RaySystemError``; any other exception fails the run.  A
     retry is idempotent: every file a task writes has a deterministic
     name and is written atomically (tmp + rename), and a manifest is
-    written only after its partition's sinks are whole.
-
-    The driver waits on the tasks' futures, not inside ``ray.get``:
-    ``ray.get`` runs signal handlers in its own C++ wait and turns an
-    exception they raise (a caller's SIGALRM time limit) into a
-    ``SystemError``, or drops it, while a wait in Python lets it
-    through as raised."""
-    import concurrent.futures as cf
-
+    written only after its partition's sinks are whole."""
     import ray
 
     task = ray.remote(
@@ -252,20 +261,83 @@ def _run_tasks(fn, calls: list):
         max_retries=-1,
         retry_exceptions=[ray.exceptions.RaySystemError],
     )(fn)
-    futs = [task.remote(*args).future() for args in calls]
+    refs = []
+    try:
+        for args in calls:
+            refs.append(task.remote(*args))
+        _wait(refs)
+    except BaseException:
+        _cancel(refs)
+        raise
+
+
+def _wait(refs: list) -> list:
+    """The values of ``refs``; the first task error wins.
+
+    The driver waits on the tasks' futures, not inside ``ray.get``:
+    ``ray.get`` runs signal handlers in its own C++ wait and turns an
+    exception they raise (a caller's SIGALRM time limit) into a
+    ``SystemError``, or drops it, while a wait in Python lets it
+    through as raised.  Whoever launched the tasks cancels them on
+    any exception (``_cancel``), so none of them outlives the call."""
+    import concurrent.futures as cf
+
+    futs = [r.future() for r in refs]
     cf.wait(futs, return_when=cf.FIRST_EXCEPTION)
-    for f in futs:
-        f.result()
+    return [f.result() for f in futs]
+
+
+def _cancel(refs: list):
+    """Stop the tasks of ``refs`` now.  ``force`` ends a running task's
+    worker: a plain cancel only interrupts Python bytecode, so a task
+    inside a native call (a sleep, a Parquet write) would run on.  Its
+    writes are atomic, and a cancelled task is not retried."""
+    import ray
+
+    for r in refs:
+        ray.cancel(r, force=True)
 
 
 def _atomic_write_table(tbl: pa.Table, path: str):
     """zstd parquet write via tmp + rename: readers (and resume) never
-    observe a truncated file, even if the writer dies mid-write."""
+    observe a truncated file, even if the writer dies mid-write.
+
+    Every file the flagship writes -- sinks, staged scatter files and
+    aggregates -- is written here, with one encoding plan read off the
+    Arrow types:
+
+    * integer and timestamp columns: ``DELTA_BINARY_PACKED``, no
+      dictionary.  ``turn_idx``, ``ts`` and the command counters rise
+      in small steps within a conversation, which delta coding packs
+      into a few bits per value; a dictionary of near-distinct values
+      costs a dictionary entry plus an index per value.
+    * every other column keeps the writer's default: strings (roles,
+      sinks, tools, repeated prompts and commands) are dictionary-coded;
+      booleans never are.  (Flagship tables are flat; a nested column
+      would be written without a dictionary.)
+    * no min/max statistics: no reader filters these files -- the one
+      Parquet predicate in the package reads the flagship's input -- so
+      they would cost write time and bytes for nothing.
+
+    Rows, schema and schema metadata read back unchanged, and the bytes
+    stay a pure function of the table."""
+    delta = [
+        f.name
+        for f in tbl.schema
+        if pa.types.is_integer(f.type) or pa.types.is_timestamp(f.type)
+    ]
     # dot-prefixed tmp name: pyarrow/Ray dataset discovery ignores
     # hidden files, so a crash-orphaned tmp can never pollute a read
     d, base = os.path.split(path)
     tmp = os.path.join(d, "." + base + ".tmp")
-    pq.write_table(tbl, tmp, compression="zstd")
+    pq.write_table(
+        tbl,
+        tmp,
+        compression="zstd",
+        use_dictionary=[n for n in tbl.schema.names if n not in delta],
+        column_encoding=dict.fromkeys(delta, "DELTA_BINARY_PACKED"),
+        write_statistics=False,
+    )
     os.replace(tmp, path)
 
 
@@ -321,7 +393,9 @@ def _write_aggregates_from_manifests(out_dir: str, kind: str) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _run_sharded(input_path, out_dir, cfg=None, resume=True):
+def _run_sharded(input_path, out_dir, cfg=None, resume=True, sinks=_SINKS):
+    """Conversation-complete input: one ``process_partition`` task per
+    input file, writing ``sinks`` (the manifests record only those)."""
     import glob as _g
 
     import ray
@@ -335,7 +409,10 @@ def _run_sharded(input_path, out_dir, cfg=None, resume=True):
     _run_tasks(
         process_partition,
         [
-            (out_dir, "shard", s, [in_files[s]], cfg_ref, {"input": in_files[s]})
+            (
+                out_dir, "shard", s, [in_files[s]], cfg_ref,
+                {"input": in_files[s]}, sinks,
+            )
             for s in todo
         ],
     )
@@ -409,7 +486,31 @@ def _read_conv_range(input_path, conv_id, columns, lo=None, hi=None):
     return tbl.sort_by("turn_idx")
 
 
-def _parse_giant_conversation(
+def _parse_giant_conversation(*args, **kwargs):
+    """Parse one oversized conversation to its commit (``_giant_steps``)."""
+    _interleave([functools.partial(_giant_steps, *args, **kwargs)])
+
+
+def _interleave(giants: list):
+    """Run ``_giant_steps`` calls (partials lacking only ``launched``)
+    round robin in this thread: each ``next`` runs one giant up to its
+    next phase boundary, so one giant's driver-side stitch walk runs
+    while the other giants' tasks are in flight.  Every wait stays in
+    the calling thread, where a caller's signal handler can interrupt
+    it (``_wait``); on any exception every task that any giant has
+    launched is cancelled."""
+    launched = []
+    steps = [giant(launched=launched) for giant in giants]
+    end = object()
+    try:
+        while steps:
+            steps = [g for g in steps if next(g, end) is not end]
+    except BaseException:
+        _cancel(launched)
+        raise
+
+
+def _giant_steps(
     input_path,
     conv_id,
     bucket_id,
@@ -419,10 +520,14 @@ def _parse_giant_conversation(
     chunk_size=None,
     head=256,
     n_cpus=None,
+    *,
+    launched: list,
 ):
     """Parse one oversized conversation chunk-parallel, streaming chunk
     ranges from storage, and write its full sink set under its
-    dedicated heavy bucket.
+    dedicated heavy bucket.  A generator for ``_interleave``: it yields
+    after phases 1 and 2, and appends each task it launches to
+    ``launched`` as soon as it is launched.
 
     Three phases, none of which materializes the conversation anywhere:
 
@@ -499,8 +604,10 @@ def _parse_giant_conversation(
     for b in bounds[1:]:
         e = min(b + chunk_size, n) - 1
         m_ref, p_ref = _spec.remote(idxs[b], idxs[e], b)
+        launched.append(m_ref)
         meta_refs.append(m_ref)
         payload_refs.append(p_ref)
+    yield
 
     @ray.remote(num_cpus=1)
     def _finalize(
@@ -539,7 +646,9 @@ def _parse_giant_conversation(
         )
         enriched = EnrichTurns(cfg_ref)(out)
         sinks = write_sinks(
-            out_dir, "bucket", bucket_id, _fan_out(enriched),
+            out_dir, "bucket", bucket_id,
+            # the driver writes the rollup, once for the conversation
+            _fan_out(enriched, _SINKS[:-1]),
             part=f"part-{part_idx:05d}",
         )
         return sinks, enriched.select(
@@ -571,7 +680,9 @@ def _parse_giant_conversation(
     finalize_args.append((recs0, vim0, False, -1, None, 0, idxs[0], idxs[e0]))
 
     for k, b in enumerate(bounds[1:], start=1):
-        s_sigs, s_counters, s_end, head_texts, s_disc = ray.get(meta_refs[k - 1])
+        s_sigs, s_counters, s_end, head_texts, s_disc = _wait(
+            [meta_refs[k - 1]]
+        )[0]
         e = min(b + chunk_size, n) - 1
         head_recs = []
         head_vim = {}
@@ -637,9 +748,11 @@ def _parse_giant_conversation(
                 part_idx,
             )
         )
+        launched.append(refs[-1])
+    yield
 
     sinks = {}
-    parts = ray.get(refs)
+    parts = _wait(refs)
     for chunk_sinks, _ in parts:
         for k, v in chunk_sinks.items():
             cur = sinks.setdefault(k, {"rows": 0, "files": []})
@@ -775,24 +888,21 @@ def _run_bucketed(
         for conv, bucket_id in heavy_ids.items()
         if bucket_id in todo
     ]
-    if heavy_todo:
-        # overlap the giants: each _parse_giant_conversation alternates
-        # parallel Ray phases with a sequential driver-side stitch walk,
-        # so running several giants from driver threads lets one giant's
-        # stitch overlap another's scan/finalize tasks
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=min(8, len(heavy_todo))) as ex:
-            futs = [
-                ex.submit(
-                    _parse_giant_conversation,
+    # overlap the giants: each alternates parallel Ray phases with a
+    # sequential driver-side stitch walk, so interleaving them lets one
+    # giant's stitch overlap another's scan/finalize tasks; at most 8
+    # at a time bound the payloads held in the object store
+    for i in range(0, len(heavy_todo), 8):
+        _interleave(
+            [
+                functools.partial(
+                    _giant_steps,
                     input_path, conv, bucket_id, out_dir, cfg_ref, n_buckets,
                     n_cpus=n_cpus,
                 )
-                for conv, bucket_id in heavy_todo
+                for conv, bucket_id in heavy_todo[i : i + 8]
             ]
-            for f in futs:
-                f.result()
+        )
 
     wanted = frozenset(todo) - heavy_bucket_ids
     if wanted:

@@ -77,9 +77,11 @@ def ensure_enriched(sf_dir: str) -> str:
     columnar output, and let every downstream query read a
     column-pruned parquet instead of re-parsing the corpus.
 
-    The build IS the flagship's sharded plan (``run_flagship``): one Ray
-    task per transcript file runs the partition kernel, so the parsed
-    sink holds one conversation-complete file per transcript file
+    The build IS the flagship's sharded plan (``pipelines.run``), asked
+    for the parsed sink alone (no query reads the routed sinks or the
+    rollup): one Ray task per transcript file runs the partition
+    kernel, so the parsed sink holds one conversation-complete file per
+    transcript file
     (``shard=<s>/part-00000.parquet``) and per-conversation consumers
     can run one task per file (``map_conv_files``).  Same
     _SUCCESS-marker + rename protocol as ``ensure_transcripts`` so
@@ -89,7 +91,7 @@ def ensure_enriched(sf_dir: str) -> str:
     """
     import shutil
 
-    from ..pipelines.run import run_flagship
+    from ..pipelines.run import _run_sharded
 
     src = ensure_transcripts(sf_dir)
     out = enriched_dir(sf_dir)
@@ -100,7 +102,8 @@ def ensure_enriched(sf_dir: str) -> str:
     if os.path.exists(out):  # a crashed partial build, or an older layout
         shutil.rmtree(out, ignore_errors=True)
     tmp = out + ".building.{}".format(os.getpid())
-    run_flagship(src, tmp, plan="sharded", resume=False)
+    # the registry reads the parsed sink alone, so only it is written
+    _run_sharded(src, tmp, resume=False, sinks=("parsed",))
     with open(os.path.join(tmp, "_SUCCESS"), "w") as fh:
         fh.write("ok\n")
     try:

@@ -8609,8 +8609,10 @@ def test_ensure_enriched_cache_and_conv_marker(ray_session, tmp_path):
     """ensure_enriched builds once, as the flagship's parsed sink: one
     conversation-complete file per transcript file, row-matching a
     live parse+enrich on every column; a column-pruned cached read
-    returns only the asked-for columns."""
+    returns only the asked-for columns.  The build writes no sink but
+    the parsed one, and its manifests record only that."""
     import glob
+    import json
     import os
     import shutil
 
@@ -8628,6 +8630,14 @@ def test_ensure_enriched_cache_and_conv_marker(ray_session, tmp_path):
     p2 = cache.ensure_enriched(sf)  # no rebuild
     assert p2 == p1
     assert os.path.getmtime(done) == mtime
+    assert os.listdir(os.path.dirname(p1)) == ["parsed"]
+    manifests = glob.glob(
+        os.path.join(cache.enriched_dir(sf), "_manifest", "shard-*.json")
+    )
+    assert manifests
+    for mf in manifests:
+        with open(mf) as fh:
+            assert list(json.load(fh)["sinks"]) == ["parsed"]
 
     files = sorted(glob.glob(os.path.join(p1, "**", "*.parquet"), recursive=True))
     n_in = len(glob.glob(os.path.join(cache.ensure_transcripts(sf), "*.parquet")))

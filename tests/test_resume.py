@@ -96,35 +96,92 @@ def test_flagship_runs_without_ray_data(ray_session, small_input, tmp_path, monk
     assert _digests(got_dir) == want
 
 
+class _Expired(BaseException):
+    pass
+
+
+def _expire(_signum, _frame):
+    raise _Expired
+
+
+def _all_cpus_free(ray, within_s=3.0):
+    """True once no task holds a CPU (a cancelled task has ended)."""
+    import time
+
+    deadline = time.perf_counter() + within_s
+    while time.perf_counter() < deadline:
+        if ray.available_resources().get("CPU") == ray.cluster_resources()["CPU"]:
+            return True
+        time.sleep(0.1)
+    return False
+
+
 def test_partition_wait_lets_a_time_limit_through(ray_session):
     """An exception raised by a signal handler while the flagship waits
     for its tasks (a caller's SIGALRM time limit) reaches the caller as
-    raised and at once, not when the tasks end."""
+    raised and at once, not when the tasks end, and the tasks it waited
+    for are cancelled."""
     import signal
     import time
 
     from console_log_parser_ray.pipelines.run import _run_tasks
 
-    class Expired(BaseException):
-        pass
-
-    def expire(_signum, _frame):
-        raise Expired
-
     def nap(s):
         time.sleep(s)
 
     _run_tasks(nap, [(0,)])  # warm: the alarm must land in the wait
-    old = signal.signal(signal.SIGALRM, expire)
+    old = signal.signal(signal.SIGALRM, _expire)
     signal.setitimer(signal.ITIMER_REAL, 0.5)
     t = time.perf_counter()
     try:
-        with pytest.raises(Expired):
+        with pytest.raises(_Expired):
             _run_tasks(nap, [(5,)])
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0)
         signal.signal(signal.SIGALRM, old)
     assert time.perf_counter() - t < 4
+    assert _all_cpus_free(ray_session)
+
+
+def test_giant_path_lets_a_time_limit_through(ray_session, tmp_path, monkeypatch):
+    """The same for the ``skew_threshold`` path: a time limit that fires
+    while a giant conversation is parsed reaches the caller at once, the
+    giant's tasks are cancelled, and its partition never commits."""
+    import signal
+    import time
+
+    import pyarrow as pa
+
+    from console_log_parser_ray.pipelines import run
+
+    d = tmp_path / "in"
+    d.mkdir()
+    small = gen_table(4, seed=9, mean_turns=20)
+    giant = gen_table(1, seed=9, mean_turns=60_000, start=100)
+    pq.write_table(pa.concat_tables([small, giant]), str(d / "part-0.parquet"))
+
+    find_heavy = run.find_heavy_conversations
+    armed = []
+
+    def find_then_arm(*a, **k):
+        heavy = find_heavy(*a, **k)
+        signal.setitimer(signal.ITIMER_REAL, 0.5)  # lands in the giant path
+        armed.append(time.perf_counter())
+        return heavy
+
+    monkeypatch.setattr(run, "find_heavy_conversations", find_then_arm)
+    out = str(tmp_path / "out")
+    old = signal.signal(signal.SIGALRM, _expire)
+    try:
+        with pytest.raises(_Expired):
+            run.run_flagship(str(d), out, n_buckets=2, skew_threshold=1000)
+        took = time.perf_counter() - armed[0]
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, old)
+    assert took < 4
+    assert _all_cpus_free(ray_session)
+    assert M.completed_partitions(out) == set()
 
 
 def test_resume_skips_completed(ray_session, small_input, tmp_path):

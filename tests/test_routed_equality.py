@@ -167,3 +167,67 @@ def test_conv_rollup_table_brute_force():
     assert [tuple(r.values()) for r in got.to_pylist()] == want
     assert got.schema.names == ["conv_id", "n_turns", "n_cmds", "n_vim_sessions"]
     assert all(t == pa.int64() for t in got.schema.types[1:])
+
+
+def test_sink_files_follow_the_encoding_plan(ray_session, tmp_path):
+    """Every sink file reads back equal to the table the kernel built,
+    schema metadata included, and is written by the one encoding plan:
+    integer and timestamp columns delta-packed without a dictionary,
+    string columns that hold values dictionary-coded, no statistics.
+    DuckDB reads each file to its manifest's row count."""
+    import duckdb
+    import pyarrow as pa
+
+    from console_log_parser_ray.pipelines.run import (
+        _INPUT_COLUMNS,
+        _SINKS,
+        _fan_out,
+        run_flagship,
+    )
+    from console_log_parser_ray.stages.enrich import EnrichTurns
+    from console_log_parser_ray.stages.scan import scan_bucket_table
+    from console_log_parser_ray.state import manifests as M
+
+    d = tmp_path / "in"
+    d.mkdir()
+    for shard, start in enumerate(range(0, 6, 3)):
+        pq.write_table(
+            gen_table(3, seed=23, mean_turns=30, start=start),
+            str(d / f"part-{shard}.parquet"),
+        )
+    (d / "_CONV_PARTITIONED").write_text("conv_id\n")
+    out = str(tmp_path / "out")
+    run_flagship(str(d), out)
+
+    checked = set()
+    for s, f in enumerate(sorted(glob.glob(str(d / "*.parquet")))):
+        enriched = EnrichTurns()(
+            scan_bucket_table(pq.read_table(f, columns=_INPUT_COLUMNS))
+        )
+        want = dict(_fan_out(enriched, _SINKS))
+        payload = M.read_manifest(out, s, "shard")
+        assert set(payload["sinks"]) == {k for k, t in want.items() if t.num_rows}
+        for sink, entry in payload["sinks"].items():
+            (name,) = entry["files"]
+            path = os.path.join(M.sink_dir(out, sink, s, "shard"), name)
+            tbl = want[sink]
+            assert pq.read_table(path).equals(tbl, check_metadata=True), path
+            assert duckdb.execute(
+                "select count(*) from read_parquet(?)", [path]
+            ).fetchone() == (entry["rows"],)
+            meta = pq.ParquetFile(path).metadata
+            for rg in range(meta.num_row_groups):
+                for i, field in enumerate(tbl.schema):
+                    col = meta.row_group(rg).column(i)
+                    assert not col.is_stats_set, (path, field.name)
+                    if pa.types.is_integer(field.type) or pa.types.is_timestamp(
+                        field.type
+                    ):
+                        assert "DELTA_BINARY_PACKED" in col.encodings
+                        assert not col.has_dictionary_page
+                    elif pa.types.is_string(field.type) and tbl.column(
+                        i
+                    ).null_count < tbl.num_rows:
+                        assert col.has_dictionary_page, (path, field.name)
+            checked.add(sink.split("/")[0])
+    assert checked == set(_SINKS)
