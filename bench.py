@@ -71,6 +71,53 @@ def _flagship_seconds(sf_dir: str, plan: str | None = None) -> tuple[float, int]
     return time.perf_counter() - t0, turns
 
 
+# Registry queries the per-query rounds leave untimed; every other
+# ``queries()`` entry is timed.
+_UNTIMED = frozenset(
+    {
+        "parse_clean_text",
+        "parse_structure",
+        "role_counts",
+        "tool_sink_counts",
+        "commands",
+        "conv_rollup",
+        "turn_events",
+        "conv_fingerprint",
+        "asciinema_clean_text",
+        "recording_end",
+        "html_escape",
+        "sgr_spans",
+        "index_entries",
+        "chapters_enrich",
+        "twebber_hops",
+        "token_jaccard",
+        "shard_assign",
+        "role_transitions",
+        "simhash_clusters",
+        "quality",
+        "lang_hist",
+        "lang_pred",
+        "knn_ivf",
+        "knn_ivf_indexed",
+        "events_agg",
+        "events_windowed",
+        "sample_docs",
+        "hopto_renumber",
+        "quantize_ts",
+        "top_users",
+        "orders_enrich",
+        "media_features",
+        "media_resize",
+        "media_frames",
+        "doc_rank_big",
+        "lang_rank_big",
+        "top_decile_big",
+        "mad_outliers_big",
+        "lang_pctrank_big",
+    }
+)
+
+
 def run_bench(sf_dir: str, num_cpus: int) -> dict:
     """Per-query timings, best-of-N INTERLEAVED rounds (default 3,
     override with $RAY_GRAFT_BENCH_ROUNDS).
@@ -114,267 +161,7 @@ def run_bench(sf_dir: str, num_cpus: int) -> dict:
         record(name, time.perf_counter() - t0)
 
     q = entry.queries()
-    small = (
-        "seq_histogram",
-        "dedup_exact",
-        "dedup_minhash",
-        "embedding_near_dups",
-        "simhash",
-        "fingerprint",
-        "token_stats",
-        "knn_bruteforce",
-        "sessionize",
-        "asof_last_order",
-        "q1_pricing",
-        "ngram_topk",
-        "curate",
-        "redact",
-        "dup_clusters",
-        "decontaminate",
-        "sample_stratified",
-        "kmeans",
-        "rep_signals",
-        "simhash_dups",
-        "heavy_hitters",
-        "event_quantiles",
-        "sampled_quantiles",
-        "cms_counts",
-        "winsorize",
-        "zscore",
-        "q3_join",
-        "lang_rank",
-        "idf_rarity",
-        "order_week_events",
-        "events_hopping",
-        "longest_docs",
-        "rarest_token",
-        "user_event_matrix",
-        "funnel",
-        "funnel3",
-        "grok_prompt",
-        "grok_dialects",
-        "pack_sequences",
-        "mix_domains",
-        "epoch_upsample",
-        "chunk_docs",
-        "top_decile_docs",
-        "event_gaps",
-        "distinct_users",
-        "approx_distinct_users",
-        "user_running",
-        "dup_spans",
-        "doc_rank",
-        "user_rolling",
-        "q10_returns",
-        "q5_region_revenue",
-        "bloom_urgent",
-        "audience_overlap",
-        "idle_customers",
-        "doc_decile",
-        "mad_outliers",
-        "conv_text",
-        "props_extract",
-        "user_history",
-        "line_dedup",
-        "ngram_rep",
-        "semdedup",
-        "postings",
-        "bm25",
-        "token_budget",
-        "hash_embed",
-        "bpe_pairs",
-        "rollup_pricing",
-        "lang_pctrank",
-        "user_gapfill",
-        "latest_state",
-        "scd2_state",
-        "user_time_rolling",
-        "outer_join_users",
-        "fuzzy_name_pairs",
-        "cooccur_top",
-        "profile_orders",
-        "regr_price_qty",
-        "snapshot_diff_cust",
-        "throttled_events",
-        "weighted_sample",
-        "cube_pricing",
-        "window_reach",
-        "event_quantiles_cont",
-        "cohort_retention",
-        "knn_graph",
-        "merge_customers",
-        "bool_search",
-        "salted_join",
-        "class_centroids",
-        "top_paths",
-        "unigram_lm",
-        "vocab_oov",
-        "pagerank_parts",
-        "dedup_priority",
-        "bigram_lm",
-        "twap",
-        "token_entropy",
-        "kmv_users",
-        "domain_kl",
-        "pmi_topk",
-        "split_assign_docs",
-        "vocab_overlap",
-        "user_entropy",
-        "hybrid_rrf",
-        "skyline_orders",
-        "user_streaks",
-        "corr_matrix",
-        "setsim_pairs",
-        "nearest_click",
-        "lang_source_mi",
-        "log_templates",
-        "multiline_records",
-        "error_bursts",
-        "part_triangles",
-        "decay_score",
-        "price_band_pairs",
-        "phrase_search",
-        "mlm_mask",
-        "gini_priority",
-        "interp_at_orders",
-        "orders_in_flight",
-        "khop_parts",
-        "melt_lineitem",
-        "dq_orders",
-        "session_entry_exit",
-        "cusum_alerts",
-        "lang_top_sources",
-        "new_returning",
-        "daily_acf",
-        "benford_orders",
-        "quota_docs",
-        "wmedian_qty",
-        "vocab_growth_docs",
-        "q18_big_orders",
-        "ab_click_view",
-        "km_retention",
-        "mwu_click_view",
-        "late_events",
-        "chisq_click_weekend",
-        "spearman_qty_price",
-        "slo_burn",
-        "dow_profile",
-        "flesch_docs",
-        "split_leakage_docs",
-        "part_clustering",
-        "attribution",
-        "psi_value_drift",
-        "interarrival_exp",
-        "hysteresis_alerts",
-        "fano_burstiness",
-        "changepoint_value",
-        "window_movers",
-        "log_odds_src1",
-        "token_burstiness",
-        "mmr_diverse",
-        "q4_priority",
-        "alert_cooldown",
-        "mase_windows",
-        "ols_trend",
-        "part_assortativity",
-        "basket_rules",
-        "markov_entropy",
-        "bursty_users",
-        "bot_regularity",
-        "q7_nation_flows",
-        "brand_returns",
-        "wilson_ctr",
-        "target_encode",
-        "ttfp_cohorts",
-        "rfm_segments",
-        "bounce_rate",
-        "revenue_top1pct",
-        "js_value_drift",
-        "ttr_by_source",
-        "ri_audit",
-        "session_durations",
-        "chapman_users",
-        "dow_hour_heatmap",
-        "brand_reorder",
-        "order_size_hist",
-        "profile_events",
-        "brand_growth_share",
-        "tool_rules",
-        "tool_transitions",
-        "segment_cadence",
-        "discount_curve",
-        "part_type_pricing",
-        "region_balances",
-        "supplier_hhi",
-        "segment_priority_mix",
-        "tools_per_conv",
-        "role_runs",
-        "top_commands",
-        "vim_share",
-        "turnlen_by_role",
-        "priority_trend",
-        "ship_delay_hist",
-        "peak_3h_rate",
-        "fast_orders",
-        "peak_revenue_day",
-        "dup_rate_by_source",
-        "nonascii_by_source",
-        "sentences_by_lang",
-        "normalize",
-        "turn_gap_by_role",
-        "conv_duration_hist",
-        "hapax_by_source",
-        "zipf_slope",
-        "brand_supplier_breadth",
-        "blamed_suppliers",
-        "role_pattern_topk",
-        "wau_weekly",
-        "lang_confusion",
-        "stickiness",
-        "order_value_deciles",
-        "pii_by_source",
-        "sessions_per_user_hist",
-        "repeat_customers",
-        "kendall_qty_disc",
-        "cramers_action_dow",
-        "theil_u_priority_dow",
-        "ewma_daily_sales",
-        "holt_weekly_sales",
-        "cmd_retry_rate",
-        "gumbel_weekly_max",
-        "xcorr_orders_events",
-        "theil_sen_daily",
-        "mk_trend_daily",
-        "ppl_buckets_docs",
-        "rake_keyphrases",
-        "anova_value_type",
-        "event_regex_funnels",
-        "supplier_busy_days",
-        "shard_skew_profile",
-        "seasonal_strength_dow",
-        "mus_orders",
-        "dbscan_embeddings",
-        "hard_negatives",
-        "rolling_p95_days",
-        "prf_expansion",
-        "best_snippet",
-        "kcenter_coreset",
-        "class_balance_weights",
-        "na_hazard",
-        "mahalanobis_lineitems",
-        "cooks_lineitems",
-        "partial_corr_qpd",
-        "sprt_click_view",
-        "seq_patterns_3",
-        "wasserstein_click_view",
-        "compress_ratio",
-        "rbo_sparse_dense",
-        "vocab_coverage",
-        "hill_order_values",
-        "langid_kappa",
-        "langid_prf",
-        "vda_click_view",
-    )
+    small = [name for name in q if name not in _UNTIMED]
     for _ in range(rounds):
         t_flag, turns = _flagship_seconds(sf_dir)
         record("flagship_e2e", t_flag)

@@ -9,6 +9,12 @@ Patterns:
 * twebber hops    -- the reference's two-recording time alignment
                      (reference twebber.py:56-105) re-expressed as a
                      grouped two-pointer interleave per pair_id
+* fold            -- every collected statistic (histograms, moments,
+                     window profiles, contingency cells): per-block
+                     Arrow group_by partials, one groupby(keys)
+                     aggregate, a row-count guard before the one
+                     collect; ``collect=False`` keeps per-entity folds
+                     distributed
 """
 
 from __future__ import annotations
@@ -19,6 +25,101 @@ import pyarrow.compute as pc
 
 from ..sources.cache import map_keyed
 from ..state.manifests import H32_MOD, h32
+
+def fold(
+    ds, project, keys, aggs=None, limit=None, op="fold",
+    limit_name="max_distinct", collect=True,
+):
+    """The collected-statistic fold: per-block Arrow ``group_by(keys)``
+    partials of ``project(batch)``, one ``groupby(keys).aggregate``
+    combine, an optional row-count guard, one collect.
+
+    ``aggs`` maps a column of ``project``'s table to ``"sum"``,
+    ``"max"`` or ``"min"``; without it the fold counts rows into
+    ``n`` (int64).  Output columns keep the plain names: the keys,
+    then each ``aggs`` column.  ``keys=[]`` folds to one global row.
+    With ``limit``, the folded table is materialised and ``op`` raises
+    a ``ValueError`` naming ``limit_name`` when it holds more rows --
+    before any row reaches the driver.  Returns a ``pyarrow.Table``;
+    ``collect=False`` returns the folded Dataset instead, for
+    per-entity folds that stay distributed.  Counts, maxima, minima
+    and integer sums are combine-order-exact.
+    """
+    from ray.data.aggregate import Max, Min, Sum
+
+    keys = [keys] if isinstance(keys, str) else list(keys)
+    count = aggs is None
+    if count:
+        aggs = {"n": "sum"}
+    arrow = [([], "count_all")] if count else list(aggs.items())
+    named = ["count_all"] if count else [f"{c}_{f}" for c, f in arrow]
+
+    def partial(b: pa.Table) -> pa.Table:
+        g = project(b).group_by(keys).aggregate(arrow)
+        return g.select(keys + named).rename_columns(keys + list(aggs))
+
+    combine = {"sum": Sum, "max": Max, "min": Min}
+    final = [combine[f](c, alias_name=c) for c, f in aggs.items()]
+    parts = ds.map_batches(partial, batch_format="pyarrow")
+    if not keys:
+        row = parts.aggregate(*final) or {}
+        return pa.table({c: [row.get(c)] for c in aggs})
+    folded = parts.groupby(keys).aggregate(*final)
+    if not collect:
+        return folded
+    return _collect(folded, keys + list(aggs), limit, op, limit_name)
+
+
+def _collect(
+    folded, columns, limit=None, op="fold", limit_name="max_distinct"
+):
+    """``fold``'s guard and collect, for a Dataset folded by its own
+    exchange: with ``limit``, materialise and raise before any row
+    reaches the driver; then one ``pyarrow.Table`` (``columns``, all
+    null-typed, when the fold is empty).  The blocks stream in one
+    ``iter_batches`` pass: ``to_arrow_refs`` on a lazy Dataset runs
+    the plan a second time to fetch the schema."""
+    if limit is not None:
+        folded = folded.materialize()
+        n = folded.count()
+        if n > limit:
+            raise ValueError(
+                f"{op}: {n} folded rows exceed {limit_name}={limit}; "
+                "coarsen the keys (quantize the metric, widen the "
+                "window) or hash-sample rows first"
+            )
+    blocks = folded.iter_batches(batch_size=None, batch_format="pyarrow")
+    tables = [t for t in blocks if t.num_columns]
+    if not tables:
+        return pa.table({c: pa.nulls(0) for c in columns})
+    return pa.concat_tables(tables)
+
+
+def _rows(tbl: pa.Table, *cols):
+    """``tbl``'s ``cols`` as row tuples of Python values."""
+    return zip(*(tbl.column(c).to_pylist() for c in cols))
+
+
+def _window(col, width: int) -> pa.Array:
+    """Integer window id of a timestamp column: ``int64(col) / width``
+    (Arrow integer division)."""
+    return pc.divide(col.cast(pa.int64()), pa.scalar(width, pa.int64()))
+
+
+def _ones(n: int) -> pa.Array:
+    """``n`` int64 ones: a row-count column for a summing ``fold``."""
+    return pa.array(np.ones(n, np.int64))
+
+
+def _cents(col) -> pa.Array:
+    """``floor(col * 100)`` as int64: a 2-decimal metric in exact
+    integer cents."""
+    return pc.cast(
+        pc.floor(
+            pc.multiply(col.cast(pa.float64()), pa.scalar(100.0, pa.float64()))
+        ),
+        pa.int64(),
+    )
 
 
 def tumbling_window_agg(
@@ -33,17 +134,19 @@ def tumbling_window_agg(
     (count/max are combine-order-exact; a float sum would depend on
     addition order and break bit-level oracle comparison.)
     """
-    from ray.data.aggregate import Count, Max
+    def project(b: pa.Table) -> pa.Table:
+        return pa.table(
+            {
+                key_col: b.column(key_col),
+                "window": _window(b.column(ts_col), window_us),
+                "n": _ones(b.num_rows),
+                "value_max": b.column("value"),
+            }
+        )
 
-    def add_window(b: pa.Table) -> pa.Table:
-        w = pc.divide(b.column(ts_col).cast(pa.int64()), window_us)
-        return b.append_column("window", pc.cast(w, pa.int64()))
-
-    return (
-        ds.map_batches(add_window, batch_format="pyarrow")
-        .groupby([key_col, "window"])
-        .aggregate(Count(), Max("value"))
-        .rename_columns({"count()": "n", "max(value)": "value_max"})
+    return fold(
+        ds, project, [key_col, "window"], {"n": "sum", "value_max": "max"},
+        collect=False,
     )
 
 
@@ -69,7 +172,6 @@ def hopping_window_agg(
     if size_us % hop_us:
         raise ValueError("size_us must be a multiple of hop_us")
     k = size_us // hop_us
-    from ray.data.aggregate import Count, Max
 
     def explode(b: pa.Table) -> pa.Table:
         n = b.num_rows
@@ -85,17 +187,14 @@ def hopping_window_agg(
                     b.column(key_col).combine_chunks(), idx
                 ),
                 "window": pa.array(windows, pa.int64()),
-                val_col: pc.take(b.column(val_col).combine_chunks(), idx),
+                "n": _ones(n * k),
+                "value_max": pc.take(b.column(val_col).combine_chunks(), idx),
             }
         )
 
-    return (
-        ds.map_batches(explode, batch_format="pyarrow")
-        .groupby([key_col, "window"])
-        .aggregate(Count(), Max(val_col))
-        .rename_columns(
-            {"count()": "n", f"max({val_col})": "value_max"}
-        )
+    return fold(
+        ds, explode, [key_col, "window"], {"n": "sum", "value_max": "max"},
+        collect=False,
     )
 
 
@@ -427,41 +526,19 @@ def group_quantiles_hist(
 
     ``counts_col``: pass the column name when ``ds`` already carries
     partial counts per (group, value) row (e.g. per-file histogram
-    partials from conversation-partitioned storage) -- the per-block
-    counting pass is skipped and the partials fold directly.
+    partials from conversation-partitioned storage) -- the fold sums
+    those counts instead of counting rows.
     """
-    from ray.data.aggregate import Sum
-
-    def partial(b: pa.Table) -> pa.Table:
-        g = (
-            b.select([group_col, value_col])
-            .group_by([group_col, value_col])
-            .aggregate([([], "count_all")])
-        )
-        return pa.table(
-            {
-                group_col: g.column(group_col),
-                value_col: g.column(value_col),
-                "n_p": g.column("count_all").cast(pa.int64()),
-            }
-        )
-
-    if counts_col is None:
-        pre = ds.map_batches(partial, batch_format="pyarrow")
-        sum_col, sum_key = "n_p", "sum(n_p)"
-    else:
-        pre = ds
-        sum_col, sum_key = counts_col, f"sum({counts_col})"
-    hist = (
-        pre.groupby([group_col, value_col])
-        .aggregate(Sum(sum_col))
-        .take_all()
+    n_col = "n" if counts_col is None else counts_col
+    hist = fold(
+        ds,
+        lambda b: b,
+        [group_col, value_col],
+        None if counts_col is None else {counts_col: "sum"},
     )  # bounded by distinct (group, value) pairs
     by_g: dict = {}
-    for r in hist:
-        by_g.setdefault(r[group_col], []).append(
-            (r[value_col], int(r[sum_key]))
-        )
+    for gk, v, c in _rows(hist, group_col, value_col, n_col):
+        by_g.setdefault(gk, []).append((v, c))
     out = {group_col: []}
     for q in qs:
         out["p{}".format(int(q * 100))] = []
@@ -619,9 +696,7 @@ def zscore_per_group(
                     group_col: b.column(group_col),
                     "c": cents,
                     "s": sq,
-                    "one": pa.array(
-                        np.ones(b.num_rows, dtype=np.int64)
-                    ),
+                    "one": _ones(b.num_rows),
                 }
             )
             .group_by(group_col)
@@ -792,25 +867,10 @@ def filter_top_quantile(
     """
     from .relational import DEFAULT_MAX_DISTINCT, histogram_rank_select
 
-    def partial(b: pa.Table) -> pa.Table:
-        g = (
-            b.select([value_col])
-            .group_by([value_col])
-            .aggregate([([], "count_all")])
-        )
-        return pa.table(
-            {
-                value_col: g.column(value_col).cast(pa.int64()),
-                "n": g.column("count_all").cast(pa.int64()),
-            }
-        )
+    def project(b: pa.Table) -> pa.Table:
+        return pa.table({value_col: b.column(value_col).cast(pa.int64())})
 
-    hist_ds = (
-        ds.map_batches(partial, batch_format="pyarrow")
-        .groupby(value_col)
-        .sum("n")
-        .materialize()
-    )
+    hist_ds = fold(ds, project, value_col, collect=False).materialize()
     n_distinct = hist_ds.count()
     if n_distinct == 0:
         return ds
@@ -820,7 +880,7 @@ def filter_top_quantile(
         dist = sorted(
             zip(
                 hist[value_col].to_numpy(dtype=np.int64).tolist(),
-                hist["sum(n)"].to_numpy(dtype=np.int64).tolist(),
+                hist["n"].to_numpy(dtype=np.int64).tolist(),
             )
         )
         total = sum(n for _, n in dist)
@@ -833,9 +893,9 @@ def filter_top_quantile(
                 thr = v
                 break
     else:
-        total = int(hist_ds.sum("sum(n)"))
+        total = int(hist_ds.sum("n"))
         target = max(1, int(np.ceil(q * total)))
-        thr = histogram_rank_select(hist_ds, value_col, "sum(n)", target)
+        thr = histogram_rank_select(hist_ds, value_col, "n", target)
 
     def keep(b: pa.Table) -> pa.Table:
         return b.filter(
@@ -890,7 +950,7 @@ def sample_per_group(
 
     partial = ds.map_batches(local_topk, batch_format="pyarrow")
 
-    def fold(tbl: pa.Table) -> pa.Table:
+    def merge_heads(tbl: pa.Table) -> pa.Table:
         df = tbl.select([id_col, group_col, "h"]).to_pandas()
         df = df.sort_values(["h", id_col], kind="mergesort")
         df = df.groupby(group_col, sort=False, dropna=False).head(k)
@@ -899,7 +959,7 @@ def sample_per_group(
         ).cast(tbl.select([id_col, group_col]).schema)
 
     return partial.groupby("gb").map_groups(
-        fold, batch_format="pyarrow"
+        merge_heads, batch_format="pyarrow"
     )
 
 
@@ -945,7 +1005,7 @@ def topk_per_group(
 
     partial = ds.map_batches(local_topk, batch_format="pyarrow")
 
-    def fold(tbl: pa.Table) -> pa.Table:
+    def merge_heads(tbl: pa.Table) -> pa.Table:
         keep = tbl.select([id_col, group_col, val_col])
         df = keep.to_pandas()
         df = df.sort_values(
@@ -957,7 +1017,7 @@ def topk_per_group(
         )
 
     return partial.groupby("gb").map_groups(
-        fold, batch_format="pyarrow"
+        merge_heads, batch_format="pyarrow"
     )
 
 
@@ -1246,22 +1306,23 @@ def distinct_count_per_group(
         return pa.table(
             {
                 key_col: part.column(key_col),
-                "n_part": part.column(f"{val_col}_count").cast(pa.int64()),
+                "n_distinct": part.column(f"{val_col}_count").cast(
+                    pa.int64()
+                ),
             }
         )
 
-    from ray.data.aggregate import Sum
-
-    return (
+    return fold(
         map_keyed(
             ds.map_batches(local_distinct, batch_format="pyarrow"),
             count_in_bucket,
             key=val_col,
             n_buckets=n_buckets,
-        )
-        .groupby(key_col)
-        .aggregate(Sum("n_part"))
-        .rename_columns({"sum(n_part)": "n_distinct"})
+        ),
+        lambda t: t,
+        key_col,
+        {"n_distinct": "sum"},
+        collect=False,
     )
 
 
@@ -1516,7 +1577,7 @@ def transition_counts(
                 {
                     "from_state": pa.array([], pa.string()),
                     "to_state": pa.array([], pa.string()),
-                    "n_part": pa.array([], pa.int64()),
+                    "n": pa.array([], pa.int64()),
                 }
             )
         same = keys[1:] == keys[:-1]
@@ -1534,22 +1595,21 @@ def transition_counts(
             {
                 "from_state": agg.column("from_state"),
                 "to_state": agg.column("to_state"),
-                "n_part": agg.column("count_all").cast(pa.int64()),
+                "n": agg.column("count_all").cast(pa.int64()),
             }
         )
 
-    from ray.data.aggregate import Sum
-
-    return (
+    return fold(
         map_keyed(
             ds.map_batches(project, batch_format="pyarrow"),
             per_bucket,
             key=key_col,
             n_buckets=n_buckets,
-        )
-        .groupby(["from_state", "to_state"])
-        .aggregate(Sum("n_part"))
-        .rename_columns({"sum(n_part)": "n"})
+        ),
+        lambda t: t,
+        ["from_state", "to_state"],
+        {"n": "sum"},
+        collect=False,
     )
 
 
@@ -1698,21 +1758,19 @@ def audience_overlap(
             }
         )
 
-    from ray.data.aggregate import Sum
-
-    hist = (
+    hist = fold(
         map_keyed(
             ds.map_batches(local_masks, batch_format="pyarrow"),
             hist_in_bucket,
             key=user_col,
             n_buckets=n_buckets,
-        )
-        .groupby("mask")
-        .aggregate(Sum("n"))
-        .to_pandas()  # <= 2^|categories| rows, independent of data size
-    )
-    masks = hist["mask"].to_numpy(dtype=np.int64)
-    counts = hist["sum(n)"].to_numpy(dtype=np.int64)
+        ),
+        lambda t: t,
+        "mask",
+        {"n": "sum"},
+    )  # <= 2^|categories| rows, independent of data size
+    masks = hist.column("mask").to_numpy(zero_copy_only=False)
+    counts = hist.column("n").to_numpy(zero_copy_only=False)
     rows = []
     for a in range(len(cats)):
         for b_ in range(a + 1, len(cats)):
@@ -1752,13 +1810,15 @@ def mad_outlier_flags(
     """
     from .relational import DEFAULT_MAX_DISTINCT, histogram_rank_select
 
-    hist_ds = ds.groupby(value_col).count().materialize()
+    hist_ds = fold(
+        ds, lambda b: b.select([value_col]), value_col, collect=False
+    ).materialize()
     n_distinct = hist_ds.count()
     cap = max_distinct if max_distinct is not None else DEFAULT_MAX_DISTINCT
     if n_distinct <= cap:
         hist = hist_ds.to_pandas()
         vals = hist[value_col].to_numpy(dtype=np.int64)
-        counts = hist["count()"].to_numpy(dtype=np.int64)
+        counts = hist["n"].to_numpy(dtype=np.int64)
 
         def disc_median(v: np.ndarray, c: np.ndarray) -> int:
             order = np.argsort(v, kind="stable")
@@ -1771,9 +1831,9 @@ def mad_outlier_flags(
         med = disc_median(vals, counts)
         mad = disc_median(np.abs(vals - med), counts)
     else:
-        total = int(hist_ds.sum("count()"))
+        total = int(hist_ds.sum("n"))
         rank = (total + 1) // 2
-        med = histogram_rank_select(hist_ds, value_col, "count()", rank)
+        med = histogram_rank_select(hist_ds, value_col, "n", rank)
 
         def dev_hist(b: pa.Table) -> pa.Table:
             dev = pc.abs(
@@ -1782,25 +1842,12 @@ def mad_outlier_flags(
                     pa.scalar(med, pa.int64()),
                 )
             )
-            g = (
-                pa.table({"dev": dev, "n": b.column("count()")})
-                .group_by(["dev"])
-                .aggregate([("n", "sum")])
-            )
-            return pa.table(
-                {
-                    "dev": g.column("dev"),
-                    "n": g.column("n_sum").cast(pa.int64()),
-                }
-            )
+            return pa.table({"dev": dev, "n": b.column("n")})
 
-        dev_ds = (
-            hist_ds.map_batches(dev_hist, batch_format="pyarrow")
-            .groupby("dev")
-            .sum("n")
-            .materialize()
-        )
-        mad = histogram_rank_select(dev_ds, "dev", "sum(n)", rank)
+        dev_ds = fold(
+            hist_ds, dev_hist, "dev", {"n": "sum"}, collect=False
+        ).materialize()
+        mad = histogram_rank_select(dev_ds, "dev", "n", rank)
     thr = k * mad
 
     def flag(b: pa.Table) -> pa.Table:
@@ -1961,9 +2008,7 @@ def gapfill_user_windows(
             {
                 user_col: users,
                 "window_id": win,
-                "__one": pa.array(
-                    np.ones(b.num_rows, dtype=np.int64), pa.int64()
-                ),
+                "__one": _ones(b.num_rows),
             }
         )
         g = t.group_by([user_col, "window_id"]).aggregate(
@@ -2386,7 +2431,6 @@ def cohort_retention(
     (cohort, window) partials.  Nothing driver-side, dispatch bounded
     by bucket count.
     """
-    from ray.data.aggregate import Sum
 
     def local_pairs(b: pa.Table) -> pa.Table:
         users = b.column(user_col).combine_chunks().cast(pa.int64())
@@ -2410,31 +2454,23 @@ def cohort_retention(
             {
                 "cohort": part.column("win_min").cast(pa.int64()),
                 "win": part.column("win").cast(pa.int64()),
-                "n_part": part.column(f"{user_col}_count").cast(
+                "n_users": part.column(f"{user_col}_count").cast(
                     pa.int64()
                 ),
             }
         )
 
-    def finish(b: pa.Table) -> pa.Table:
-        return pa.table(
-            {
-                "cohort": b.column("cohort"),
-                "win": b.column("win"),
-                "n_users": b.column("sum(n_part)").cast(pa.int64()),
-            }
-        )
-
-    return (
+    return fold(
         map_keyed(
             ds.map_batches(local_pairs, batch_format="pyarrow"),
             per_bucket,
             key=user_col,
             n_buckets=n_buckets,
-        )
-        .groupby(["cohort", "win"])
-        .aggregate(Sum("n_part"))
-        .map_batches(finish, batch_format="pyarrow")
+        ),
+        lambda t: t,
+        ["cohort", "win"],
+        {"n_users": "sum"},
+        collect=False,
     )
 
 
@@ -2538,7 +2574,6 @@ def top_paths(
     is distinct paths per bucket, and sort+limit sees only the
     aggregated path table.
     """
-    from ray.data.aggregate import Sum
 
     def project(b: pa.Table) -> pa.Table:
         key = b.column(user_col).cast(pa.int64())
@@ -2560,7 +2595,7 @@ def top_paths(
             return pa.table(
                 {
                     "path": pa.array([], pa.string()),
-                    "n_part": pa.array([], pa.int64()),
+                    "n_sessions": pa.array([], pa.int64()),
                 }
             )
         order = np.lexsort((e, t, u))
@@ -2587,28 +2622,23 @@ def top_paths(
         return pa.table(
             {
                 "path": part.column("path"),
-                "n_part": part.column("path_count").cast(pa.int64()),
-            }
-        )
-
-    def finish(b: pa.Table) -> pa.Table:
-        return pa.table(
-            {
-                "path": b.column("path"),
-                "n_sessions": b.column("sum(n_part)").cast(pa.int64()),
+                "n_sessions": part.column("path_count").cast(pa.int64()),
             }
         )
 
     return (
-        map_keyed(
-            ds.map_batches(project, batch_format="pyarrow"),
-            per_bucket,
-            key=user_col,
-            n_buckets=n_buckets,
+        fold(
+            map_keyed(
+                ds.map_batches(project, batch_format="pyarrow"),
+                per_bucket,
+                key=user_col,
+                n_buckets=n_buckets,
+            ),
+            lambda t: t,
+            "path",
+            {"n_sessions": "sum"},
+            collect=False,
         )
-        .groupby("path")
-        .aggregate(Sum("n_part"))
-        .map_batches(finish, batch_format="pyarrow")
         .sort(["n_sessions", "path"], descending=[True, False])
         .limit(k)
     )
@@ -2650,15 +2680,7 @@ def time_weighted_avg(
                 user_col: key,
                 "t_us": b.column(ts_col).cast(pa.int64()),
                 "eid": b.column(id_col).cast(pa.int64()),
-                "cents": pc.cast(
-                    pc.floor(
-                        pc.multiply(
-                            b.column(val_col).cast(pa.float64()),
-                            pa.scalar(100.0, pa.float64()),
-                        )
-                    ),
-                    pa.int64(),
-                ),
+                "cents": _cents(b.column(val_col)),
             }
         )
 
@@ -2755,9 +2777,7 @@ def group_entropy(
                     pa.int64()
                 ),
                 val_col: b.column(val_col),
-                "n_occ": pa.array(
-                    np.ones(len(b), np.int64), pa.int64()
-                ),
+                "n_occ": _ones(len(b)),
             }
         )
         agg = t.group_by([key_col, val_col]).aggregate([("n_occ", "sum")])
@@ -3086,31 +3106,11 @@ def error_bursts(
     that bounded table (repartition(1) + numpy reduceat), never a
     driver collect.
     """
-    from ray.data.aggregate import Sum
-
-    def partial(b: pa.Table) -> pa.Table:
+    def project(b: pa.Table) -> pa.Table:
         t = b.filter(pc.equal(b.column(type_col), match))
-        w = pc.divide(
-            t.column(ts_col).cast(pa.int64()),
-            pa.scalar(window_us, pa.int64()),
-        )
-        g = (
-            pa.table({"w": w})
-            .group_by(["w"])
-            .aggregate([([], "count_all")])
-        )
-        return pa.table(
-            {
-                "w": g.column("w"),
-                "n_partial": g.column("count_all").cast(pa.int64()),
-            }
-        )
+        return pa.table({"w": _window(t.column(ts_col), window_us)})
 
-    agg = (
-        ds.map_batches(partial, batch_format="pyarrow")
-        .groupby("w")
-        .aggregate(Sum("n_partial"))
-    )
+    agg = fold(ds, project, "w", collect=False)
 
     def islands(tbl: pa.Table) -> pa.Table:
         empty = pa.table(
@@ -3126,7 +3126,7 @@ def error_bursts(
         if len(tbl) == 0:
             return empty
         w = tbl.column("w").to_numpy(zero_copy_only=False)
-        n = tbl.column("sum(n_partial)").to_numpy(zero_copy_only=False)
+        n = tbl.column("n").to_numpy(zero_copy_only=False)
         order = np.argsort(w, kind="stable")
         w, n = w[order], n[order]
         hot = n >= threshold
@@ -3189,9 +3189,7 @@ def decay_score(
     partial count) -- one row per distinct user per block crosses the
     one small groupby; no sort, no window, no driver collect.
     """
-    from ray.data.aggregate import Sum
-
-    def partial(b: pa.Table) -> pa.Table:
+    def project(b: pa.Table) -> pa.Table:
         age = pc.divide(
             pc.subtract(
                 pa.scalar(int(t_ref_us), pa.int64()),
@@ -3203,17 +3201,8 @@ def decay_score(
         age = pc.min_element_wise(
             age, pa.scalar(int(max_halvings), pa.int64())
         )
-        cents = pc.cast(
-            pc.floor(
-                pc.multiply(
-                    b.column(val_col).cast(pa.float64()),
-                    pa.scalar(100.0, pa.float64()),
-                )
-            ),
-            pa.int64(),
-        )
         contrib = pc.multiply(
-            cents,
+            _cents(b.column(val_col)),
             pc.shift_left(
                 pa.scalar(1, pa.int64()),
                 pc.subtract(
@@ -3221,46 +3210,29 @@ def decay_score(
                 ),
             ),
         )
-        g = (
-            pa.table(
-                {
-                    user_col: b.column(user_col).cast(pa.int64()),
-                    "q": contrib,
-                }
-            )
-            .group_by([user_col])
-            .aggregate([("q", "sum"), ([], "count_all")])
-        )
         return pa.table(
             {
-                user_col: g.column(user_col),
-                "q_part": g.column("q_sum").cast(pa.int64()),
-                "n_part": g.column("count_all").cast(pa.int64()),
+                user_col: b.column(user_col).cast(pa.int64()),
+                "n_events": _ones(b.num_rows),
+                "decayed_q": contrib,
             }
         )
 
-    agg = (
-        ds.map_batches(partial, batch_format="pyarrow")
-        .groupby(user_col)
-        .aggregate(Sum("q_part"), Sum("n_part"))
-    )
     denom = 100.0 * float(1 << int(max_halvings))
 
     def finish(b: pa.Table) -> pa.Table:
-        q = b.column("sum(q_part)").cast(pa.int64())
-        return pa.table(
-            {
-                user_col: b.column(user_col),
-                "n_events": b.column("sum(n_part)").cast(pa.int64()),
-                "decayed_q": q,
-                "decay_score": pc.divide(
-                    q.cast(pa.float64()),
-                    pa.scalar(denom, pa.float64()),
-                ),
-            }
+        return b.append_column(
+            "decay_score",
+            pc.divide(
+                b.column("decayed_q").cast(pa.float64()),
+                pa.scalar(denom, pa.float64()),
+            ),
         )
 
-    return agg.map_batches(finish, batch_format="pyarrow")
+    return fold(
+        ds, project, user_col, {"n_events": "sum", "decayed_q": "sum"},
+        collect=False,
+    ).map_batches(finish, batch_format="pyarrow")
 
 
 def gini_by_group(
@@ -3523,8 +3495,6 @@ def interval_concurrency(
     """
     import ray
 
-    from ray.data.aggregate import Sum
-
     from .dedup import _cached_get
 
     def part_a(b: pa.Table) -> pa.Table:
@@ -3543,42 +3513,21 @@ def interval_concurrency(
         is_s = np.concatenate(
             [np.ones(len(s), np.int64), np.zeros(len(e), np.int64)]
         )
-        g = (
-            pa.table(
-                {
-                    "tb": pa.array(tb, pa.int64()),
-                    "ns": pa.array(is_s, pa.int64()),
-                    "ne": pa.array(1 - is_s, pa.int64()),
-                }
-            )
-            .group_by(["tb"])
-            .aggregate([("ns", "sum"), ("ne", "sum")])
-        )
         return pa.table(
             {
-                "tb": g.column("tb"),
-                "ns_part": g.column("ns_sum").cast(pa.int64()),
-                "ne_part": g.column("ne_sum").cast(pa.int64()),
+                "tb": pa.array(tb, pa.int64()),
+                "ns": pa.array(is_s, pa.int64()),
+                "ne": pa.array(1 - is_s, pa.int64()),
             }
         )
 
-    hist = (
-        ds.map_batches(part_a, batch_format="pyarrow")
-        .groupby("tb")
-        .aggregate(Sum("ns_part"), Sum("ne_part"))
-        .materialize()
-    )
-    n_buckets_seen = hist.count()
-    if n_buckets_seen > max_buckets:
-        raise ValueError(
-            f"interval_concurrency: {n_buckets_seen} time buckets "
-            f"exceed max_buckets={max_buckets}; raise bucket_us "
-            "(coarser buckets) or max_buckets"
-        )
-    hp = hist.to_pandas().sort_values("tb")
-    tb_sorted = hp["tb"].to_numpy(dtype="int64")
-    ns = hp["sum(ns_part)"].to_numpy(dtype="int64")
-    ne = hp["sum(ne_part)"].to_numpy(dtype="int64")
+    hist = fold(
+        ds, part_a, "tb", {"ns": "sum", "ne": "sum"}, limit=max_buckets,
+        op="interval_concurrency", limit_name="max_buckets",
+    ).sort_by("tb")
+    tb_sorted = np.asarray(hist.column("tb"), np.int64)
+    ns = np.asarray(hist.column("ns"), np.int64)
+    ne = np.asarray(hist.column("ne"), np.int64)
     pre_s = np.concatenate([[0], np.cumsum(ns)[:-1]])
     pre_e = np.concatenate([[0], np.cumsum(ne)[:-1]])
     ref = ray.put((tb_sorted, pre_s, pre_e))
@@ -3668,8 +3617,6 @@ def session_entry_exit(
     first/last rows vectorized; per-bucket partial pair counts, one
     tiny groupby.
     """
-    from ray.data.aggregate import Sum
-
     def project(b: pa.Table) -> pa.Table:
         key = b.column(user_col).cast(pa.int64())
         return pa.table(
@@ -3694,45 +3641,26 @@ def session_entry_exit(
             new_sess[1:] = ~same | (t_s[1:] - t_s[:-1] > gap_us)
         starts = np.flatnonzero(new_sess)
         ends = np.concatenate([starts[1:] - 1, [len(u_s) - 1]])
-        g = (
-            pa.table(
-                {
-                    "entry_type": pa.array(et[starts], pa.string()),
-                    "exit_type": pa.array(et[ends], pa.string()),
-                }
-            )
-            .group_by(["entry_type", "exit_type"])
-            .aggregate([([], "count_all")])
-        )
         return pa.table(
             {
-                "entry_type": g.column("entry_type"),
-                "exit_type": g.column("exit_type"),
-                "n_part": g.column("count_all").cast(pa.int64()),
+                "entry_type": pa.array(et[starts], pa.string()),
+                "exit_type": pa.array(et[ends], pa.string()),
+                "n_sessions": _ones(len(starts)),
             }
         )
 
-    agg = (
+    return fold(
         map_keyed(
             ds.map_batches(project, batch_format="pyarrow"),
             per_bucket,
             key="u",
             n_buckets=n_buckets,
-        )
-        .groupby(["entry_type", "exit_type"])
-        .aggregate(Sum("n_part"))
+        ),
+        lambda t: t,
+        ["entry_type", "exit_type"],
+        {"n_sessions": "sum"},
+        collect=False,
     )
-
-    def rename(b: pa.Table) -> pa.Table:
-        return pa.table(
-            {
-                "entry_type": b.column("entry_type"),
-                "exit_type": b.column("exit_type"),
-                "n_sessions": b.column("sum(n_part)").cast(pa.int64()),
-            }
-        )
-
-    return agg.map_batches(rename, batch_format="pyarrow")
 
 
 def cusum_alerts(
@@ -3762,15 +3690,7 @@ def cusum_alerts(
 
     def project(b: pa.Table) -> pa.Table:
         key = b.column(user_col).cast(pa.int64())
-        cents = pc.cast(
-            pc.floor(
-                pc.multiply(
-                    b.column(val_col).cast(pa.float64()),
-                    pa.scalar(100.0, pa.float64()),
-                )
-            ),
-            pa.int64(),
-        )
+        cents = _cents(b.column(val_col))
         return pa.table(
             {
                 "u": key,
@@ -3859,32 +3779,10 @@ def topk_with_other(
     category histogram ranks vectorized; output rows per group are
     bounded by k+1.
     """
-    from ray.data.aggregate import Sum
+    def project(b: pa.Table) -> pa.Table:
+        return pa.table({"g": b.column(group_col), "c": b.column(cat_col)})
 
-    def partial(b: pa.Table) -> pa.Table:
-        g = (
-            pa.table(
-                {
-                    "g": b.column(group_col),
-                    "c": b.column(cat_col),
-                }
-            )
-            .group_by(["g", "c"])
-            .aggregate([([], "count_all")])
-        )
-        return pa.table(
-            {
-                "g": g.column("g"),
-                "c": g.column("c"),
-                "n_part": g.column("count_all").cast(pa.int64()),
-            }
-        )
-
-    folded = (
-        ds.map_batches(partial, batch_format="pyarrow")
-        .groupby(["g", "c"])
-        .aggregate(Sum("n_part"))
-    )
+    folded = fold(ds, project, ["g", "c"], collect=False)
 
     def bucketize(b: pa.Table) -> pa.Table:
         g = b.column("g")
@@ -3894,7 +3792,7 @@ def topk_with_other(
             {
                 "g": g,
                 "c": b.column("c"),
-                "n": b.column("sum(n_part)").cast(pa.int64()),
+                "n": b.column("n"),
             }
         )
 
@@ -3950,8 +3848,6 @@ def new_vs_returning(
     per-day partial counts; the final groupby sums at most
     ``n_buckets`` rows per day.  Nothing driver-side.
     """
-    from ray.data.aggregate import Sum
-
     def local_pairs(b: pa.Table) -> pa.Table:
         users = b.column(user_col).combine_chunks().cast(pa.int64())
         day = pc.divide(
@@ -3997,34 +3893,28 @@ def new_vs_returning(
         return pa.table(
             {
                 "day": pa.array(days, pa.int64()),
-                "act_part": pa.array(act.astype(np.int64), pa.int64()),
-                "new_part": pa.array(new.astype(np.int64), pa.int64()),
+                "n_active": pa.array(act.astype(np.int64), pa.int64()),
+                "n_new": pa.array(new.astype(np.int64), pa.int64()),
             }
         )
 
     def finish(b: pa.Table) -> pa.Table:
-        act = b.column("sum(act_part)").cast(pa.int64())
-        new = b.column("sum(new_part)").cast(pa.int64())
-        return pa.table(
-            {
-                "day": b.column("day"),
-                "n_active": act,
-                "n_new": new,
-                "n_returning": pc.subtract(act, new),
-            }
+        return b.append_column(
+            "n_returning", pc.subtract(b.column("n_active"), b.column("n_new"))
         )
 
-    return (
+    return fold(
         map_keyed(
             ds.map_batches(local_pairs, batch_format="pyarrow"),
             per_bucket,
             key="u",
             n_buckets=n_buckets,
-        )
-        .groupby("day")
-        .aggregate(Sum("act_part"), Sum("new_part"))
-        .map_batches(finish, batch_format="pyarrow")
-    )
+        ),
+        lambda t: t,
+        "day",
+        {"n_active": "sum", "n_new": "sum"},
+        collect=False,
+    ).map_batches(finish, batch_format="pyarrow")
 
 
 def acf_daily(
@@ -4054,33 +3944,12 @@ def acf_daily(
     """
     import math
 
-    from ray.data.aggregate import Sum
+    def project(b: pa.Table) -> pa.Table:
+        return pa.table({"day": _window(b.column(ts_col), day_us)})
 
-    def partial(b: pa.Table) -> pa.Table:
-        day = pc.divide(
-            b.column(ts_col).cast(pa.int64()),
-            pa.scalar(day_us, pa.int64()),
-        )
-        g = (
-            pa.table({"day": day})
-            .group_by("day")
-            .aggregate([([], "count_all")])
-        )
-        return pa.table(
-            {
-                "day": g.column("day"),
-                "n_part": g.column("count_all").cast(pa.int64()),
-            }
-        )
-
-    rows = (
-        ds.map_batches(partial, batch_format="pyarrow")
-        .groupby("day")
-        .aggregate(Sum("n_part"))
-        .take_all()
-    )
     # bounded by the calendar span, not the data size
-    series = {int(r["day"]): int(r["sum(n_part)"]) for r in rows}
+    h = fold(ds, project, "day")
+    series = dict(_rows(h, "day", "n"))
     lags, n_pairs, acfs = [], [], []
     for k in range(1, max_lag + 1):
         sx = sy = sxy = sxx = syy = m = 0  # exact Python ints
@@ -4146,15 +4015,7 @@ def weighted_median_per_group(
     def partial(b: pa.Table) -> pa.Table:
         g = b.column(group_col).combine_chunks()
         v = b.column(value_col).cast(pa.float64())
-        w = pc.cast(
-            pc.floor(
-                pc.multiply(
-                    b.column(weight_col).cast(pa.float64()),
-                    pa.scalar(100.0, pa.float64()),
-                )
-            ),
-            pa.int64(),
-        )
+        w = _cents(b.column(weight_col))
         t = pa.table(
             {
                 "gk": pc.fill_null(pc.cast(g, pa.string()), ""),
@@ -4252,7 +4113,7 @@ def welch_ab(
     calendar-bounded day key.
     """
 
-    def partial(b: pa.Table) -> pa.Table:
+    def project(b: pa.Table) -> pa.Table:
         keep = pc.and_(
             pc.is_in(
                 b.column(variant_col),
@@ -4261,38 +4122,14 @@ def welch_ab(
             pc.is_valid(b.column(val_col)),
         )
         t = b.filter(keep)
-        day = pc.divide(
-            t.column(ts_col).cast(pa.int64()),
-            pa.scalar(day_us, pa.int64()),
-        )
-        x = pc.cast(
-            pc.floor(
-                pc.multiply(
-                    t.column(val_col).cast(pa.float64()),
-                    pa.scalar(100.0, pa.float64()),
-                )
-            ),
-            pa.int64(),
-        )
-        g = (
-            pa.table(
-                {
-                    "day": day,
-                    "v": t.column(variant_col),
-                    "x": x,
-                    "xx": pc.multiply(x, x),
-                }
-            )
-            .group_by(["day", "v"])
-            .aggregate([([], "count_all"), ("x", "sum"), ("xx", "sum")])
-        )
+        x = _cents(t.column(val_col))
         return pa.table(
             {
-                "day": g.column("day"),
-                "v": g.column("v"),
-                "n_part": g.column("count_all").cast(pa.int64()),
-                "sx_part": g.column("x_sum").cast(pa.int64()),
-                "sxx_part": g.column("xx_sum").cast(pa.int64()),
+                "day": _window(t.column(ts_col), day_us),
+                "v": t.column(variant_col),
+                "n": _ones(t.num_rows),
+                "sx": x,
+                "sxx": pc.multiply(x, x),
             }
         )
 
@@ -4341,18 +4178,13 @@ def welch_ab(
             }
         )
 
-    from ray.data.aggregate import Sum
-
     return (
-        ds.map_batches(partial, batch_format="pyarrow")
-        .groupby(["day", "v"])
-        .aggregate(Sum("n_part"), Sum("sx_part"), Sum("sxx_part"))
-        .rename_columns(
-            {
-                "sum(n_part)": "n",
-                "sum(sx_part)": "sx",
-                "sum(sxx_part)": "sxx",
-            }
+        fold(
+            ds,
+            project,
+            ["day", "v"],
+            {"n": "sum", "sx": "sum", "sxx": "sum"},
+            collect=False,
         )
         .groupby("day")
         .map_groups(per_day, batch_format="pyarrow")
@@ -4398,32 +4230,12 @@ def _user_span_hist(ds, user_col, ts_col, day_us, n_buckets):
     ``nelson_aalen_hazard``.  Per-block per-user min/max partials,
     one user-hash bucket groupby resolves true spans, final fold
     bounded by the calendar span."""
-    from ray.data.aggregate import Sum
-
-    import datetime as _dt
-
-    _raw = ds.max(ts_col)
-    if isinstance(_raw, _dt.datetime):
-        # exact integer microseconds (never float .timestamp())
-        _epoch = _dt.datetime(1970, 1, 1, tzinfo=_raw.tzinfo)
-        _delta = _raw - _epoch
-        m_us = (
-            _delta.days * 86_400_000_000
-            + _delta.seconds * 1_000_000
-            + _delta.microseconds
-        )
-    else:  # already integer microseconds
-        m_us = int(_raw)
-    m_day = m_us // day_us
+    m_day = _ts_scalar_us(ds.max(ts_col)) // day_us
 
     def partial(b: pa.Table) -> pa.Table:
         users = b.column(user_col).combine_chunks().cast(pa.int64())
-        day = pc.divide(
-            b.column(ts_col).cast(pa.int64()),
-            pa.scalar(day_us, pa.int64()),
-        )
         g = (
-            pa.table({"u": users, "day": day})
+            pa.table({"u": users, "day": _window(b.column(ts_col), day_us)})
             .group_by("u")
             .aggregate([("day", "min"), ("day", "max")])
         )
@@ -4438,48 +4250,28 @@ def _user_span_hist(ds, user_col, ts_col, day_us, n_buckets):
             }
         )
 
-    def per_bucket(tbl: pa.Table) -> pa.Table:
-        df = tbl.select(["u", "f", "l"]).to_pandas()
-        agg = df.groupby("u", sort=False).agg(
-            f=("f", "min"), l=("l", "max")
-        )
-        dur = (agg["l"] - agg["f"]).to_numpy(dtype="int64")
-        cens = (agg["l"].to_numpy(dtype="int64") == m_day).astype(
-            np.int64
-        )
-        import pandas as pd
-
-        h = (
-            pd.DataFrame({"dur": dur, "cens": cens})
-            .groupby(["dur", "cens"], sort=False)
-            .size()
-            .reset_index(name="n_part")
-        )
+    def per_user(tbl: pa.Table) -> pa.Table:
+        g = tbl.group_by("u").aggregate([("f", "min"), ("l", "max")])
+        last = g.column("l_max")
         return pa.table(
             {
-                "dur": pa.array(
-                    h["dur"].to_numpy(dtype="int64"), pa.int64()
-                ),
-                "cens": pa.array(
-                    h["cens"].to_numpy(dtype="int64"), pa.int64()
-                ),
-                "n_part": pa.array(
-                    h["n_part"].to_numpy(dtype="int64"), pa.int64()
+                "dur": pc.subtract(last, g.column("f_min")),
+                "cens": pc.cast(
+                    pc.equal(last, pa.scalar(m_day, pa.int64())), pa.int64()
                 ),
             }
         )
 
-    return (
+    return fold(
         map_keyed(
             ds.map_batches(partial, batch_format="pyarrow"),
-            per_bucket,
+            per_user,
             key="u",
             n_buckets=n_buckets,
-        )
-        .groupby(["dur", "cens"])
-        .aggregate(Sum("n_part"))
-        .take_all()
-    )
+        ),
+        lambda t: t,
+        ["dur", "cens"],
+    ).to_pylist()
 
 
 def _km_finish(rows):
@@ -4489,9 +4281,9 @@ def _km_finish(rows):
     deaths = defaultdict(int)
     totals = defaultdict(int)
     for r in rows:
-        totals[int(r["dur"])] += int(r["sum(n_part)"])
+        totals[r["dur"]] += r["n"]
         if not r["cens"]:
-            deaths[int(r["dur"])] += int(r["sum(n_part)"])
+            deaths[r["dur"]] += r["n"]
     durs = sorted(totals)
     total_users = sum(totals.values())
     out_d, out_death, out_risk, out_s = [], [], [], []
@@ -4518,6 +4310,40 @@ def _km_finish(rows):
     )
 
 
+def _variant_counts(
+    ds, variant_a, variant_b, type_col, val_col, to_int, max_distinct, op
+):
+    """The two-sample distinct-value histogram: ascending
+    ``(v, n_a, n_b)`` rows, ``v`` = ``to_int(metric)``, counting each
+    variant's rows with a non-null metric.  Folded under the
+    rank-family ``max_distinct`` guard on distinct values."""
+
+    def project(b: pa.Table) -> pa.Table:
+        t = b.filter(
+            pc.and_(
+                pc.is_in(
+                    b.column(type_col),
+                    value_set=pa.array([variant_a, variant_b]),
+                ),
+                pc.is_valid(b.column(val_col)),
+            )
+        )
+        is_a = pc.equal(t.column(type_col), pa.scalar(variant_a))
+        return pa.table(
+            {
+                "v": to_int(t.column(val_col)),
+                "na": pc.cast(is_a, pa.int64()),
+                "nb": pc.cast(pc.invert(is_a), pa.int64()),
+            }
+        )
+
+    h = fold(
+        ds, project, "v", {"na": "sum", "nb": "sum"}, limit=max_distinct,
+        op=op,
+    )
+    return sorted(_rows(h, "v", "na", "nb"))
+
+
 def rank_sum_test(
     ds,
     variant_a: str,
@@ -4539,8 +4365,8 @@ def rank_sum_test(
     sides agree bit-for-bit.  ``z`` is NULL at zero variance (all
     values tied).
 
-    Scale shape: per-block Arrow (value, variant) count partials ->
-    one groupby; the folded histogram is METADATA-counted and only
+    Scale shape: the ``_variant_counts`` fold (per value, both
+    variants' counts); the folded histogram is METADATA-counted and only
     collected under ``max_distinct`` distinct values (the
     rank-family guard) -- above it the call raises with instructions
     to quantize the metric first, exactly like the dense_rank family.
@@ -4548,60 +4374,12 @@ def rank_sum_test(
     """
     import math
 
-    from ray.data.aggregate import Sum
-
-    def partial(b: pa.Table) -> pa.Table:
-        keep = pc.and_(
-            pc.is_in(
-                b.column(variant_col),
-                value_set=pa.array([variant_a, variant_b]),
-            ),
-            pc.is_valid(b.column(val_col)),
-        )
-        t = b.filter(keep)
-        x = pc.cast(
-            pc.floor(
-                pc.multiply(
-                    t.column(val_col).cast(pa.float64()),
-                    pa.scalar(100.0, pa.float64()),
-                )
-            ),
-            pa.int64(),
-        )
-        g = (
-            pa.table({"x": x, "v": t.column(variant_col)})
-            .group_by(["x", "v"])
-            .aggregate([([], "count_all")])
-        )
-        return pa.table(
-            {
-                "x": g.column("x"),
-                "v": g.column("v"),
-                "n_part": g.column("count_all").cast(pa.int64()),
-            }
-        )
-
-    hist_ds = (
-        ds.map_batches(partial, batch_format="pyarrow")
-        .groupby(["x", "v"])
-        .aggregate(Sum("n_part"))
-        .materialize()
+    rows = _variant_counts(
+        ds, variant_a, variant_b, variant_col, val_col, _cents,
+        max_distinct, "rank_sum_test",
     )
-    n_rows = hist_ds.count()
-    if n_rows > max_distinct:
-        raise ValueError(
-            f"rank_sum_test: {n_rows} distinct (value, variant) rows "
-            f"exceed max_distinct={max_distinct}; quantize the metric "
-            "(coarser cents) or hash-sample rows first"
-        )
-    ca_map, cb_map = {}, {}
-    for r in hist_ds.take_all():
-        if r["v"] == variant_a:
-            ca_map[int(r["x"])] = int(r["sum(n_part)"])
-        else:
-            cb_map[int(r["x"])] = int(r["sum(n_part)"])
-    na = sum(ca_map.values())
-    nb = sum(cb_map.values())
+    na = sum(r[1] for r in rows)
+    nb = sum(r[2] for r in rows)
     if na == 0 or nb == 0:
         return pa.table(
             {
@@ -4618,9 +4396,7 @@ def rank_sum_test(
     cuma_run = 0
     cumb_run = 0
     ks_d = 0.0
-    for x in sorted(set(ca_map) | set(cb_map)):
-        ca = ca_map.get(x, 0)
-        cb = cb_map.get(x, 0)
+    for _, ca, cb in rows:
         t = ca + cb
         two_ua += ca * (2 * cumb + t + 1)
         tie += t * t * t - t
@@ -4679,8 +4455,6 @@ def late_events(
     max locally (one sort + ``maximum.accumulate``) seeded by its
     prefix.  Two streaming scans, integer microseconds end-to-end.
     """
-    from ray.data.aggregate import Max, Min, Sum
-
     mn_id = int(ds.min(id_col))
     mx_id = int(ds.max(id_col))
     width = (mx_id - mn_id) // n_buckets + 1
@@ -4701,21 +4475,8 @@ def late_events(
 
     bucketed = ds.map_batches(bucketize, batch_format="pyarrow")
 
-    def max_partial(b: pa.Table) -> pa.Table:
-        g = b.select(["rb", "t"]).group_by("rb").aggregate(
-            [("t", "max")]
-        )
-        return pa.table(
-            {"rb": g.column("rb"), "tmax": g.column("t_max")}
-        )
-
-    bucket_rows = (
-        bucketed.map_batches(max_partial, batch_format="pyarrow")
-        .groupby("rb")
-        .aggregate(Max("tmax"))
-        .take_all()
-    )  # <= n_buckets rows
-    bmax = {int(r["rb"]): int(r["max(tmax)"]) for r in bucket_rows}
+    h = fold(bucketed, lambda b: b, "rb", {"t": "max"})  # <= n_buckets rows
+    bmax = dict(_rows(h, "rb", "t"))
     prefix = {}
     run = None
     for rb in sorted(bmax):
@@ -4745,34 +4506,18 @@ def late_events(
         return pa.table(
             {
                 "day": pa.array(days, pa.int64()),
-                "ev_part": pa.array(
-                    n_ev.astype(np.int64), pa.int64()
-                ),
-                "late_part": pa.array(
-                    n_late.astype(np.int64), pa.int64()
-                ),
-                "mxl_part": pa.array(mx_late, pa.int64()),
+                "n_events": pa.array(n_ev.astype(np.int64), pa.int64()),
+                "n_late": pa.array(n_late.astype(np.int64), pa.int64()),
+                "max_late_us": pa.array(mx_late, pa.int64()),
             }
         )
 
-    def finish(b: pa.Table) -> pa.Table:
-        return pa.table(
-            {
-                "day": b.column("day"),
-                "n_events": b.column("sum(ev_part)").cast(pa.int64()),
-                "n_late": b.column("sum(late_part)").cast(pa.int64()),
-                "max_late_us": b.column("max(mxl_part)").cast(
-                    pa.int64()
-                ),
-            }
-        )
-
-    return (
-        bucketed.groupby("rb")
-        .map_groups(per_bucket, batch_format="pyarrow")
-        .groupby("day")
-        .aggregate(Sum("ev_part"), Sum("late_part"), Max("mxl_part"))
-        .map_batches(finish, batch_format="pyarrow")
+    return fold(
+        bucketed.groupby("rb").map_groups(per_bucket, batch_format="pyarrow"),
+        lambda t: t,
+        "day",
+        {"n_events": "sum", "n_late": "sum", "max_late_us": "max"},
+        collect=False,
     )
 
 
@@ -4801,9 +4546,7 @@ def chi2_contingency_2x2(ds, a_col: str = "a", b_col: str = "b"):
     """
     import math
 
-    from ray.data.aggregate import Sum
-
-    def partial(b: pa.Table) -> pa.Table:
+    def project(b: pa.Table) -> pa.Table:
         keep = pc.and_(
             pc.is_valid(b.column(a_col)), pc.is_valid(b.column(b_col))
         )
@@ -4812,29 +4555,19 @@ def chi2_contingency_2x2(ds, a_col: str = "a", b_col: str = "b"):
         bb = t.column(b_col).cast(pa.bool_())
         na = pc.invert(a)
         nb = pc.invert(bb)
-
-        def cnt(x, y):
-            return pc.sum(
-                pc.cast(pc.and_(x, y), pa.int64()), min_count=0
-            ).as_py()
-
         return pa.table(
             {
-                "n11": pa.array([cnt(a, bb)], pa.int64()),
-                "n10": pa.array([cnt(a, nb)], pa.int64()),
-                "n01": pa.array([cnt(na, bb)], pa.int64()),
-                "n00": pa.array([cnt(na, nb)], pa.int64()),
+                c: pc.cast(pc.and_(x, y), pa.int64())
+                for c, x, y in (
+                    ("n11", a, bb), ("n10", a, nb), ("n01", na, bb),
+                    ("n00", na, nb),
+                )
             }
         )
 
-    agg = (
-        ds.map_batches(partial, batch_format="pyarrow")
-        .aggregate(Sum("n11"), Sum("n10"), Sum("n01"), Sum("n00"))
-    )
-    n11 = int(agg["sum(n11)"] or 0)
-    n10 = int(agg["sum(n10)"] or 0)
-    n01 = int(agg["sum(n01)"] or 0)
-    n00 = int(agg["sum(n00)"] or 0)
+    cells = ("n11", "n10", "n01", "n00")
+    row = fold(ds, project, [], {c: "sum" for c in cells}).to_pylist()[0]
+    n11, n10, n01, n00 = (int(row[c] or 0) for c in cells)
     n = n11 + n10 + n01 + n00
     r1, r0 = n11 + n10, n01 + n00
     c1, c0 = n11 + n01, n10 + n00
@@ -4912,41 +4645,23 @@ def _joint_value_hist(
         )
 
     def fold_bucket(tbl: pa.Table) -> pa.Table:
-        g = (
-            tbl.select(["x", "y", "n_part"])
-            .group_by(["x", "y"])
-            .aggregate([("n_part", "sum")])
-        )
-        return pa.table(
-            {
-                "x": g.column("x"),
-                "y": g.column("y"),
-                "sum(n_part)": g.column("n_part_sum").cast(pa.int64()),
-            }
+        g = tbl.group_by(["x", "y"]).aggregate([("n_part", "sum")])
+        return g.select(["x", "y", "n_part_sum"]).rename_columns(
+            ["x", "y", "n"]
         )
 
-    hist_ds = (
+    h = _collect(
         map_keyed(
             ds.map_batches(partial, batch_format="pyarrow"),
             fold_bucket,
             key="mix",
             n_buckets=64,
-        )
-        .materialize()
+        ),
+        ["x", "y", "n"],
+        max_distinct,
+        op_name,
     )
-    n_rows = hist_ds.count()
-    if n_rows > max_distinct:
-        raise ValueError(
-            f"{op_name}: {n_rows} distinct (x, y) pairs exceed "
-            f"max_distinct={max_distinct}; quantize the metrics "
-            "(coarser cents) or hash-sample rows first"
-        )
-    xs, ys, ns = [], [], []
-    for r in hist_ds.take_all():
-        xs.append(int(r["x"]))
-        ys.append(int(r["y"]))
-        ns.append(int(r["sum(n_part)"]))
-    return xs, ys, ns
+    return tuple(h.column(c).to_pylist() for c in ("x", "y", "n"))
 
 
 def spearman_corr(
@@ -5143,6 +4858,9 @@ def _cat_cells(ds, a_col: str, b_col: str, max_cells: int, op: str):
     is categorical columns -- cells = |A| x |B|, not rows), driver
     Counter fold, zero shuffles.  Null a maps to "" (SQL
     ``fill_null`` mirror states the same); null b excludes the row.
+    Not on ``fold``: for so few cells its groupby shuffle costs more
+    than the statistic (``cramers_action_dow`` 0.14 -> 0.22 s at
+    sf0.01, one CPU).
     """
     from collections import Counter
 
@@ -5495,61 +5213,30 @@ def _bucket_int_series(
     all combine-order-exact integer folds.  Shuffle volume =
     distinct buckets per block; the folded series is
     calendar-bounded (``max_points`` guard)."""
-    from ray.data.aggregate import Max, Sum
-
-    def partial(b: pa.Table) -> pa.Table:
+    def project(b: pa.Table) -> pa.Table:
         t = b.filter(
             pc.and_(
                 pc.is_valid(b.column(ts_col)),
                 pc.is_valid(b.column(val_col)),
             )
         )
-        day = pc.divide(
-            t.column(ts_col).cast(pa.int64()),
-            pa.scalar(bucket_us, pa.int64()),
-        )
-        arrow_agg = [("x", "max")] if agg == "max" else [("x", "sum")]
-        g = (
-            pa.table(
-                {
-                    "bucket": pc.cast(day, pa.int64()),
-                    "x": (
-                        pa.array(
-                            np.ones(len(t), dtype=np.int64), pa.int64()
-                        )
-                        if agg == "count"
-                        else t.column(val_col).cast(pa.int64())
-                    ),
-                }
-            )
-            .group_by(["bucket"])
-            .aggregate(arrow_agg)
-        )
-        col = "x_max" if agg == "max" else "x_sum"
         return pa.table(
             {
-                "bucket": g.column("bucket"),
-                "x_p": g.column(col).cast(pa.int64()),
+                "bucket": _window(t.column(ts_col), bucket_us),
+                "x": t.column(val_col).cast(pa.int64()),
             }
         )
 
-    final = Max("x_p") if agg == "max" else Sum("x_p")
-    out_col = "max(x_p)" if agg == "max" else "sum(x_p)"
-    series = (
-        ds.map_batches(partial, batch_format="pyarrow")
-        .groupby("bucket")
-        .aggregate(final)
-        .materialize()
+    h = fold(
+        ds,
+        project,
+        "bucket",
+        None if agg == "count" else {"x": "max" if agg == "max" else "sum"},
+        limit=max_points,
+        op=op,
+        limit_name="max_points",
     )
-    if series.count() > max_points:
-        raise ValueError(
-            f"{op}: more than max_points={max_points} buckets; "
-            "coarsen bucket_us"
-        )
-    pts = sorted(
-        (int(r["bucket"]), int(r[out_col]))
-        for r in series.take_all()
-    )
+    pts = sorted(_rows(h, *h.column_names))
     return [p[0] for p in pts], [p[1] for p in pts]
 
 
@@ -5783,49 +5470,27 @@ def slo_burn_alerts(
     time span, never by event volume); the trailing sums resolve
     with two searchsorted prefix-diffs.
     """
-    from ray.data.aggregate import Sum
-
-    def partial(b: pa.Table) -> pa.Table:
+    def project(b: pa.Table) -> pa.Table:
         t = b.filter(pc.is_valid(b.column(ts_col)))
-        hour = pc.divide(
-            t.column(ts_col).cast(pa.int64()),
-            pa.scalar(hour_us, pa.int64()),
-        )
         is_err = pc.cast(
             pc.equal(t.column(type_col), pa.scalar(err_type)),
             pa.int64(),
         )
-        g = (
-            pa.table({"hour": hour, "e": pc.fill_null(is_err, 0)})
-            .group_by("hour")
-            .aggregate([("e", "sum"), ([], "count_all")])
-        )
         return pa.table(
             {
-                "hour": g.column("hour"),
-                "e_part": g.column("e_sum").cast(pa.int64()),
-                "n_part": g.column("count_all").cast(pa.int64()),
+                "hour": _window(t.column(ts_col), hour_us),
+                "e": pc.fill_null(is_err, 0),
+                "n": _ones(t.num_rows),
             }
         )
 
-    hourly = (
-        ds.map_batches(partial, batch_format="pyarrow")
-        .groupby("hour")
-        .aggregate(Sum("e_part"), Sum("n_part"))
-        .materialize()
+    h = fold(
+        ds, project, "hour", {"e": "sum", "n": "sum"}, limit=max_hours,
+        op="slo_burn_alerts", limit_name="max_hours",
+    ).sort_by("hour")
+    hours, errs, tots = (
+        np.asarray(h.column(c), np.int64) for c in ("hour", "e", "n")
     )
-    n_rows = hourly.count()
-    if n_rows > max_hours:
-        raise ValueError(
-            f"slo_burn_alerts: {n_rows} distinct hours exceed "
-            f"max_hours={max_hours}; coarsen hour_us"
-        )
-    rows = hourly.take_all()
-    hours = np.array([int(r["hour"]) for r in rows], np.int64)
-    errs = np.array([int(r["sum(e_part)"]) for r in rows], np.int64)
-    tots = np.array([int(r["sum(n_part)"]) for r in rows], np.int64)
-    order = np.argsort(hours, kind="stable")
-    hours, errs, tots = hours[order], errs[order], tots[order]
     ce = np.concatenate([[0], np.cumsum(errs)])
     cn = np.concatenate([[0], np.cumsum(tots)])
     # RANGE BETWEEN (window_hours-1) PRECEDING AND CURRENT ROW over
@@ -5877,48 +5542,24 @@ def dow_seasonality(
     plus one (day) groupby for the distinct-day calendar; both folded
     tables are tiny (keys x 7 and span-days rows).
     """
-    from ray.data.aggregate import Sum
-
-    def partial(b: pa.Table) -> pa.Table:
+    def project(b: pa.Table) -> pa.Table:
         t = b.filter(
             pc.and_(
                 pc.is_valid(b.column(ts_col)),
                 pc.is_valid(b.column(key_col)),
             )
         )
-        day = pc.divide(
-            t.column(ts_col).cast(pa.int64()),
-            pa.scalar(day_us, pa.int64()),
-        )
-        g = (
-            pa.table({"k": t.column(key_col), "day": day})
-            .group_by(["k", "day"])
-            .aggregate([([], "count_all")])
-        )
         return pa.table(
-            {
-                "k": g.column("k"),
-                "day": g.column("day"),
-                "n_part": g.column("count_all").cast(pa.int64()),
-            }
+            {"k": t.column(key_col), "day": _window(t.column(ts_col), day_us)}
         )
 
-    day_tbl = (
-        ds.map_batches(partial, batch_format="pyarrow")
-        .groupby(["k", "day"])
-        .aggregate(Sum("n_part"))
-        .materialize()
+    h = fold(
+        ds, project, ["k", "day"], limit=max_days, op="dow_seasonality",
+        limit_name="max_days",
     )
-    n_rows = day_tbl.count()
-    if n_rows > max_days:
-        raise ValueError(
-            f"dow_seasonality: {n_rows} (key, day) rows exceed "
-            f"max_days={max_days}; coarsen day_us"
-        )
     per_kd: dict = {}
     days: set = set()
-    for r in day_tbl.take_all():
-        k, day, c = r["k"], int(r["day"]), int(r["sum(n_part)"])
+    for k, day, c in _rows(h, "k", "day", "n"):
         per_kd[(k, day)] = per_kd.get((k, day), 0) + c
         days.add(day)
     dow_days: dict = {}
@@ -5984,8 +5625,6 @@ def last_touch_attribution(
     ``sum_value_cents`` is NULL when no attributed conversion carried
     a value (SQL SUM semantics).
     """
-    from ray.data.aggregate import Sum
-
     touch_list = list(touch_types)
 
     def project(b: pa.Table) -> pa.Table:
@@ -5999,12 +5638,6 @@ def last_touch_attribution(
         )
         t = b.filter(keep)
         users = t.column(user_col).combine_chunks().cast(pa.int64())
-        cents_f = pc.floor(
-            pc.multiply(
-                t.column(val_col).cast(pa.float64()),
-                pa.scalar(100.0, pa.float64()),
-            )
-        )
         return pa.table(
             {
                 "u": users,
@@ -6012,7 +5645,7 @@ def last_touch_attribution(
                 "i": t.column(id_col).cast(pa.int64()),
                 "et": t.column(type_col),
                 "is_conv": pc.equal(t.column(type_col), conversion_type),
-                "cents": pc.cast(cents_f, pa.int64()),
+                "cents": _cents(t.column(val_col)),
             }
         )
 
@@ -6029,9 +5662,9 @@ def last_touch_attribution(
         empty = pa.table(
             {
                 "attr_type": pa.array([], pa.string()),
-                "n_part": pa.array([], pa.int64()),
-                "v_part": pa.array([], pa.int64()),
-                "nv_part": pa.array([], pa.int64()),
+                "n_conversions": pa.array([], pa.int64()),
+                "v": pa.array([], pa.int64()),
+                "nv": pa.array([], pa.int64()),
             }
         )
         if not n:
@@ -6079,56 +5712,40 @@ def last_touch_attribution(
                         if best is not None:
                             attr[np.flatnonzero(c_idx == i)[0]] = et[best]
         c_cents = cents.take(pa.array(c_idx, pa.int64()))
-        g = (
-            pa.table(
-                {
-                    "attr_type": pa.array(list(attr), pa.string()),
-                    "v": pc.fill_null(c_cents, 0),
-                    "nv": pc.cast(pc.is_valid(c_cents), pa.int64()),
-                }
-            )
-            .group_by("attr_type")
-            .aggregate([("v", "sum"), ("nv", "sum"), ([], "count_all")])
-        )
         return pa.table(
             {
-                "attr_type": g.column("attr_type"),
-                "n_part": g.column("count_all").cast(pa.int64()),
-                "v_part": g.column("v_sum").cast(pa.int64()),
-                "nv_part": g.column("nv_sum").cast(pa.int64()),
+                "attr_type": pa.array(list(attr), pa.string()),
+                "n_conversions": _ones(len(c_idx)),
+                "v": pc.fill_null(c_cents, 0),
+                "nv": pc.cast(pc.is_valid(c_cents), pa.int64()),
             }
         )
 
-    folded = (
-        map_keyed(
-            ds.map_batches(project, batch_format="pyarrow"),
-            per_bucket,
-            key="u",
-            n_buckets=n_buckets,
-        )
-        .groupby("attr_type")
-        .aggregate(Sum("n_part"), Sum("v_part"), Sum("nv_part"))
-    )
-
     def finish(b: pa.Table) -> pa.Table:
-        v = b.column("sum(v_part)").cast(pa.int64())
-        nv = b.column("sum(nv_part)").cast(pa.int64())
         return pa.table(
             {
                 "attr_type": b.column("attr_type"),
-                "n_conversions": b.column("sum(n_part)").cast(
-                    pa.int64()
-                ),
+                "n_conversions": b.column("n_conversions"),
                 "sum_value_cents": pc.if_else(
-                    pc.greater(nv, pa.scalar(0, pa.int64())),
-                    v,
+                    pc.greater(b.column("nv"), pa.scalar(0, pa.int64())),
+                    b.column("v"),
                     pa.scalar(None, pa.int64()),
                 ),
             }
         )
 
-    return folded.map_batches(finish, batch_format="pyarrow")
-
+    return fold(
+        map_keyed(
+            ds.map_batches(project, batch_format="pyarrow"),
+            per_bucket,
+            key="u",
+            n_buckets=n_buckets,
+        ),
+        lambda t: t,
+        "attr_type",
+        {"n_conversions": "sum", "v": "sum", "nv": "sum"},
+        collect=False,
+    ).map_batches(finish, batch_format="pyarrow")
 
 
 def _ts_scalar_us(v):
@@ -6146,6 +5763,46 @@ def _ts_scalar_us(v):
             + delta.microseconds
         )
     return int(v)
+
+
+def _mid_us(ds, ts_col):
+    """Midpoint of the corpus's time span, in integer epoch
+    microseconds: ``(min + max) // 2``."""
+    from ray.data.aggregate import Max, Min
+
+    span = ds.aggregate(Min(ts_col), Max(ts_col))
+    return (
+        _ts_scalar_us(span[f"min({ts_col})"])
+        + _ts_scalar_us(span[f"max({ts_col})"])
+    ) // 2
+
+
+def _halves_counts(ds, ts_col, val_col, max_distinct, op):
+    """The time-halves cents histogram of the drift family
+    (``psi_drift``, ``js_divergence``): ``({cents: n}, {cents: n})``
+    for the rows before and from the midpoint of the corpus's time
+    span, null timestamps or metrics dropped.  Folded on (side,
+    cents) under the rank-family ``max_distinct`` guard."""
+    mid = _mid_us(ds, ts_col)
+
+    def project(b: pa.Table) -> pa.Table:
+        t = b.filter(
+            pc.and_(
+                pc.is_valid(b.column(ts_col)),
+                pc.is_valid(b.column(val_col)),
+            )
+        )
+        cur = pc.greater_equal(
+            t.column(ts_col).cast(pa.int64()), pa.scalar(mid, pa.int64())
+        )
+        return pa.table({"cur": cur, "v": _cents(t.column(val_col))})
+
+    h = fold(ds, project, ["cur", "v"], limit=max_distinct, op=op)
+    ref: dict = {}
+    cur: dict = {}
+    for c, v, n in _rows(h, "cur", "v", "n"):
+        (cur if c else ref)[v] = n
+    return ref, cur
 
 
 def psi_drift(
@@ -6180,63 +5837,9 @@ def psi_drift(
     """
     import math
 
-    from ray.data.aggregate import Max, Min, Sum
-
-    span = ds.aggregate(Min(ts_col), Max(ts_col))
-    mid = (
-        _ts_scalar_us(span[f"min({ts_col})"])
-        + _ts_scalar_us(span[f"max({ts_col})"])
-    ) // 2
-
-    def partial(b: pa.Table) -> pa.Table:
-        t = b.filter(
-            pc.and_(
-                pc.is_valid(b.column(ts_col)),
-                pc.is_valid(b.column(val_col)),
-            )
-        )
-        cur = pc.greater_equal(
-            t.column(ts_col).cast(pa.int64()), pa.scalar(mid, pa.int64())
-        )
-        v = pc.cast(
-            pc.floor(
-                pc.multiply(
-                    t.column(val_col).cast(pa.float64()),
-                    pa.scalar(100.0, pa.float64()),
-                )
-            ),
-            pa.int64(),
-        )
-        g = (
-            pa.table({"cur": cur, "v": v})
-            .group_by(["cur", "v"])
-            .aggregate([([], "count_all")])
-        )
-        return pa.table(
-            {
-                "cur": g.column("cur"),
-                "v": g.column("v"),
-                "n_part": g.column("count_all").cast(pa.int64()),
-            }
-        )
-
-    hist_ds = (
-        ds.map_batches(partial, batch_format="pyarrow")
-        .groupby(["cur", "v"])
-        .aggregate(Sum("n_part"))
-        .materialize()
+    ref_map, cur_map = _halves_counts(
+        ds, ts_col, val_col, max_distinct, "psi_drift"
     )
-    n_rows = hist_ds.count()
-    if n_rows > max_distinct:
-        raise ValueError(
-            f"psi_drift: {n_rows} distinct (side, value) rows exceed "
-            f"max_distinct={max_distinct}; quantize the metric first"
-        )
-    ref_map: dict = {}
-    cur_map: dict = {}
-    for r in hist_ds.take_all():
-        m = cur_map if r["cur"] else ref_map
-        m[int(r["v"])] = m.get(int(r["v"]), 0) + int(r["sum(n_part)"])
     big_a = sum(ref_map.values())
     big_b = sum(cur_map.values())
     if big_a == 0 or big_b == 0:
@@ -6317,8 +5920,6 @@ def interarrival_fit(
     """
     import math
 
-    from ray.data.aggregate import Max, Sum
-
     mn_us = _ts_scalar_us(ds.min(ts_col))
     mx_us = _ts_scalar_us(ds.max(ts_col))
     width = (mx_us - mn_us) // n_buckets + 1
@@ -6341,31 +5942,12 @@ def interarrival_fit(
 
     bucketed = ds.map_batches(bucketize, batch_format="pyarrow")
 
-    def max_partial(b: pa.Table) -> pa.Table:
-        g = (
-            b.select(["k", "rb", "t"])
-            .group_by(["k", "rb"])
-            .aggregate([("t", "max")])
-        )
-        return pa.table(
-            {
-                "k": g.column("k"),
-                "rb": g.column("rb"),
-                "tmax": g.column("t_max"),
-            }
-        )
-
-    bounds = (
-        bucketed.map_batches(max_partial, batch_format="pyarrow")
-        .groupby(["k", "rb"])
-        .aggregate(Max("tmax"))
-        .take_all()
+    bounds = fold(
+        bucketed, lambda b: b, ["k", "rb"], {"t": "max"}
     )  # <= keys x n_buckets rows
     per_key: dict = {}
-    for r in bounds:
-        per_key.setdefault(r["k"], {})[int(r["rb"])] = int(
-            r["max(tmax)"]
-        )
+    for k, rb, t in _rows(bounds, "k", "rb", "t"):
+        per_key.setdefault(k, {})[rb] = t
     prefix: dict = {}
     for k, m in per_key.items():
         run = None
@@ -6380,42 +5962,26 @@ def interarrival_fit(
         pre = prefix.get((k, rb))
         if pre is not None:
             t = np.concatenate([[np.int64(pre)], t])
-        if len(t) < 2:
-            return pa.table(
-                {
-                    "k": pa.array([], pa.string()),
-                    "gap": pa.array([], pa.int64()),
-                    "c_part": pa.array([], pa.int64()),
-                }
-            )
-        gaps = np.diff(t)
-        vals, cnt = np.unique(gaps, return_counts=True)
+        gaps = np.diff(t) if len(t) > 1 else np.zeros(0, np.int64)
         return pa.table(
             {
-                "k": pa.array([k] * len(vals), pa.string()),
-                "gap": pa.array(vals, pa.int64()),
-                "c_part": pa.array(cnt.astype(np.int64), pa.int64()),
+                "k": pa.array([k] * len(gaps), pa.string()),
+                "gap": pa.array(gaps, pa.int64()),
             }
         )
 
-    hist_ds = (
-        bucketed.groupby(["k", "rb"])
-        .map_groups(per_bucket, batch_format="pyarrow")
-        .groupby(["k", "gap"])
-        .aggregate(Sum("c_part"))
-        .materialize()
+    h = fold(
+        bucketed.groupby(["k", "rb"]).map_groups(
+            per_bucket, batch_format="pyarrow"
+        ),
+        lambda t: t,
+        ["k", "gap"],
+        limit=max_distinct,
+        op="interarrival_fit",
     )
-    n_rows = hist_ds.count()
-    if n_rows > max_distinct:
-        raise ValueError(
-            f"interarrival_fit: {n_rows} distinct (key, gap) rows "
-            f"exceed max_distinct={max_distinct}; quantize timestamps"
-        )
     per: dict = {}
-    for r in hist_ds.take_all():
-        per.setdefault(r["k"], {})[int(r["gap"])] = int(
-            r["sum(c_part)"]
-        )
+    for k, g, c in _rows(h, "k", "gap", "n"):
+        per.setdefault(k, {})[g] = c
     ks_out, ng_out, sg_out, mg_out, d_out = [], [], [], [], []
     for k in sorted(per):
         hist = per[k]
@@ -6588,6 +6154,48 @@ def hysteresis_alerts(
     )
 
 
+def _key_windows(key_col, ts_col, window_us, mn_us):
+    """Projection to ``(k, win)``: the key and the tumbling window
+    ``(ts - mn_us) // window_us`` of each row with a non-null key and
+    timestamp."""
+
+    def project(b: pa.Table) -> pa.Table:
+        t = b.filter(
+            pc.and_(
+                pc.is_valid(b.column(ts_col)),
+                pc.is_valid(b.column(key_col)),
+            )
+        )
+        win = pc.divide(
+            pc.subtract(
+                t.column(ts_col).cast(pa.int64()),
+                pa.scalar(mn_us, pa.int64()),
+            ),
+            pa.scalar(window_us, pa.int64()),
+        )
+        return pa.table({"k": t.column(key_col), "win": win})
+
+    return project
+
+
+def _window_counts(
+    ds, key_col, ts_col, window_us, max_distinct, op, mn_us=None
+):
+    """The sparse keyed window profile ``{key: {window: rows}}``,
+    windows counted from the corpus's first timestamp (or ``mn_us``),
+    folded under the ``max_distinct`` guard on (key, window) rows."""
+    if mn_us is None:
+        mn_us = _ts_scalar_us(ds.min(ts_col))
+    h = fold(
+        ds, _key_windows(key_col, ts_col, window_us, mn_us), ["k", "win"],
+        limit=max_distinct, op=op,
+    )
+    per: dict = {}
+    for k, w, c in _rows(h, "k", "win", "n"):
+        per.setdefault(k, {})[w] = c
+    return per
+
+
 def fano_factor(
     ds,
     key_col: str = "event_type",
@@ -6613,63 +6221,26 @@ def fano_factor(
     partials; the single float division happens once per key, in the
     same expression tree as the SQL mirror.
     """
-    from ray.data.aggregate import Sum
-
     mn_us = _ts_scalar_us(ds.min(ts_col))
     mx_us = _ts_scalar_us(ds.max(ts_col))
     n_windows = (mx_us - mn_us) // window_us + 1
 
-    def partial(b: pa.Table) -> pa.Table:
-        t = b.filter(
-            pc.and_(
-                pc.is_valid(b.column(ts_col)),
-                pc.is_valid(b.column(key_col)),
-            )
-        )
-        win = pc.divide(
-            pc.subtract(
-                t.column(ts_col).cast(pa.int64()),
-                pa.scalar(mn_us, pa.int64()),
-            ),
-            pa.scalar(window_us, pa.int64()),
-        )
-        g = (
-            pa.table({"k": t.column(key_col), "win": win})
-            .group_by(["k", "win"])
-            .aggregate([([], "count_all")])
-        )
-        return pa.table(
-            {
-                "k": g.column("k"),
-                "win": g.column("win"),
-                "c_part": g.column("count_all").cast(pa.int64()),
-            }
-        )
-
     def square(b: pa.Table) -> pa.Table:
-        c = b.column("sum(c_part)").cast(pa.int64())
-        return pa.table(
-            {
-                "k": b.column("k"),
-                "s1_part": c,
-                "s2_part": pc.multiply(c, c),
-            }
-        )
+        c = b.column("n")
+        return pa.table({"k": b.column("k"), "s1": c, "s2": pc.multiply(c, c)})
 
-    agg = (
-        ds.map_batches(partial, batch_format="pyarrow")
-        .groupby(["k", "win"])
-        .aggregate(Sum("c_part"))
-        .map_batches(square, batch_format="pyarrow")
-        .groupby("k")
-        .aggregate(Sum("s1_part"), Sum("s2_part"))
-        .take_all()
+    agg = fold(
+        fold(
+            ds, _key_windows(key_col, ts_col, window_us, mn_us), ["k", "win"],
+            collect=False,
+        ),
+        square,
+        "k",
+        {"s1": "sum", "s2": "sum"},
     )  # one row per key
     out_k, out_nw, out_ev, out_f = [], [], [], []
-    for r in sorted(agg, key=lambda r: r["k"]):
-        s1 = int(r["sum(s1_part)"])
-        s2 = int(r["sum(s2_part)"])
-        out_k.append(r["k"])
+    for k, s1, s2 in sorted(_rows(agg, "k", "s1", "s2")):
+        out_k.append(k)
         out_nw.append(n_windows)
         out_ev.append(s1)
         # exact int arithmetic; ONE rounding at the float division
@@ -6714,8 +6285,6 @@ def changepoint_mean(
     square is exact below |S1| ~ 3e9 cents (guarded: falls back to a
     per-candidate exact-int loop above it).
     """
-    from ray.data.aggregate import Sum
-
     mn_us = _ts_scalar_us(ds.min(ts_col))
     mx_us = _ts_scalar_us(ds.max(ts_col))
     width = (mx_us - mn_us) // n_buckets + 1
@@ -6735,47 +6304,26 @@ def changepoint_mean(
             pc.subtract(ts, pa.scalar(mn_us, pa.int64())),
             pa.scalar(width, pa.int64()),
         )
-        cents = pc.cast(
-            pc.floor(
-                pc.multiply(
-                    t.column(val_col).cast(pa.float64()),
-                    pa.scalar(100.0, pa.float64()),
-                )
-            ),
-            pa.int64(),
-        )
         return pa.table(
-            {"k": t.column(key_col), "rb": rb, "t": ts, "v": cents}
+            {
+                "k": t.column(key_col),
+                "rb": rb,
+                "t": ts,
+                "v": _cents(t.column(val_col)),
+            }
         )
 
     bucketed = ds.map_batches(bucketize, batch_format="pyarrow")
 
-    def sum_partial(b: pa.Table) -> pa.Table:
-        g = (
-            b.group_by(["k", "rb"])
-            .aggregate([("v", "sum"), ([], "count_all")])
-        )
-        return pa.table(
-            {
-                "k": g.column("k"),
-                "rb": g.column("rb"),
-                "s1_part": g.column("v_sum").cast(pa.int64()),
-                "n_part": g.column("count_all").cast(pa.int64()),
-            }
-        )
+    def counted(b: pa.Table) -> pa.Table:
+        return b.append_column("n", _ones(b.num_rows))
 
-    bounds = (
-        bucketed.map_batches(sum_partial, batch_format="pyarrow")
-        .groupby(["k", "rb"])
-        .aggregate(Sum("s1_part"), Sum("n_part"))
-        .take_all()
+    bounds = fold(
+        bucketed, counted, ["k", "rb"], {"n": "sum", "v": "sum"}
     )  # <= keys x n_buckets rows
     per_key: dict = {}
-    for r in bounds:
-        per_key.setdefault(r["k"], {})[int(r["rb"])] = (
-            int(r["sum(n_part)"]),
-            int(r["sum(s1_part)"]),
-        )
+    for k, rb, n, s1 in _rows(bounds, "k", "rb", "n", "v"):
+        per_key.setdefault(k, {})[rb] = (n, s1)
     seeds: dict = {}
     totals: dict = {}
     for k, m in per_key.items():
@@ -6914,54 +6462,9 @@ def window_movers(
     with fewer than two active windows have no step and drop out,
     exactly like LAG's NULL first row in the SQL mirror.
     """
-    from ray.data.aggregate import Sum
-
-    mn_us = _ts_scalar_us(ds.min(ts_col))
-
-    def partial(b: pa.Table) -> pa.Table:
-        t = b.filter(
-            pc.and_(
-                pc.is_valid(b.column(ts_col)),
-                pc.is_valid(b.column(key_col)),
-            )
-        )
-        win = pc.divide(
-            pc.subtract(
-                t.column(ts_col).cast(pa.int64()),
-                pa.scalar(mn_us, pa.int64()),
-            ),
-            pa.scalar(window_us, pa.int64()),
-        )
-        g = (
-            pa.table({"k": t.column(key_col), "win": win})
-            .group_by(["k", "win"])
-            .aggregate([([], "count_all")])
-        )
-        return pa.table(
-            {
-                "k": g.column("k"),
-                "win": g.column("win"),
-                "c_part": g.column("count_all").cast(pa.int64()),
-            }
-        )
-
-    prof = (
-        ds.map_batches(partial, batch_format="pyarrow")
-        .groupby(["k", "win"])
-        .aggregate(Sum("c_part"))
-        .materialize()
+    per = _window_counts(
+        ds, key_col, ts_col, window_us, max_distinct, "window_movers"
     )
-    n_rows = prof.count()
-    if n_rows > max_distinct:
-        raise ValueError(
-            f"window_movers: {n_rows} distinct (key, window) rows "
-            f"exceed max_distinct={max_distinct}; widen the window"
-        )
-    per: dict = {}
-    for r in prof.take_all():
-        per.setdefault(r["k"], {})[int(r["win"])] = int(
-            r["sum(c_part)"]
-        )
     out = {
         "event_type": [],
         "win": [],
@@ -7057,7 +6560,7 @@ def alert_cooldown(
             tbl = tbl.filter(pa.array(keep))
         return tbl.group_by("k").aggregate([("t", "min")])
 
-    def fold(parts) -> dict:
+    def key_mins(parts) -> dict:
         out: dict = {}
         for tbl in parts.iter_batches(batch_format="pyarrow"):
             for k, t in zip(
@@ -7069,7 +6572,7 @@ def alert_cooldown(
         return out
 
     fired: list = []
-    last = fold(ds.map_batches(min_partial, batch_format="pyarrow"))
+    last = key_mins(ds.map_batches(min_partial, batch_format="pyarrow"))
     idx = {k: 1 for k in last}
     for k in sorted(last):
         fired.append((k, 1, last[k]))
@@ -7079,7 +6582,7 @@ def alert_cooldown(
             [last[k] + cooldown_us for k in ks], np.int64
         )
         ref = ray.put((ks, lim))
-        nxt = fold(
+        nxt = key_mins(
             ds.map_batches(
                 lambda b, _r=ref: min_partial(b, thr=_r),
                 batch_format="pyarrow",
@@ -7128,57 +6631,16 @@ def mase_seasonal(
     keys x windows zero-filled driver scan (two np.abs diffs per
     key).
     """
-    from ray.data.aggregate import Sum
-
     mn_us = _ts_scalar_us(ds.min(ts_col))
     mx_us = _ts_scalar_us(ds.max(ts_col))
     n_windows = (mx_us - mn_us) // window_us + 1
-
-    def partial(b: pa.Table) -> pa.Table:
-        t = b.filter(
-            pc.and_(
-                pc.is_valid(b.column(ts_col)),
-                pc.is_valid(b.column(key_col)),
-            )
-        )
-        win = pc.divide(
-            pc.subtract(
-                t.column(ts_col).cast(pa.int64()),
-                pa.scalar(mn_us, pa.int64()),
-            ),
-            pa.scalar(window_us, pa.int64()),
-        )
-        g = (
-            pa.table({"k": t.column(key_col), "win": win})
-            .group_by(["k", "win"])
-            .aggregate([([], "count_all")])
-        )
-        return pa.table(
-            {
-                "k": g.column("k"),
-                "win": g.column("win"),
-                "c_part": g.column("count_all").cast(pa.int64()),
-            }
-        )
-
-    prof = (
-        ds.map_batches(partial, batch_format="pyarrow")
-        .groupby(["k", "win"])
-        .aggregate(Sum("c_part"))
-        .materialize()
+    per = _window_counts(
+        ds, key_col, ts_col, window_us, max_distinct, "mase_seasonal", mn_us
     )
-    n_rows = prof.count()
-    keys_seen: set = set()
-    per: dict = {}
-    for r in prof.take_all():
-        per.setdefault(r["k"], {})[int(r["win"])] = int(
-            r["sum(c_part)"]
-        )
-        keys_seen.add(r["k"])
-    if n_rows > max_distinct or len(keys_seen) * n_windows > max_distinct:
+    if len(per) * n_windows > max_distinct:
         raise ValueError(
             f"mase_seasonal: zero-filled grid "
-            f"{len(keys_seen)}x{n_windows} exceeds "
+            f"{len(per)}x{n_windows} exceeds "
             f"max_distinct={max_distinct}; widen the window"
         )
     out_k, out_n, out_num, out_den, out_m = [], [], [], [], []
@@ -7240,11 +6702,9 @@ def ols_trend(
     bit-identical to the SQL mirror's HUGEINT/DOUBLE tree.  Keys are
     bounded, so the fold is a tiny groupby.
     """
-    from ray.data.aggregate import Sum
-
     mn_us = _ts_scalar_us(ds.min(ts_col))
 
-    def partial(b: pa.Table) -> pa.Table:
+    def project(b: pa.Table) -> pa.Table:
         t = b.filter(
             pc.and_(
                 pc.and_(
@@ -7261,75 +6721,34 @@ def ols_trend(
             ),
             pa.scalar(day_us, pa.int64()),
         )
-        v = pc.cast(
-            pc.floor(
-                pc.multiply(
-                    t.column(val_col).cast(pa.float64()),
-                    pa.scalar(100.0, pa.float64()),
-                )
-            ),
-            pa.int64(),
-        )
+        v = _cents(t.column(val_col))
         tt = day.to_numpy(zero_copy_only=False)
         vv = v.to_numpy(zero_copy_only=False)
-        g = (
-            pa.table(
-                {
-                    "k": t.column(key_col),
-                    "one": pa.array(
-                        np.ones(len(tt), np.int64), pa.int64()
-                    ),
-                    "t1": day,
-                    "v1": v,
-                    "tv": pa.array(tt * vv, pa.int64()),
-                    "t2": pa.array(tt * tt, pa.int64()),
-                    "v2": pa.array(vv * vv, pa.int64()),
-                }
-            )
-            .group_by("k")
-            .aggregate(
-                [
-                    ("one", "sum"),
-                    ("t1", "sum"),
-                    ("v1", "sum"),
-                    ("tv", "sum"),
-                    ("t2", "sum"),
-                    ("v2", "sum"),
-                ]
-            )
-        )
-        return g.rename_columns(
-            ["k", "n_p", "st_p", "sv_p", "stv_p", "st2_p", "sv2_p"]
+        return pa.table(
+            {
+                "k": t.column(key_col),
+                "n": _ones(len(tt)),
+                "st": day,
+                "sv": v,
+                "stv": pa.array(tt * vv, pa.int64()),
+                "st2": pa.array(tt * tt, pa.int64()),
+                "sv2": pa.array(vv * vv, pa.int64()),
+            }
         )
 
-    agg = (
-        ds.map_batches(partial, batch_format="pyarrow")
-        .groupby("k")
-        .aggregate(
-            Sum("n_p"),
-            Sum("st_p"),
-            Sum("sv_p"),
-            Sum("stv_p"),
-            Sum("st2_p"),
-            Sum("sv2_p"),
-        )
-        .take_all()
+    sums = ("n", "st", "sv", "stv", "st2", "sv2")
+    agg = fold(
+        ds, project, "k", {c: "sum" for c in sums}
     )  # one row per key
     out = {c: [] for c in (
         "event_type", "n", "slope_cents_per_day",
         "intercept_cents", "r2",
     )}
-    for r in sorted(agg, key=lambda r: r["k"]):
-        n = int(r["sum(n_p)"])
-        st = int(r["sum(st_p)"])
-        sv = int(r["sum(sv_p)"])
-        stv = int(r["sum(stv_p)"])
-        st2 = int(r["sum(st2_p)"])
-        sv2 = int(r["sum(sv2_p)"])
+    for k, n, st, sv, stv, st2, sv2 in sorted(_rows(agg, "k", *sums)):
         num = n * stv - st * sv
         denx = n * st2 - st * st
         deny = n * sv2 - sv * sv
-        out["event_type"].append(r["k"])
+        out["event_type"].append(k)
         out["n"].append(n)
         if denx > 0:
             slope = float(num) / float(denx)
@@ -7467,13 +6886,11 @@ def bursty_users(
     shuffle volume is the sparse activity profile, not users x
     windows.
     """
-    from ray.data.aggregate import Sum
-
     mn_us = _ts_scalar_us(ds.min(ts_col))
     mx_us = _ts_scalar_us(ds.max(ts_col))
     n_windows = (mx_us - mn_us) // window_us + 1
 
-    def partial(b: pa.Table) -> pa.Table:
+    def project(b: pa.Table) -> pa.Table:
         t = b.filter(
             pc.and_(
                 pc.is_valid(b.column(ts_col)),
@@ -7487,46 +6904,20 @@ def bursty_users(
             ),
             pa.scalar(window_us, pa.int64()),
         )
-        g = (
-            pa.table(
-                {"u": t.column(user_col).cast(pa.int64()), "win": win}
-            )
-            .group_by(["u", "win"])
-            .aggregate([([], "count_all")])
-        )
-        return pa.table(
-            {
-                "u": g.column("u"),
-                "win": g.column("win"),
-                "c_part": g.column("count_all").cast(pa.int64()),
-            }
-        )
+        return pa.table({"u": t.column(user_col).cast(pa.int64()), "win": win})
 
     def square(b: pa.Table) -> pa.Table:
-        c = b.column("sum(c_part)").cast(pa.int64())
-        g = (
-            pa.table(
-                {
-                    "u": b.column("u"),
-                    "s1": c,
-                    # checked: a >3e9-event window raises instead of
-                    # wrapping the square
-                    "s2": pc.multiply_checked(c, c),
-                }
-            )
-            .group_by("u")
-            .aggregate([("s1", "sum"), ("s2", "sum")])
+        c = b.column("n")
+        # checked: a >3e9-event window raises instead of wrapping the
+        # square
+        return pa.table(
+            {"u": b.column("u"), "s1": c, "s2": pc.multiply_checked(c, c)}
         )
-        return g.rename_columns(["u", "s1_p", "s2_p"])
 
     def finish(b: pa.Table) -> pa.Table:
         u = b.column("u").to_numpy(zero_copy_only=False)
-        s1 = b.column("sum(s1_p)").cast(pa.int64()).to_numpy(
-            zero_copy_only=False
-        )
-        s2 = b.column("sum(s2_p)").cast(pa.int64()).to_numpy(
-            zero_copy_only=False
-        )
+        s1 = b.column("s1").to_numpy(zero_copy_only=False)
+        s2 = b.column("s2").to_numpy(zero_copy_only=False)
         keep = s1 >= min_events
         u, s1, s2 = u[keep], s1[keep], s2[keep]
         if len(u) == 0:
@@ -7568,12 +6959,13 @@ def bursty_users(
         )
 
     cands = (
-        ds.map_batches(partial, batch_format="pyarrow")
-        .groupby(["u", "win"])
-        .aggregate(Sum("c_part"))
-        .map_batches(square, batch_format="pyarrow")
-        .groupby("u")
-        .aggregate(Sum("s1_p"), Sum("s2_p"))
+        fold(
+            fold(ds, project, ["u", "win"], collect=False),
+            square,
+            "u",
+            {"s1": "sum", "s2": "sum"},
+            collect=False,
+        )
         .map_batches(finish, batch_format="pyarrow")
         .take_all()
     )
@@ -7757,44 +7149,31 @@ def wilson_ctr(
     (wlb DESC, user ASC) among users with n >= ``min_n``; per-block
     top-k candidates only.
     """
-    from ray.data.aggregate import Sum
-
-    def partial(b: pa.Table) -> pa.Table:
+    def project(b: pa.Table) -> pa.Table:
         t = b.filter(
             pc.and_(
                 pc.is_valid(b.column(user_col)),
                 pc.is_valid(b.column(type_col)),
             )
         )
-        is_pos = pc.cast(
-            pc.equal(t.column(type_col), pa.scalar(pos_type)),
-            pa.int64(),
+        return pa.table(
+            {
+                "u": t.column(user_col).cast(pa.int64()),
+                "c": pc.cast(
+                    pc.equal(t.column(type_col), pa.scalar(pos_type)),
+                    pa.int64(),
+                ),
+                "v": pc.cast(
+                    pc.equal(t.column(type_col), pa.scalar(neg_type)),
+                    pa.int64(),
+                ),
+            }
         )
-        is_neg = pc.cast(
-            pc.equal(t.column(type_col), pa.scalar(neg_type)),
-            pa.int64(),
-        )
-        g = (
-            pa.table(
-                {
-                    "u": t.column(user_col).cast(pa.int64()),
-                    "c": is_pos,
-                    "v": is_neg,
-                }
-            )
-            .group_by("u")
-            .aggregate([("c", "sum"), ("v", "sum")])
-        )
-        return g.rename_columns(["u", "c_p", "v_p"])
 
     def finish(b: pa.Table) -> pa.Table:
         u = b.column("u").to_numpy(zero_copy_only=False)
-        c = b.column("sum(c_p)").cast(pa.int64()).to_numpy(
-            zero_copy_only=False
-        )
-        v = b.column("sum(v_p)").cast(pa.int64()).to_numpy(
-            zero_copy_only=False
-        )
+        c = b.column("c").to_numpy(zero_copy_only=False)
+        v = b.column("v").to_numpy(zero_copy_only=False)
         n = c + v
         keep = n >= min_n
         u, c, v, n = u[keep], c[keep], v[keep], n[keep]
@@ -7829,9 +7208,7 @@ def wilson_ctr(
         )
 
     cands = (
-        ds.map_batches(partial, batch_format="pyarrow")
-        .groupby("u")
-        .aggregate(Sum("c_p"), Sum("v_p"))
+        fold(ds, project, "u", {"c": "sum", "v": "sum"}, collect=False)
         .map_batches(finish, batch_format="pyarrow")
         .take_all()
     )
@@ -7867,51 +7244,32 @@ def target_encode(
     the encoding is one float expression with the same tree as the
     SQL mirror.
     """
-    from ray.data.aggregate import Sum
-
-    def partial(b: pa.Table) -> pa.Table:
+    def project(b: pa.Table) -> pa.Table:
         t = b.filter(
             pc.and_(
                 pc.is_valid(b.column(cat_col)),
                 pc.is_valid(b.column(val_col)),
             )
         )
-        cents = pc.cast(
-            pc.floor(
-                pc.multiply(
-                    t.column(val_col).cast(pa.float64()),
-                    pa.scalar(100.0, pa.float64()),
-                )
-            ),
-            pa.int64(),
+        return pa.table(
+            {
+                "cat": t.column(cat_col),
+                "s": _cents(t.column(val_col)),
+                "n": _ones(t.num_rows),
+            }
         )
-        n1 = pa.array(np.ones(t.num_rows, np.int64), pa.int64())
-        g = (
-            pa.table(
-                {"cat": t.column(cat_col), "s": cents, "one": n1}
-            )
-            .group_by("cat")
-            .aggregate([("s", "sum"), ("one", "sum")])
-        )
-        return g.rename_columns(["cat", "s_p", "n_p"])
 
-    agg = (
-        ds.map_batches(partial, batch_format="pyarrow")
-        .groupby("cat")
-        .aggregate(Sum("s_p"), Sum("n_p"))
-        .take_all()
-    )  # one row per category
-    sg = sum(int(r["sum(s_p)"]) for r in agg)
-    ng = sum(int(r["sum(n_p)"]) for r in agg)
+    agg = fold(ds, project, "cat", {"s": "sum", "n": "sum"})  # per category
+    rows = sorted(_rows(agg, "cat", "s", "n"))
+    sg = sum(r[1] for r in rows)
+    ng = sum(r[2] for r in rows)
     if ng == 0:
         raise ValueError("target_encode: no rows")
     m = float(smoothing)
     gm = float(sg) / float(ng)
     out_c, out_n, out_s, out_e = [], [], [], []
-    for r in sorted(agg, key=lambda r: r["cat"]):
-        n = int(r["sum(n_p)"])
-        s = int(r["sum(s_p)"])
-        out_c.append(r["cat"])
+    for cat, s, n in rows:
+        out_c.append(cat)
         out_n.append(n)
         out_s.append(s)
         out_e.append((float(s) + m * gm) / (float(n) + m))
@@ -8036,11 +7394,9 @@ def rfm_segments(
     the 6 edges broadcast back into a stateless segment-assignment
     map and a 27-row groupby.
     """
-    from ray.data.aggregate import Count, Max, Sum
-
     mx_us = _ts_scalar_us(ds.max(ts_col))
 
-    def partial(b: pa.Table) -> pa.Table:
+    def project(b: pa.Table) -> pa.Table:
         t = b.filter(
             pc.and_(
                 pc.is_valid(b.column(ts_col)),
@@ -8052,98 +7408,52 @@ def rfm_segments(
                 pc.equal(t.column(type_col), pa.scalar(pos_type)),
                 pc.is_valid(t.column(val_col)),
             ),
-            pc.cast(
-                pc.floor(
-                    pc.multiply(
-                        pc.fill_null(
-                            t.column(val_col).cast(pa.float64()), 0.0
-                        ),
-                        pa.scalar(100.0, pa.float64()),
-                    )
-                ),
-                pa.int64(),
-            ),
+            _cents(pc.fill_null(t.column(val_col).cast(pa.float64()), 0.0)),
             pa.scalar(0, pa.int64()),
-        )
-        n1 = pa.array(np.ones(t.num_rows, np.int64), pa.int64())
-        g = (
-            pa.table(
-                {
-                    "u": t.column(user_col).cast(pa.int64()),
-                    "last_t": t.column(ts_col).cast(pa.int64()),
-                    "one": n1,
-                    "cents": cents,
-                }
-            )
-            .group_by("u")
-            .aggregate(
-                [("last_t", "max"), ("one", "sum"), ("cents", "sum")]
-            )
-        )
-        return g.rename_columns(["u", "lt_p", "f_p", "m_p"])
-
-    users = (
-        ds.map_batches(partial, batch_format="pyarrow")
-        .groupby("u")
-        .aggregate(Max("lt_p"), Sum("f_p"), Sum("m_p"))
-        .materialize()
-    )
-
-    def metrics(b: pa.Table) -> pa.Table:
-        lt = b.column("max(lt_p)").cast(pa.int64())
-        r = pc.divide(
-            pc.subtract(pa.scalar(mx_us, pa.int64()), lt),
-            pa.scalar(day_us, pa.int64()),
         )
         return pa.table(
             {
-                "u": b.column("u"),
-                "r": r,
-                "f": b.column("sum(f_p)").cast(pa.int64()),
-                "m": b.column("sum(m_p)").cast(pa.int64()),
+                "u": t.column(user_col).cast(pa.int64()),
+                "lt": t.column(ts_col).cast(pa.int64()),
+                "f": _ones(t.num_rows),
+                "m": cents,
             }
         )
 
-    prof = users.map_batches(metrics, batch_format="pyarrow")
-
-    def hist_part(b: pa.Table) -> pa.Table:
-        outs = []
-        for mid, col in ((0, "r"), (1, "f"), (2, "m")):
-            g = (
-                b.select([col])
-                .group_by(col)
-                .aggregate([([], "count_all")])
-            )
-            outs.append(
-                pa.table(
-                    {
-                        "mid": pa.array(
-                            np.full(g.num_rows, mid, np.int64),
-                            pa.int64(),
-                        ),
-                        "v": g.column(col).cast(pa.int64()),
-                        "c_part": g.column("count_all").cast(
-                            pa.int64()
-                        ),
-                    }
-                )
-            )
-        return pa.concat_tables(outs)
-
-    hist = (
-        prof.map_batches(hist_part, batch_format="pyarrow")
-        .groupby(["mid", "v"])
-        .aggregate(Sum("c_part"))
-        .materialize()
-    )
-    if hist.count() > max_distinct:
-        raise ValueError(
-            "rfm_segments: metric histograms exceed "
-            f"max_distinct={max_distinct}; quantize the metrics"
+    def metrics(b: pa.Table) -> pa.Table:
+        r = pc.divide(
+            pc.subtract(pa.scalar(mx_us, pa.int64()), b.column("lt")),
+            pa.scalar(day_us, pa.int64()),
         )
+        return b.select(["u", "f", "m"]).add_column(1, "r", r)
+
+    prof = (
+        fold(
+            ds, project, "u", {"lt": "max", "f": "sum", "m": "sum"},
+            collect=False,
+        )
+        .materialize()
+        .map_batches(metrics, batch_format="pyarrow")
+    )
+
+    def metric_values(b: pa.Table) -> pa.Table:
+        return pa.concat_tables(
+            pa.table(
+                {
+                    "mid": pa.array(np.full(b.num_rows, mid, np.int64)),
+                    "v": b.column(col).cast(pa.int64()),
+                }
+            )
+            for mid, col in enumerate(("r", "f", "m"))
+        )
+
+    hist = fold(
+        prof, metric_values, ["mid", "v"], limit=max_distinct,
+        op="rfm_segments",
+    )
     per: dict = {0: {}, 1: {}, 2: {}}
-    for row in hist.take_all():
-        per[int(row["mid"])][int(row["v"])] = int(row["sum(c_part)"])
+    for mid, v, c in _rows(hist, "mid", "v", "n"):
+        per[mid][v] = c
     n_users = sum(per[0].values())
     edges = {}
     for mid in (0, 1, 2):
@@ -8157,66 +7467,21 @@ def rfm_segments(
     e_r, e_f, e_m = edges[0], edges[1], edges[2]
 
     def assign(b: pa.Table) -> pa.Table:
-        r = b.column("r").to_numpy(zero_copy_only=False)
-        f = b.column("f").to_numpy(zero_copy_only=False)
-        m = b.column("m").to_numpy(zero_copy_only=False)
-        g = (
-            pa.table(
-                {
-                    "r_bucket": pa.array(
-                        np.searchsorted(e_r, r, "left"), pa.int64()
-                    ),
-                    "f_bucket": pa.array(
-                        np.searchsorted(e_f, f, "left"), pa.int64()
-                    ),
-                    "m_bucket": pa.array(
-                        np.searchsorted(e_m, m, "left"), pa.int64()
-                    ),
-                }
-            )
-            .group_by(["r_bucket", "f_bucket", "m_bucket"])
-            .aggregate([([], "count_all")])
-        )
         return pa.table(
             {
-                "r_bucket": g.column("r_bucket"),
-                "f_bucket": g.column("f_bucket"),
-                "m_bucket": g.column("m_bucket"),
-                "n_part": g.column("count_all").cast(pa.int64()),
+                f"{c}_bucket": pa.array(
+                    np.searchsorted(
+                        e, b.column(c).to_numpy(zero_copy_only=False), "left"
+                    ),
+                    pa.int64(),
+                )
+                for c, e in (("r", e_r), ("f", e_f), ("m", e_m))
             }
         )
 
-    from ray.data.aggregate import Sum as _Sum
-
-    agg = (
-        prof.map_batches(assign, batch_format="pyarrow")
-        .groupby(["r_bucket", "f_bucket", "m_bucket"])
-        .aggregate(_Sum("n_part"))
-        .take_all()
-    )  # <= 27 rows
-    agg.sort(
-        key=lambda r: (
-            int(r["r_bucket"]),
-            int(r["f_bucket"]),
-            int(r["m_bucket"]),
-        )
-    )
-    return pa.table(
-        {
-            "r_bucket": pa.array(
-                [int(r["r_bucket"]) for r in agg], pa.int64()
-            ),
-            "f_bucket": pa.array(
-                [int(r["f_bucket"]) for r in agg], pa.int64()
-            ),
-            "m_bucket": pa.array(
-                [int(r["m_bucket"]) for r in agg], pa.int64()
-            ),
-            "n_users": pa.array(
-                [int(r["sum(n_part)"]) for r in agg], pa.int64()
-            ),
-        }
-    )
+    keys = ["r_bucket", "f_bucket", "m_bucket"]
+    agg = fold(prof, assign, keys).sort_by([(k, "ascending") for k in keys])
+    return agg.rename_columns(keys + ["n_users"])  # <= 27 rows
 
 
 def bounce_rate(
@@ -8315,9 +7580,7 @@ def revenue_concentration(
     all come from that compressed histogram -- exact integers, one
     float division.
     """
-    from ray.data.aggregate import Sum
-
-    def partial(b: pa.Table) -> pa.Table:
+    def project(b: pa.Table) -> pa.Table:
         t = b.filter(
             pc.and_(
                 pc.is_valid(b.column(key_col)),
@@ -8333,47 +7596,14 @@ def revenue_concentration(
             ),
             pa.int64(),
         )
-        g = (
-            pa.table(
-                {"k": t.column(key_col).cast(pa.int64()), "v": cents}
-            )
-            .group_by("k")
-            .aggregate([("v", "sum")])
-        )
-        return g.rename_columns(["k", "v_p"])
+        return pa.table({"k": t.column(key_col).cast(pa.int64()), "v": cents})
 
-    def hist_part(b: pa.Table) -> pa.Table:
-        g = (
-            b.select(["sum(v_p)"])
-            .rename_columns(["rev"])
-            .group_by("rev")
-            .aggregate([([], "count_all")])
-        )
-        return pa.table(
-            {
-                "rev": g.column("rev").cast(pa.int64()),
-                "c_part": g.column("count_all").cast(pa.int64()),
-            }
-        )
-
-    hist_ds = (
-        ds.map_batches(partial, batch_format="pyarrow")
-        .groupby("k")
-        .aggregate(Sum("v_p"))
-        .map_batches(hist_part, batch_format="pyarrow")
-        .groupby("rev")
-        .aggregate(Sum("c_part"))
-        .materialize()
+    per_key = fold(ds, project, "k", {"v": "sum"}, collect=False)
+    h = fold(
+        per_key, lambda b: b, "v", limit=max_distinct,
+        op="revenue_concentration",
     )
-    if hist_ds.count() > max_distinct:
-        raise ValueError(
-            "revenue_concentration: distinct revenue values exceed "
-            f"max_distinct={max_distinct}; quantize"
-        )
-    hist = {
-        int(r["rev"]): int(r["sum(c_part)"])
-        for r in hist_ds.take_all()
-    }
+    hist = dict(_rows(h, "v", "n"))
     n = sum(hist.values())
     if n == 0:
         raise ValueError("revenue_concentration: no customers")
@@ -8421,63 +7651,9 @@ def js_divergence(
     """
     import math
 
-    from ray.data.aggregate import Max, Min, Sum
-
-    span = ds.aggregate(Min(ts_col), Max(ts_col))
-    mid = (
-        _ts_scalar_us(span[f"min({ts_col})"])
-        + _ts_scalar_us(span[f"max({ts_col})"])
-    ) // 2
-
-    def partial(b: pa.Table) -> pa.Table:
-        t = b.filter(
-            pc.and_(
-                pc.is_valid(b.column(ts_col)),
-                pc.is_valid(b.column(val_col)),
-            )
-        )
-        cur = pc.greater_equal(
-            t.column(ts_col).cast(pa.int64()),
-            pa.scalar(mid, pa.int64()),
-        )
-        v = pc.cast(
-            pc.floor(
-                pc.multiply(
-                    t.column(val_col).cast(pa.float64()),
-                    pa.scalar(100.0, pa.float64()),
-                )
-            ),
-            pa.int64(),
-        )
-        g = (
-            pa.table({"cur": cur, "v": v})
-            .group_by(["cur", "v"])
-            .aggregate([([], "count_all")])
-        )
-        return pa.table(
-            {
-                "cur": g.column("cur"),
-                "v": g.column("v"),
-                "n_part": g.column("count_all").cast(pa.int64()),
-            }
-        )
-
-    hist_ds = (
-        ds.map_batches(partial, batch_format="pyarrow")
-        .groupby(["cur", "v"])
-        .aggregate(Sum("n_part"))
-        .materialize()
+    a_map, b_map = _halves_counts(
+        ds, ts_col, val_col, max_distinct, "js_divergence"
     )
-    if hist_ds.count() > max_distinct:
-        raise ValueError(
-            "js_divergence: histogram exceeds "
-            f"max_distinct={max_distinct}; quantize the metric"
-        )
-    a_map: dict = {}
-    b_map: dict = {}
-    for r in hist_ds.take_all():
-        m = b_map if r["cur"] else a_map
-        m[int(r["v"])] = m.get(int(r["v"]), 0) + int(r["sum(n_part)"])
     big_a = sum(a_map.values())
     big_b = sum(b_map.values())
     if big_a == 0 or big_b == 0:
@@ -8536,8 +7712,6 @@ def session_duration_quantiles(
     rank-family guard, and the quantiles come from the compressed
     distribution -- bit-identical to SQL's discrete percentile.
     """
-    from ray.data.aggregate import Sum
-
     def project(b: pa.Table) -> pa.Table:
         t = b.filter(
             pc.and_(
@@ -8565,36 +7739,21 @@ def session_duration_quantiles(
         starts = np.flatnonzero(new_user | gap_break)
         ends = np.append(starts[1:], len(u)) - 1
         dur = (t[ends] - t[starts]) // 1_000_000
-        vals, cnt = np.unique(dur, return_counts=True)
-        return pa.table(
-            {
-                "d": pa.array(vals, pa.int64()),
-                "c_part": pa.array(
-                    cnt.astype(np.int64), pa.int64()
-                ),
-            }
-        )
+        return pa.table({"d": pa.array(dur, pa.int64())})
 
-    hist_ds = (
+    h = fold(
         map_keyed(
             ds.map_batches(project, batch_format="pyarrow"),
             per_bucket,
             key="u",
             n_buckets=n_buckets,
-        )
-        .groupby("d")
-        .aggregate(Sum("c_part"))
-        .materialize()
+        ),
+        lambda t: t,
+        "d",
+        limit=max_distinct,
+        op="session_duration_quantiles",
     )
-    if hist_ds.count() > max_distinct:
-        raise ValueError(
-            "session_duration_quantiles: histogram exceeds "
-            f"max_distinct={max_distinct}; coarsen the unit"
-        )
-    hist = {
-        int(r["d"]): int(r["sum(c_part)"])
-        for r in hist_ds.take_all()
-    }
+    hist = dict(_rows(h, "d", "n"))
     n = sum(hist.values())
     vals = sorted(hist)
     cums = np.cumsum([hist[v] for v in vals])
@@ -8630,15 +7789,9 @@ def chapman_estimate(
     three totals are per-block integer sums -- no user id ever
     reaches the driver.
     """
-    from ray.data.aggregate import Max, Min, Sum
+    mid = _mid_us(ds, ts_col)
 
-    span = ds.aggregate(Min(ts_col), Max(ts_col))
-    mid = (
-        _ts_scalar_us(span[f"min({ts_col})"])
-        + _ts_scalar_us(span[f"max({ts_col})"])
-    ) // 2
-
-    def partial(b: pa.Table) -> pa.Table:
+    def project(b: pa.Table) -> pa.Table:
         t = b.filter(
             pc.and_(
                 pc.is_valid(b.column(ts_col)),
@@ -8652,46 +7805,20 @@ def chapman_estimate(
             ),
             pa.int64(),
         )
-        first = pc.subtract(pa.scalar(1, pa.int64()), cur)
-        g = (
-            pa.table(
-                {
-                    "u": t.column(user_col).cast(pa.int64()),
-                    "a": first,
-                    "b": cur,
-                }
-            )
-            .group_by("u")
-            .aggregate([("a", "max"), ("b", "max")])
-        )
-        return g.rename_columns(["u", "a_p", "b_p"])
-
-    def sums(b: pa.Table) -> pa.Table:
-        a = b.column("max(a_p)").cast(pa.int64()).to_numpy(
-            zero_copy_only=False
-        )
-        bb = b.column("max(b_p)").cast(pa.int64()).to_numpy(
-            zero_copy_only=False
-        )
         return pa.table(
             {
-                "n1": pa.array([int(a.sum())], pa.int64()),
-                "n2": pa.array([int(bb.sum())], pa.int64()),
-                "m": pa.array([int((a * bb).sum())], pa.int64()),
+                "u": t.column(user_col).cast(pa.int64()),
+                "a": pc.subtract(pa.scalar(1, pa.int64()), cur),
+                "b": cur,
             }
         )
 
-    n1 = n2 = m = 0
-    for tbl in (
-        ds.map_batches(partial, batch_format="pyarrow")
-        .groupby("u")
-        .aggregate(Max("a_p"), Max("b_p"))
-        .map_batches(sums, batch_format="pyarrow")
-        .iter_batches(batch_format="pyarrow")
-    ):
-        n1 += int(pc.sum(tbl.column("n1")).as_py() or 0)
-        n2 += int(pc.sum(tbl.column("n2")).as_py() or 0)
-        m += int(pc.sum(tbl.column("m")).as_py() or 0)
+    def both(b: pa.Table) -> pa.Table:
+        return b.append_column("m", pc.multiply(b.column("a"), b.column("b")))
+
+    users = fold(ds, project, "u", {"a": "max", "b": "max"}, collect=False)
+    row = fold(users, both, [], {"a": "sum", "b": "sum", "m": "sum"})
+    n1, n2, m = (int(row.column(c)[0].as_py() or 0) for c in ("a", "b", "m"))
     est = float((n1 + 1) * (n2 + 1)) / float(m + 1) - 1.0
     return pa.table(
         {
@@ -8713,12 +7840,10 @@ def dow_hour_counts(
     bit-identical across engines, unlike calendar functions.  One
     bounded 7 x 24 groupby of per-block count partials.
     """
-    from ray.data.aggregate import Sum
-
     day_us = 86_400_000_000
     hour_us = 3_600_000_000
 
-    def partial(b: pa.Table) -> pa.Table:
+    def project(b: pa.Table) -> pa.Table:
         t = b.filter(pc.is_valid(b.column(ts_col)))
         us = t.column(ts_col).cast(pa.int64())
         days = pc.divide(us, pa.scalar(day_us, pa.int64()))
@@ -8738,25 +7863,9 @@ def dow_hour_counts(
             ),
             pa.scalar(hour_us, pa.int64()),
         )
-        g = (
-            pa.table({"dow": dow, "hour": hour})
-            .group_by(["dow", "hour"])
-            .aggregate([([], "count_all")])
-        )
-        return pa.table(
-            {
-                "dow": g.column("dow"),
-                "hour": g.column("hour"),
-                "n_part": g.column("count_all").cast(pa.int64()),
-            }
-        )
+        return pa.table({"dow": dow, "hour": hour})
 
-    return (
-        ds.map_batches(partial, batch_format="pyarrow")
-        .groupby(["dow", "hour"])
-        .aggregate(Sum("n_part"))
-        .rename_columns({"sum(n_part)": "n"})
-    )
+    return fold(ds, project, ["dow", "hour"], collect=False)
 
 
 def anova_oneway(
@@ -8792,9 +7901,7 @@ def anova_oneway(
     Scale shape: per-block Arrow group partials -> one tiny groupby
     bounded by group count (``max_groups`` guard), driver finish.
     """
-    from ray.data.aggregate import Sum
-
-    def partial(b: pa.Table) -> pa.Table:
+    def project(b: pa.Table) -> pa.Table:
         t = b.filter(
             pc.and_(
                 pc.is_valid(b.column(group_col)),
@@ -8802,48 +7909,25 @@ def anova_oneway(
             )
         )
         x = t.column(cents_col).cast(pa.int64())
-        g = (
-            pa.table(
-                {
-                    "grp": t.column(group_col).cast(pa.string()),
-                    "x": x,
-                    "xx": pc.multiply(x, x),
-                    "one": pa.array(
-                        np.ones(len(t), np.int64), pa.int64()
-                    ),
-                }
-            )
-            .group_by(["grp"])
-            .aggregate([("x", "sum"), ("xx", "sum"), ("one", "sum")])
-        )
         return pa.table(
             {
-                "grp": g.column("grp"),
-                "s_p": g.column("x_sum").cast(pa.int64()),
-                "ss_p": g.column("xx_sum").cast(pa.int64()),
-                "n_p": g.column("one_sum").cast(pa.int64()),
+                "grp": t.column(group_col).cast(pa.string()),
+                "s": x,
+                "ss": pc.multiply(x, x),
+                "n": _ones(len(t)),
             }
         )
 
-    rows = (
-        ds.map_batches(partial, batch_format="pyarrow")
-        .groupby("grp")
-        .aggregate(Sum("s_p"), Sum("ss_p"), Sum("n_p"))
-        .take_all()
-    )
-    if len(rows) > max_groups:
-        raise ValueError(
-            f"anova_oneway: more than max_groups={max_groups} groups"
-        )
+    rows = fold(
+        ds, project, "grp", {"s": "sum", "ss": "sum", "n": "sum"},
+        limit=max_groups, op="anova_oneway", limit_name="max_groups",
+    ).to_pylist()
     rows.sort(key=lambda r: r["grp"])
     k = len(rows)
-    n_tot = sum(int(r["sum(n_p)"]) for r in rows)
-    s_tot = sum(int(r["sum(s_p)"]) for r in rows)
-    ss_tot = sum(int(r["sum(ss_p)"]) for r in rows)
-    t_sum = sum(
-        (int(r["sum(s_p)"]) ** 2 * scale) // int(r["sum(n_p)"])
-        for r in rows
-    )
+    n_tot = sum(r["n"] for r in rows)
+    s_tot = sum(r["s"] for r in rows)
+    ss_tot = sum(r["ss"] for r in rows)
+    t_sum = sum((r["s"] ** 2 * scale) // r["n"] for r in rows)
     ssb_q = t_sum - (s_tot * s_tot * scale) // n_tot if n_tot else 0
     ssw_q = ss_tot * scale - t_sum
     f_stat = (
@@ -8858,20 +7942,10 @@ def anova_oneway(
     )
     return pa.table(
         {
-            group_col: pa.array(
-                [r["grp"] for r in rows], pa.string()
-            ),
-            "n_g": pa.array(
-                [int(r["sum(n_p)"]) for r in rows], pa.int64()
-            ),
-            "s_g": pa.array(
-                [float(int(r["sum(s_p)"])) for r in rows],
-                pa.float64(),
-            ),
-            "ss_g": pa.array(
-                [float(int(r["sum(ss_p)"])) for r in rows],
-                pa.float64(),
-            ),
+            group_col: pa.array([r["grp"] for r in rows], pa.string()),
+            "n_g": pa.array([r["n"] for r in rows], pa.int64()),
+            "s_g": pa.array([float(r["s"]) for r in rows], pa.float64()),
+            "ss_g": pa.array([float(r["ss"]) for r in rows], pa.float64()),
             "f_stat": pa.array([f_stat] * k, pa.float64()),
             "eta2": pa.array([eta2] * k, pa.float64()),
         }
@@ -8908,7 +7982,6 @@ def event_seq_regex(
     import re
 
     compiled = [(p, re.compile(p)) for p in patterns]
-    from ray.data.aggregate import Sum
 
     def per_user(tbl: pa.Table) -> pa.Table:
         t = tbl.select([user_col, type_col, ts_col, id_col])
@@ -8930,19 +8003,17 @@ def event_seq_regex(
         return pa.table(
             {
                 "pattern": pa.array(pats, pa.string()),
-                "matched": pa.array(matched, pa.int64()),
-                "n_m": pa.array(n_m, pa.int64()),
+                "n_users": pa.array(matched, pa.int64()),
+                "n_matches": pa.array(n_m, pa.int64()),
             }
         )
 
-    return (
-        ds.groupby(user_col)
-        .map_groups(per_user, batch_format="pyarrow")
-        .groupby("pattern")
-        .aggregate(Sum("matched"), Sum("n_m"))
-        .rename_columns(
-            {"sum(matched)": "n_users", "sum(n_m)": "n_matches"}
-        )
+    return fold(
+        ds.groupby(user_col).map_groups(per_user, batch_format="pyarrow"),
+        lambda t: t,
+        "pattern",
+        {"n_users": "sum", "n_matches": "sum"},
+        collect=False,
     )
 
 
@@ -8968,8 +8039,6 @@ def interval_union_days(
     Scale shape: one ``groupby(key)`` shuffle; per-key state is that
     key's own interval list (numpy lexsort + maximum.accumulate --
     no Python loop), the ``sessionize`` contract."""
-    from ray.data.aggregate import Sum
-
     def per_key(tbl: pa.Table) -> pa.Table:
         a = tbl.column(start_col).to_numpy(zero_copy_only=False)
         b = tbl.column(end_col).to_numpy(zero_copy_only=False)
@@ -9124,8 +8193,6 @@ def monetary_unit_sample(
     emits its straddling records.  Three streaming passes over two
     pruned columns; the population never materializes.
     """
-    from ray.data.aggregate import Max, Sum
-
     def clean(b: pa.Table) -> pa.Table:
         t = b.filter(
             pc.and_(
@@ -9141,49 +8208,14 @@ def monetary_unit_sample(
         )
 
     base = ds.map_batches(clean, batch_format="pyarrow")
-    agg = base.aggregate(Max("k"), Sum("c"))
-    max_k = int(agg["max(k)"] or 0)
-    total = int(agg["sum(c)"] or 0)
+    agg = fold(base, lambda b: b, [], {"k": "max", "c": "sum"})
+    max_k, total = (int(agg.column(c)[0].as_py() or 0) for c in ("k", "c"))
     t_interval = total // n_samples
     if t_interval <= 0:
         raise ValueError(
             "monetary_unit_sample: total cents below n_samples"
         )
     r_width = max_k // n_ranges + 1
-
-    def bucket_part(b: pa.Table) -> pa.Table:
-        g = (
-            pa.table(
-                {
-                    "rb": pc.divide(
-                        b.column("k"),
-                        pa.scalar(r_width, pa.int64()),
-                    ),
-                    "c": b.column("c"),
-                }
-            )
-            .group_by(["rb"])
-            .aggregate([("c", "sum")])
-        )
-        return pa.table(
-            {
-                "rb": g.column("rb"),
-                "c_p": g.column("c_sum").cast(pa.int64()),
-            }
-        )
-
-    totals = (
-        base.map_batches(bucket_part, batch_format="pyarrow")
-        .groupby("rb")
-        .aggregate(Sum("c_p"))
-        .take_all()
-    )  # <= n_ranges rows
-    totals.sort(key=lambda r: int(r["rb"]))
-    starts: dict = {}
-    run = 0
-    for r in totals:
-        starts[int(r["rb"])] = run
-        run += int(r["sum(c_p)"])
 
     def tag(b: pa.Table) -> pa.Table:
         return b.append_column(
@@ -9192,6 +8224,13 @@ def monetary_unit_sample(
                 b.column("k"), pa.scalar(r_width, pa.int64())
             ),
         )
+
+    totals = fold(base, tag, "rb", {"c": "sum"}).sort_by("rb")  # <= n_ranges
+    starts: dict = {}
+    run = 0
+    for rb, c in _rows(totals, "rb", "c"):
+        starts[rb] = run
+        run += c
 
     def pick(tbl: pa.Table) -> pa.Table:
         rb = int(tbl.column("rb")[0].as_py())
@@ -9301,9 +8340,9 @@ def nelson_aalen_hazard(
     deaths = defaultdict(int)
     totals = defaultdict(int)
     for r in rows:
-        totals[int(r["dur"])] += int(r["sum(n_part)"])
+        totals[r["dur"]] += r["n"]
         if not r["cens"]:
-            deaths[int(r["dur"])] += int(r["sum(n_part)"])
+            deaths[r["dur"]] += r["n"]
     durs = sorted(totals)
     total_users = sum(totals.values())
     out_d, out_death, out_risk, out_h, out_v = [], [], [], [], []
@@ -9365,8 +8404,6 @@ def mahalanobis_outliers(
     Scale shape: one integer moment pass, one scoring pass, one
     global (d2 DESC, ids) sort cut to ``top_k``.
     """
-    from ray.data.aggregate import Sum
-
     def moments(b: pa.Table) -> pa.Table:
         t = b.filter(
             pc.and_(
@@ -9514,8 +8551,6 @@ def cooks_outliers(
     Scale shape: one integer moment pass, one scoring pass, one
     global (cook DESC, ids) sort cut to ``top_k``.
     """
-    from ray.data.aggregate import Sum
-
     def moments(b: pa.Table) -> pa.Table:
         t = b.filter(
             pc.and_(
@@ -9751,8 +8786,6 @@ def sprt_stream(
     """
     import math
 
-    from ray.data.aggregate import Sum
-
     q1 = int(math.floor(math.log(p1 / p0) * float(scale)))
     q0 = int(
         math.floor(math.log((1.0 - p1) / (1.0 - p0)) * float(scale))
@@ -9798,36 +8831,19 @@ def sprt_stream(
 
     bucketed = base.map_batches(bucketize, batch_format="pyarrow")
 
-    def fold(b: pa.Table) -> pa.Table:
-        g = (
-            b.select(["rb", "step"])
-            .group_by("rb")
-            .aggregate([("step", "sum"), ([], "count_all")])
-        )
-        return pa.table(
-            {
-                "rb": g.column("rb"),
-                "s_p": g.column("step_sum").cast(pa.int64()),
-                "c_p": g.column("count_all").cast(pa.int64()),
-            }
-        )
+    def counted(b: pa.Table) -> pa.Table:
+        return b.append_column("n", _ones(b.num_rows))
 
-    rows = (
-        bucketed.map_batches(fold, batch_format="pyarrow")
-        .groupby("rb")
-        .aggregate(Sum("s_p"), Sum("c_p"))
-        .take_all()
-    )
-    rows.sort(key=lambda r: int(r["rb"]))
+    rows = fold(bucketed, counted, "rb", {"step": "sum", "n": "sum"})
     pre_sum: dict = {}
     pre_cnt: dict = {}
     s_run = 0
     c_run = 0
-    for r in rows:
-        pre_sum[int(r["rb"])] = s_run
-        pre_cnt[int(r["rb"])] = c_run
-        s_run += int(r["sum(s_p)"])
-        c_run += int(r["sum(c_p)"])
+    for rb, s, c in sorted(_rows(rows, "rb", "step", "n")):
+        pre_sum[rb] = s_run
+        pre_cnt[rb] = c_run
+        s_run += s
+        c_run += c
     total_n, total_llr = c_run, s_run
 
     def find_local(tbl: pa.Table) -> pa.Table:
@@ -9899,56 +8915,9 @@ def wasserstein_1d(
     value groupby bounded by distinct metric values (rank-family
     ``max_distinct`` guard), ascending driver scan.
     """
-    from ray.data.aggregate import Sum
-
-    def partial(b: pa.Table) -> pa.Table:
-        t = b.filter(
-            pc.and_(
-                pc.is_in(
-                    b.column(type_col),
-                    value_set=pa.array([variant_a, variant_b]),
-                ),
-                pc.is_valid(b.column(val_col)),
-            )
-        )
-        is_a = pc.equal(t.column(type_col), pa.scalar(variant_a))
-        g = (
-            pa.table(
-                {
-                    "v": t.column(val_col).cast(pa.int64()),
-                    "na_c": pc.cast(is_a, pa.int64()),
-                    "nb_c": pc.cast(pc.invert(is_a), pa.int64()),
-                }
-            )
-            .group_by(["v"])
-            .aggregate([("na_c", "sum"), ("nb_c", "sum")])
-        )
-        return pa.table(
-            {
-                "v": g.column("v"),
-                "na_p": g.column("na_c_sum").cast(pa.int64()),
-                "nb_p": g.column("nb_c_sum").cast(pa.int64()),
-            }
-        )
-
-    hist = (
-        ds.map_batches(partial, batch_format="pyarrow")
-        .groupby("v")
-        .aggregate(Sum("na_p"), Sum("nb_p"))
-        .materialize()
-    )
-    if hist.count() > max_distinct:
-        raise ValueError(
-            f"wasserstein_1d: more than max_distinct={max_distinct} "
-            "distinct values; quantize the metric first"
-        )
-    rows = sorted(
-        (
-            int(r["v"]),
-            int(r["sum(na_p)"]),
-            int(r["sum(nb_p)"]),
-        )
-        for r in hist.take_all()
+    rows = _variant_counts(
+        ds, variant_a, variant_b, type_col, val_col,
+        lambda c: c.cast(pa.int64()), max_distinct, "wasserstein_1d",
     )
     na = sum(r[1] for r in rows)
     nb = sum(r[2] for r in rows)
@@ -10071,52 +9040,9 @@ def vda_effect(
     ``num2 / (2*na*nb)``.  Scale shape: the ``wasserstein_1d``
     value-histogram fold (rank-family ``max_distinct`` guard).
     """
-    from ray.data.aggregate import Sum
-
-    def partial(b: pa.Table) -> pa.Table:
-        t = b.filter(
-            pc.and_(
-                pc.is_in(
-                    b.column(type_col),
-                    value_set=pa.array([variant_a, variant_b]),
-                ),
-                pc.is_valid(b.column(val_col)),
-            )
-        )
-        is_a = pc.equal(t.column(type_col), pa.scalar(variant_a))
-        g = (
-            pa.table(
-                {
-                    "v": t.column(val_col).cast(pa.int64()),
-                    "na_c": pc.cast(is_a, pa.int64()),
-                    "nb_c": pc.cast(pc.invert(is_a), pa.int64()),
-                }
-            )
-            .group_by(["v"])
-            .aggregate([("na_c", "sum"), ("nb_c", "sum")])
-        )
-        return pa.table(
-            {
-                "v": g.column("v"),
-                "na_p": g.column("na_c_sum").cast(pa.int64()),
-                "nb_p": g.column("nb_c_sum").cast(pa.int64()),
-            }
-        )
-
-    hist = (
-        ds.map_batches(partial, batch_format="pyarrow")
-        .groupby("v")
-        .aggregate(Sum("na_p"), Sum("nb_p"))
-        .materialize()
-    )
-    if hist.count() > max_distinct:
-        raise ValueError(
-            f"vda_effect: more than max_distinct={max_distinct} "
-            "distinct values; quantize the metric first"
-        )
-    rows = sorted(
-        (int(r["v"]), int(r["sum(na_p)"]), int(r["sum(nb_p)"]))
-        for r in hist.take_all()
+    rows = _variant_counts(
+        ds, variant_a, variant_b, type_col, val_col,
+        lambda c: c.cast(pa.int64()), max_distinct, "vda_effect",
     )
     na = sum(r[1] for r in rows)
     nb = sum(r[2] for r in rows)

@@ -112,23 +112,23 @@ def _shift_scanner(sc: SessionScanner, d_cmd, d_num, d_vim):
     return sc
 
 
-def scan_conversation_chunked(texts, chunk_size: int, speculate=None):
+def scan_conversation_chunked(texts, chunk_size: int):
     """Chunked scan of one conversation; output records are identical
     to a sequential :class:`SessionScanner` pass (asserted by tests).
-
-    ``speculate``: optional callable ``(chunk_texts, start_idx) ->
-    (recs, sigs, counters, scanner)`` so the speculative phase can run
-    as parallel Ray tasks; defaults to inline :func:`speculative_scan`.
+    The flagship's giant path runs the same speculate-then-stitch
+    scheme with the speculative scans as Ray tasks
+    (``pipelines.run._giant_steps``).
     """
     n = len(texts)
     if n == 0:
         return []
-    speculate = speculate or speculative_scan
     bounds = list(range(0, n, chunk_size))
     chunks = [(b, texts[b : b + chunk_size]) for b in bounds]
 
     # Phase 1: speculative scans for chunks 1..k (parallelizable)
-    spec = [None] + [speculate(c_texts, b) for b, c_texts in chunks[1:]]
+    spec = [None] + [
+        speculative_scan(c_texts, b) for b, c_texts in chunks[1:]
+    ]
 
     # Phase 2: true pass over chunk 0, then stitch each boundary
     out: list[TurnRecord] = []
@@ -156,28 +156,3 @@ def scan_conversation_chunked(texts, chunk_size: int, speculate=None):
 
     return out
 
-
-def ray_chunked_scan(texts, chunk_size: int):
-    """Chunked scan with the speculative phase fanned out as Ray tasks.
-
-    The per-chunk speculative scans (the heavy part) run concurrently;
-    only the stitch pass -- a few lines per boundary -- is sequential.
-    This is the execution path for a conversation too large for one
-    worker's time slice, used from a dedicated skew partition.
-    """
-    import ray
-
-    @ray.remote(num_cpus=1)
-    def _spec(chunk_texts, start_idx):
-        return speculative_scan(chunk_texts, start_idx)
-
-    bounds = list(range(0, len(texts), chunk_size))
-    refs = {
-        b: _spec.remote(texts[b : b + chunk_size], b) for b in bounds[1:]
-    }
-    results = {b: ray.get(r) for b, r in refs.items()}
-
-    def speculate(chunk_texts, start_idx):
-        return results[start_idx]
-
-    return scan_conversation_chunked(texts, chunk_size, speculate=speculate)

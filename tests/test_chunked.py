@@ -79,12 +79,3 @@ def test_chunked_convergence_is_fast():
             return
     pytest.fail("never converged")
 
-
-def test_ray_chunked_scan(ray_session):
-    from console_log_parser_ray.vt.chunked import ray_chunked_scan
-
-    turns = gen_conversation(3, seed=77, mean_turns=150)
-    texts = [t.text for t in turns]
-    seq = _sequential(texts)
-    chunked = ray_chunked_scan(texts, chunk_size=40)
-    _assert_equal(seq, chunked, "ray_chunked")

@@ -10568,3 +10568,121 @@ def test_vda_effect_differential(ray_session):
     assert abs(got["vda_a"] - ref) < 1e-12
     assert abs(got["r_rb"] - (2 * ref - 1)) < 1e-12
     assert got["vda_a"] > 0.55  # the planted shift favors clicks
+
+
+def test_fold_equals_one_arrow_group_by(ray_session):
+    """``fold`` over a multi-block input with null metrics: its count,
+    sum, max and min folds equal one pyarrow ``group_by`` over the
+    whole table; ``limit`` at the folded row count passes and one
+    below raises naming ``op``."""
+    import numpy as np
+    import pyarrow as pa
+    import pyarrow.compute as pc
+    import pytest
+
+    import ray.data
+
+    from console_log_parser_ray.stages.events import fold
+
+    rng = np.random.default_rng(14)
+    n = 3000
+    x = rng.integers(-500, 500, n).astype(object)
+    x[rng.random(n) < 0.15] = None
+    t = pa.table(
+        {
+            "k": pa.array(rng.choice(["a", "b", "c", "d"], n).tolist()),
+            "j": pa.array(rng.integers(0, 25, n), pa.int64()),
+            "x": pa.array(x.tolist(), pa.int64()),
+        }
+    )
+    ds = ray.data.from_items(t.to_pylist(), override_num_blocks=7)
+    assert ds.materialize().num_blocks() == 7
+
+    def rows(tbl, cols):
+        return sorted(zip(*(tbl.column(c).to_pylist() for c in cols)))
+
+    keys = ["k", "j"]
+    want = t.group_by(keys).aggregate(
+        [([], "count_all"), ("x", "sum"), ("x", "max"), ("x", "min")]
+    )
+    want_cols = keys + ["count_all", "x_sum", "x_max", "x_min"]
+
+    counted = fold(ds, lambda b: b, keys)
+    assert counted.column_names == keys + ["n"]
+    assert counted.schema.field("n").type == pa.int64()
+
+    def project(b):
+        return b.append_column("x_max", b.column("x")).append_column(
+            "x_min", b.column("x")
+        )
+
+    got = fold(ds, project, keys, {"x": "sum", "x_max": "max", "x_min": "min"})
+    assert got.column_names == keys + ["x", "x_max", "x_min"]
+    got = got.join(counted, keys)
+    assert rows(got, keys + ["n", "x", "x_max", "x_min"]) == rows(
+        want, want_cols
+    )
+
+    total = fold(ds, lambda b: b, [], {"x": "sum"})
+    assert total.to_pylist() == [{"x": pc.sum(t.column("x")).as_py()}]
+
+    groups = want.num_rows
+    assert fold(ds, lambda b: b, keys, limit=groups).num_rows == groups
+    with pytest.raises(ValueError, match="my_op") as err:
+        fold(ds, lambda b: b, keys, limit=groups - 1, op="my_op")
+    assert f"max_distinct={groups - 1}" in str(err.value)
+
+
+def _no_collect(monkeypatch):
+    """Make every way a folded table reaches the driver raise."""
+    import ray.data
+    from ray.data.dataset import MaterializedDataset
+
+    def refuse(*_a, **_k):
+        raise AssertionError("collected before the guard")
+
+    monkeypatch.setattr(ray.data.Dataset, "take_all", refuse)
+    monkeypatch.setattr(ray.data.Dataset, "to_arrow_refs", refuse)
+    monkeypatch.setattr(MaterializedDataset, "iter_batches", refuse)
+
+
+def test_mase_seasonal_guard_fires_before_collect(ray_session, monkeypatch):
+    """Over ``max_distinct`` (key, window) rows, ``mase_seasonal``
+    raises before any folded row reaches the driver."""
+    import pyarrow as pa
+
+    import ray.data
+
+    from console_log_parser_ray.stages.events import mase_seasonal
+
+    t = pa.table(
+        {
+            "event_type": pa.array(["a", "b"] * 10),
+            "ts": pa.array(range(0, 20_000, 1000), pa.int64()),
+        }
+    )
+    ds = ray.data.from_arrow(t).repartition(3)
+    _no_collect(monkeypatch)
+    with pytest.raises(ValueError, match="max_distinct"):
+        mase_seasonal(ds, window_us=1000, max_distinct=5)
+
+
+def test_anova_oneway_guard_fires_before_collect(ray_session, monkeypatch):
+    """Over ``max_groups`` groups, ``anova_oneway`` raises before any
+    folded row reaches the driver."""
+    import pyarrow as pa
+
+    import ray.data
+
+    from console_log_parser_ray.stages.events import anova_oneway
+
+    t = pa.table(
+        {
+            "grp": pa.array(["g0", "g1", "g2"] * 5),
+            "cents": pa.array(range(15), pa.int64()),
+        }
+    )
+    ds = ray.data.from_arrow(t).repartition(3)
+    _no_collect(monkeypatch)
+    with pytest.raises(ValueError, match="max_groups"):
+        anova_oneway(ds, max_groups=2)
