@@ -3,9 +3,9 @@
 Large-scale training-data pipeline staples, each expressed Ray-Data-
 first:
 
-* exact dedup      -- hash per batch, hash-partitioned groupby, keep
+* exact dedup      -- hash per batch, one exchange on the hash, keep
                       the minimum id per identical text (text equality
-                      verified inside the hash group, so a 64-bit
+                      verified inside each call, so a 64-bit
                       collision can never merge two distinct docs)
 * MinHash + LSH    -- shingle -> 128 minhashes -> banded bucket keys ->
                       bucket groupby -> candidate pairs -> exact-Jaccard
@@ -17,7 +17,8 @@ first:
                       adjacent-id variant is a shift-key join
 
 Shuffle discipline: every wide step keys on a *small* derived column
-(64-bit hash, band bucket, doc_id); document text travels only through
+(64-bit hash, band bucket, doc_id), most through the one keyed
+exchange ``sources.cache.map_keyed``; document text travels only through
 the grouped joins that need it, and nothing is ever collected to the
 driver or broadcast whole.
 """
@@ -94,81 +95,79 @@ def distinct_rows(ds, keys: list[str], n_buckets: int = 256):
     )
 
 
-def _text_hash_batch(batch: pa.Table, text_col: str) -> pa.Table:
-    """64-bit content hash per row, computed batch-at-a-time in native
-    code (polars' xxhash over the Arrow string buffer; pandas' C
-    hasher as the fallback) instead of a per-row Python blake2b loop.
-    The hash only PARTITIONS the dedup shuffle -- text itself stays
-    the equality key inside each bucket -- so it needs a fixed seed
-    (identical texts must land in one bucket from ANY worker process),
-    not cryptographic strength.  Null texts hash like empty strings;
-    the in-bucket comparison still tells them apart."""
-    col = batch.column(text_col)
-    if isinstance(col, pa.ChunkedArray):
-        col = col.combine_chunks()
-    col = pc.fill_null(col, "")
+def _str_hash64(arr) -> np.ndarray:
+    """Deterministic 63-bit content hash of each string of an Arrow
+    string array, as non-negative int64; nulls hash like "".  Polars'
+    xxhash (seed 0) over the whole array in native code; without
+    polars (not a declared dependency), blake2b-8 per value.  Any
+    fixed-seed hash serves, as long as every worker process computes
+    the same one: where equality matters the string itself is
+    compared, so a collision costs a candidate or balance, never
+    correctness."""
+    if isinstance(arr, pa.ChunkedArray):
+        arr = arr.combine_chunks()
+    arr = pc.fill_null(arr, "")
     try:
         import polars as pl
 
-        h = (
-            pl.from_arrow(col, rechunk=False)
-            .hash(seed=0)
-            .to_numpy()
-            .astype(np.uint64, copy=False)
-        )
-    except Exception:
-        # no polars: the original per-row blake2b (still faster than
-        # pandas' object hasher on string payloads)
+        h = pl.from_arrow(arr, rechunk=False).hash(seed=0).to_numpy()
+    except ImportError:
         h = np.fromiter(
             (
                 int.from_bytes(
                     hashlib.blake2b(t.encode(), digest_size=8).digest(),
                     "big",
                 )
-                for t in col.to_pylist()
+                for t in arr.to_pylist()
             ),
             dtype=np.uint64,
-            count=len(col),
+            count=len(arr),
         )
-    return batch.append_column("text_hash", pa.array(h, pa.uint64()))
+    # clear the top bit before the signed cast: non-negative int64
+    return (h.astype(np.uint64, copy=False) >> 1).astype(np.int64)
 
 
-def _add_hash_bucket(b: pa.Table, n_buckets: int) -> pa.Table:
-    """Coarse shuffle bucket of the 64-bit ``text_hash``: its low bits
-    (``n_buckets`` is a power of two)."""
-    hb = pc.cast(
-        pc.bit_wise_and(
-            b.column("text_hash"), pa.scalar(n_buckets - 1, pa.uint64())
-        ),
-        pa.int32(),
+def _text_hash_batch(batch: pa.Table, text_col: str) -> pa.Table:
+    """``batch`` plus ``text_hash``, the ``_str_hash64`` of ``text_col``:
+    the exact dedups' exchange key (the text stays the equality key
+    inside each call, so null and empty texts may share a hash)."""
+    return batch.append_column(
+        "text_hash",
+        pa.array(_str_hash64(batch.column(text_col)), pa.int64()),
     )
-    return b.append_column("hash_bucket", hb)
+
+
+def _by_text_hash(ds, fn, text_col: str, n_buckets: int):
+    """``fn`` over tables that hold every row of their texts: one
+    ``map_keyed`` exchange on ``text_hash``, dropped from the output."""
+    return map_keyed(
+        ds.map_batches(
+            lambda b: _text_hash_batch(b, text_col), batch_format="pyarrow"
+        ),
+        fn,
+        key="text_hash",
+        n_buckets=n_buckets,
+    ).drop_columns(["text_hash"])
 
 
 def exact_dedup(ds, text_col="text", id_col="doc_id", n_shuffle_buckets=256):
     """Keep one row (minimum id) per identical text.
 
-    Shuffles on a coarse bucket of the 64-bit text hash (bounded group
-    count, small key) and decides on the text itself inside each
-    bucket: two distinct texts colliding into one hash each keep their
+    One ``map_keyed`` exchange on the 64-bit text hash (bounded group
+    count, small key) and the decision on the text itself inside each
+    call: two distinct texts colliding into one hash each keep their
     own minimum-id row (collision-safe).  Identical texts always share
-    a hash, hence a bucket, so the dedup is exact.  Size
+    a hash, hence a call, so the dedup is exact.  Size
     ``n_shuffle_buckets`` so one bucket's rows (corpus/n) fit a worker
     -- the partitioning knob to raise with corpus size.
     """
-    hashed = ds.map_batches(
-        lambda b: _add_hash_bucket(
-            _text_hash_batch(b, text_col), n_shuffle_buckets
-        ),
-        batch_format="pyarrow",
-    )
 
     def keep_first(tbl: pa.Table) -> pa.Table:
         import pandas as pd
 
         # C-level group-min over the text: one hash pass instead of a
         # Python dict walk per row (text equality stays the dedup key,
-        # so hash-bucket collisions remain harmless)
+        # so hash collisions remain harmless)
         df = pd.DataFrame(
             {
                 "t": tbl.column(text_col).to_pandas(),
@@ -182,11 +181,7 @@ def exact_dedup(ds, text_col="text", id_col="doc_id", n_shuffle_buckets=256):
         )
         return tbl.take(pa.array(rows, pa.int64()))
 
-    return (
-        hashed.groupby("hash_bucket")
-        .map_groups(keep_first, batch_format="pyarrow")
-        .drop_columns(["text_hash", "hash_bucket"])
-    )
+    return _by_text_hash(ds, keep_first, text_col, n_shuffle_buckets)
 
 
 def _conv_joined(
@@ -286,17 +281,11 @@ def conversation_exact_dedup(ds, **kwargs):
     turn segmentations of the same character stream would alias to one
     hash; the turn count disambiguates them.
 
-    Scale shape: fingerprints shuffle by a HASH BUCKET of conv_hash
-    (dispatch bounded by the bucket count, never the number of
-    distinct fingerprints) and one vectorized pandas groupby-min per
-    bucket folds every fingerprint in it at once.
+    Scale shape: one ``map_keyed`` exchange on conv_hash (dispatch
+    bounded by the bucket count, never the number of distinct
+    fingerprints) and one vectorized pandas groupby-min per call folds
+    every fingerprint in it at once.
     """
-    from .relational import _pair_bucket_col
-
-    fps = conversation_fingerprints(ds, **kwargs)
-
-    def bucket(b: pa.Table) -> pa.Table:
-        return b.append_column("hb", _pair_bucket_col(b, "conv_hash", 64))
 
     def keep_first(tbl: pa.Table) -> pa.Table:
         keep = tbl.select(["conv_id", "conv_hash", "n_turns"])
@@ -307,10 +296,11 @@ def conversation_exact_dedup(ds, **kwargs):
             keep.schema
         )
 
-    return (
-        fps.map_batches(bucket, batch_format="pyarrow")
-        .groupby("hb")
-        .map_groups(keep_first, batch_format="pyarrow")
+    return map_keyed(
+        conversation_fingerprints(ds, **kwargs),
+        keep_first,
+        key="conv_hash",
+        n_buckets=64,
     )
 
 
@@ -498,13 +488,13 @@ def _attach_text(pairs_ds, docs_ds, key_col, other_col, carry_col,
                  dedup_pairs=False):
     """Hash-join text onto candidate pairs via grouped co-location.
 
-    Both sides are tagged with a coarse join bucket (key hash), unioned,
-    and each bucket group runs one vectorized Arrow index_in/take join
-    of its pair rows against its doc rows -- one hash shuffle keyed on
-    a small int column, no broadcast, no driver materialization.  Size
-    ``n_join_buckets`` so one bucket's doc slice fits a worker.  Pair
-    rows whose key has no matching document are dropped (can only
-    happen if the candidate generator saw ids the doc table lacks).
+    Both sides are tagged and go through one ``map_keyed`` exchange on
+    the int key; each call runs one vectorized Arrow index_in/take join
+    of its pair rows against its doc rows -- no broadcast, no driver
+    materialization.  Size ``n_join_buckets`` so one bucket's doc slice
+    fits a worker.  Pair rows whose key has no matching document are
+    dropped (can only happen if the candidate generator saw ids the doc
+    table lacks).
     """
 
     def tag_pairs(b: pa.Table) -> pa.Table:
@@ -512,9 +502,6 @@ def _attach_text(pairs_ds, docs_ds, key_col, other_col, carry_col,
         key = b.column(key_col).cast(pa.int64())
         return pa.table(
             {
-                "jb": pc.cast(
-                    _mod(key, n_join_buckets), pa.int32()
-                ),
                 "key": key,
                 "side": pa.array(["p"] * n, pa.string()),
                 "other": b.column(other_col).cast(pa.int64()),
@@ -532,7 +519,6 @@ def _attach_text(pairs_ds, docs_ds, key_col, other_col, carry_col,
         key = b.column(id_col).cast(pa.int64())
         return pa.table(
             {
-                "jb": pc.cast(_mod(key, n_join_buckets), pa.int32()),
                 "key": key,
                 "side": pa.array(["d"] * n, pa.string()),
                 "other": pa.nulls(n, pa.int64()),
@@ -540,10 +526,6 @@ def _attach_text(pairs_ds, docs_ds, key_col, other_col, carry_col,
                 "doc_text": b.column(text_col),
             }
         )
-
-    tagged = pairs_ds.map_batches(tag_pairs, batch_format="pyarrow").union(
-        docs_ds.map_batches(tag_docs, batch_format="pyarrow")
-    )
 
     def join_group(tbl: pa.Table) -> pa.Table:
         is_doc = pc.equal(tbl.column("side"), "d")
@@ -566,35 +548,31 @@ def _attach_text(pairs_ds, docs_ds, key_col, other_col, carry_col,
         out = pa.table(cols)
         return out.filter(pc.is_valid(out.column(out_text_col)))
 
-    return tagged.groupby("jb").map_groups(join_group, batch_format="pyarrow")
-
-
-def _mod(arr, m: int):
-    # pc has no modulo kernel; subtract(floor(div)) keeps it vectorized
-    q = pc.divide(arr, pa.scalar(m, pa.int64()))
-    return pc.subtract(arr, pc.multiply(q, pa.scalar(m, pa.int64())))
+    return map_keyed(
+        [
+            pairs_ds.map_batches(tag_pairs, batch_format="pyarrow"),
+            docs_ds.map_batches(tag_docs, batch_format="pyarrow"),
+        ],
+        join_group,
+        key="key",
+        n_buckets=n_join_buckets,
+    )
 
 
 def _dedup_pair_rows(pairs_ds, n_buckets: int = 256):
-    """Distinct (doc_a, doc_b) rows via ONE coarse hash-bucket shuffle.
+    """Distinct (doc_a, doc_b) rows via ONE ``map_keyed`` exchange on
+    doc_a.
 
     The naive ``groupby([doc_a, doc_b])`` dispatches a Python group
     call PER PAIR -- at billions of candidate pairs the dispatch alone
-    dominates.  Here the group key is a doc_a hash bucket (bounded
-    group count) and the dedup inside each group is one vectorized
-    lexsort run-scan.  Duplicate copies of a pair always share doc_a,
-    so they land in the same bucket; extra columns (e.g. cosine) ride
-    along and the first copy's values are kept (copies carry identical
-    values by construction)."""
-
-    def add_jb(t: pa.Table) -> pa.Table:
-        key = t.column("doc_a").cast(pa.int64())
-        return t.append_column(
-            "jb", pc.cast(_mod(key, n_buckets), pa.int32())
-        )
+    dominates.  Here the group count is bounded by ``n_buckets`` and
+    the dedup inside each call is one vectorized lexsort run-scan.
+    Duplicate copies of a pair always share doc_a, so they land in the
+    same call; extra columns (e.g. cosine) ride along and the first
+    copy's values are kept (copies carry identical values by
+    construction)."""
 
     def dedup_group(tbl: pa.Table) -> pa.Table:
-        tbl = tbl.drop_columns(["jb"])
         a = tbl.column("doc_a").to_numpy(zero_copy_only=False)
         b = tbl.column("doc_b").to_numpy(zero_copy_only=False)
         if len(a) == 0:
@@ -605,10 +583,8 @@ def _dedup_pair_rows(pairs_ds, n_buckets: int = 256):
         keep[1:] = (np.diff(sa) != 0) | (np.diff(sb) != 0)
         return tbl.take(pa.array(order[keep]))
 
-    return (
-        pairs_ds.map_batches(add_jb, batch_format="pyarrow")
-        .groupby("jb")
-        .map_groups(dedup_group, batch_format="pyarrow")
+    return map_keyed(
+        pairs_ds, dedup_group, key="doc_a", n_buckets=n_buckets
     )
 
 
@@ -1001,18 +977,8 @@ def token_jaccard_adjacent(ds, id_col="doc_id", text_col="text"):
         )
         return pa.concat_tables([self_side, next_side])
 
-    n_buckets = 256
-
-    def tag_jb(b: pa.Table) -> pa.Table:
-        b = tag(b)
-        return b.append_column(
-            "jb", pc.cast(_mod(b.column("key"), n_buckets), pa.int32())
-        )
-
-    tagged = ds.map_batches(tag_jb, batch_format="pyarrow")
-
     def jac_bucket(tbl: pa.Table) -> pa.Table:
-        # one group per COARSE key bucket (per-key map_groups dispatches
+        # one call per COARSE key bucket (per-key map_groups dispatches
         # a Python call per doc id; the dispatch dominates at scale):
         # sort the bucket by key and walk the equal-key runs
         tbl = tbl.sort_by([("key", "ascending"), ("side", "descending")])
@@ -1045,8 +1011,11 @@ def token_jaccard_adjacent(ds, id_col="doc_id", text_col="text"):
             }
         )
 
-    return tagged.groupby("jb").map_groups(
-        jac_bucket, batch_format="pyarrow"
+    return map_keyed(
+        ds.map_batches(tag, batch_format="pyarrow"),
+        jac_bucket,
+        key="key",
+        n_buckets=256,
     )
 
 
@@ -1163,8 +1132,8 @@ def connected_components(
 
     Iterative min-label propagation, Ray-Data-native: per round, labels
     are attached to edge destinations by grouped hash-join co-location
-    (one shuffle keyed on a coarse bucket of ``dst`` -- no broadcast of
-    either side), the resulting messages union with the current labels,
+    (one ``map_keyed`` exchange on ``dst`` -- no broadcast of either
+    side), the resulting messages union with the current labels,
     and ``groupby(node).min(label)`` folds them.  Convergence is
     detected with a tiny ``sum(label)`` aggregate, which strictly
     decreases until fixpoint (labels only ever shrink).  Rounds needed
@@ -1205,7 +1174,6 @@ def connected_components(
         dst = b.column("dst")
         return pa.table(
             {
-                "jb": pc.cast(_mod(dst, n_join_buckets), pa.int32()),
                 "key": dst,
                 "src": b.column("src"),
                 "label": pa.nulls(b.num_rows, pa.int64()),
@@ -1215,9 +1183,6 @@ def connected_components(
     def tag_labels(b: pa.Table) -> pa.Table:
         return pa.table(
             {
-                "jb": pc.cast(
-                    _mod(b.column("node"), n_join_buckets), pa.int32()
-                ),
                 "key": b.column("node"),
                 "src": pa.nulls(b.num_rows, pa.int64()),
                 "label": b.column("label"),
@@ -1252,9 +1217,15 @@ def connected_components(
 
     prev = checksum(labels)
     for _ in range(max_iters):
-        messages = tagged_edges.union(
-            labels.map_batches(tag_labels, batch_format="pyarrow")
-        ).groupby("jb").map_groups(join_group, batch_format="pyarrow")
+        messages = map_keyed(
+            [
+                tagged_edges,
+                labels.map_batches(tag_labels, batch_format="pyarrow"),
+            ],
+            join_group,
+            key="key",
+            n_buckets=n_join_buckets,
+        )
         labels = (
             labels.union(messages)
             .groupby("node")
@@ -1449,7 +1420,6 @@ def line_dedup(
     by doc id so the (huge) blank-line equivalence class never funnels
     through one worker.
     """
-    from .textan import _TOK_HASH_MEMO, _token_bucket_hashes
 
     def explode(b: pa.Table) -> pa.Table:
         texts = pc.fill_null(b.column(text_col).combine_chunks(), "")
@@ -1470,7 +1440,7 @@ def line_dedup(
         # them (and the sentinels) by doc id instead of funneling the
         # blank-line class through a single bucket
         enc = pc.dictionary_encode(flat)
-        dict_hash = _token_bucket_hashes(enc.dictionary, _TOK_HASH_MEMO)
+        dict_hash = _str_hash64(enc.dictionary)
         lb = dict_hash[enc.indices.to_numpy(zero_copy_only=False)] % (
             n_buckets
         )
@@ -1654,19 +1624,18 @@ def fuzzy_pairs_ed1(
     Scale shape: signatures are built VECTORIZED -- one Arrow
     slice+concat pass per deletion position (cost max_len passes over
     the column, not per-row Python), hashed batch-at-a-time, deduped
-    per (sig, id) in-block -- then one bounded hash-bucket shuffle
-    groups equal signatures; per-signature candidate pairs expand by a
-    vectorized triangular index (``_tri_pairs``) and only the bounded
-    candidate set hits the per-pair verifier.  Cross-bucket duplicate
-    pairs (a pair can share several signatures) fold in a second tiny
-    ``distinct_rows`` shuffle that moves verified pairs only.  A hot
-    signature (many near-identical strings) is inherently quadratic in
-    its group -- same as any ED join's output -- so group size is the
-    partitioning assumption to watch; strings longer than ``max_len``
-    raise rather than silently ship max_len**2 signature bytes.
+    per (sig, id) in-block -- then one ``map_keyed`` exchange on the
+    signature hash groups equal signatures; per-signature candidate
+    pairs expand by a vectorized triangular index (``_tri_pairs``) and
+    only the bounded candidate set hits the per-pair verifier.
+    Cross-bucket duplicate pairs (a pair can share several signatures)
+    fold in a second tiny ``distinct_rows`` shuffle that moves verified
+    pairs only.  A hot signature (many near-identical strings) is
+    inherently quadratic in its group -- same as any ED join's output
+    -- so group size is the partitioning assumption to watch; strings
+    longer than ``max_len`` raise rather than silently ship max_len**2
+    signature bytes.
     """
-    from .textan import _token_bucket_hashes
-
     big = 1 << 30
 
     def signatures(b: pa.Table) -> pa.Table:
@@ -1699,7 +1668,7 @@ def fuzzy_pairs_ed1(
             [c.combine_chunks() if isinstance(c, pa.ChunkedArray) else c
              for c in sig_chunks]
         )
-        sh = _token_bucket_hashes(sigs, {})
+        sh = _str_hash64(sigs)
         out = pa.table(
             {
                 "sh": pa.array(sh, pa.int64()),
@@ -1711,14 +1680,7 @@ def fuzzy_pairs_ed1(
             }
         )
         # one row per (signature, id): "aa" yields "a" twice
-        d = out.group_by(["sh", id_col, text_col]).aggregate([])
-        return d.append_column(
-            "bucket",
-            pc.cast(
-                _mod(d.column("sh").combine_chunks(), n_buckets),
-                pa.int32(),
-            ),
-        )
+        return out.group_by(["sh", id_col, text_col]).aggregate([])
 
     def pairs_in_bucket(tbl: pa.Table) -> pa.Table:
         tbl = tbl.sort_by([("sh", "ascending"), (id_col, "ascending")])
@@ -1756,10 +1718,11 @@ def fuzzy_pairs_ed1(
             }
         )
 
-    cand = (
-        ds.map_batches(signatures, batch_format="pyarrow")
-        .groupby("bucket")
-        .map_groups(pairs_in_bucket, batch_format="pyarrow")
+    cand = map_keyed(
+        ds.map_batches(signatures, batch_format="pyarrow"),
+        pairs_in_bucket,
+        key="sh",
+        n_buckets=n_buckets,
     )
     return distinct_rows(cand, ["id_a", "id_b"], n_buckets=64)
 
@@ -1779,21 +1742,14 @@ def exact_dedup_priority(
     sources not listed rank after all listed ones, ties break on the
     minimum id.
 
-    Same plan as ``exact_dedup`` (coarse 64-bit text-hash bucket
-    shuffle, collision-safe in-group text equality); the winner rule
-    is one lexsort over (text, rank, id) per bucket group, with the
-    source->rank map applied per DISTINCT source value (dictionary
-    encode), never per row.
+    Same plan as ``exact_dedup`` (one exchange on the 64-bit text
+    hash, collision-safe in-call text equality); the winner rule is
+    one lexsort over (text, rank, id) per call, with the source->rank
+    map applied per DISTINCT source value (dictionary encode), never
+    per row.
     """
     rank_of = {s: i for i, s in enumerate(priority)}
     unk = len(priority)
-
-    hashed = ds.map_batches(
-        lambda b: _add_hash_bucket(
-            _text_hash_batch(b, text_col), n_shuffle_buckets
-        ),
-        batch_format="pyarrow",
-    )
 
     def keep_best(tbl: pa.Table) -> pa.Table:
         texts = pc.dictionary_encode(tbl.column(text_col).combine_chunks())
@@ -1816,11 +1772,7 @@ def exact_dedup_priority(
         )
         return tbl.take(pa.array(np.sort(order[first]), pa.int64()))
 
-    return (
-        hashed.groupby("hash_bucket")
-        .map_groups(keep_best, batch_format="pyarrow")
-        .drop_columns(["text_hash", "hash_bucket"])
-    )
+    return _by_text_hash(ds, keep_best, text_col, n_shuffle_buckets)
 
 
 def setsim_join(
@@ -1885,7 +1837,7 @@ def setsim_join(
 
     import ray as _ray
 
-    from .textan import _ngram_tape, _token_bucket_hashes, _token_tape
+    from .textan import _ngram_tape, _token_tape
 
     frac = Fraction(str(threshold))
     t_num, t_den = frac.numerator, frac.denominator
@@ -1946,9 +1898,7 @@ def setsim_join(
             d.column(id_col), value_set=sz.column(id_col)
         )
         size = pc.take(sz.column("count_all"), pos)
-        sh = _token_bucket_hashes(
-            d.column("shingle").combine_chunks(), {}
-        )
+        sh = _str_hash64(d.column("shingle"))
         return pa.table(
             {
                 "sh_hash": pa.array(sh, pa.int64()),
@@ -2058,18 +2008,6 @@ def setsim_join(
         # ---------------- corpus-scale join path ----------------
         from .relational import hash_join
 
-        def df_bucket(b: pa.Table) -> pa.Table:
-            return b.append_column(
-                "dfb",
-                pc.cast(
-                    _mod(
-                        b.column("sh_hash").combine_chunks(),
-                        n_df_buckets,
-                    ),
-                    pa.int32(),
-                ),
-            )
-
         def df_final(tbl: pa.Table) -> pa.Table:
             g = tbl.group_by("sh_hash").aggregate([("df_p", "sum")])
             return pa.table(
@@ -2079,10 +2017,8 @@ def setsim_join(
                 }
             )
 
-        df_tbl = (
-            dfp.map_batches(df_bucket, batch_format="pyarrow")
-            .groupby("dfb")
-            .map_groups(df_final, batch_format="pyarrow")
+        df_tbl = map_keyed(
+            dfp, df_final, key="sh_hash", n_buckets=n_df_buckets
         )
         rows = ds.map_batches(explode, batch_format="pyarrow")
         joined = hash_join(
@@ -2105,18 +2041,6 @@ def setsim_join(
 
         prefixes = map_keyed(
             joined, _prefix_rows, key=id_col, n_buckets=n_df_buckets
-        )
-
-    def tag_pair_bucket(b: pa.Table) -> pa.Table:
-        return b.append_column(
-            "cb",
-            pc.cast(
-                _mod(
-                    b.column("sh_hash").combine_chunks(),
-                    n_pair_buckets,
-                ),
-                pa.int32(),
-            ),
         )
 
     def pairs_in_bucket(tbl: pa.Table) -> pa.Table:
@@ -2147,10 +2071,8 @@ def setsim_join(
             }
         )
 
-    cand = (
-        prefixes.map_batches(tag_pair_bucket, batch_format="pyarrow")
-        .groupby("cb")
-        .map_groups(pairs_in_bucket, batch_format="pyarrow")
+    cand = map_keyed(
+        prefixes, pairs_in_bucket, key="sh_hash", n_buckets=n_pair_buckets
     )
     cand = distinct_rows(
         cand, ["doc_a", "doc_b"], n_buckets=64

@@ -40,8 +40,9 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import ray
 
+from ..sources.cache import map_keyed
 from ..state.manifests import h32
-from .dedup import _cached_get, _mod
+from .dedup import _cached_get
 
 _JOIN_TYPES = {
     "inner": "inner",
@@ -64,6 +65,12 @@ _JOIN_TYPES = {
 # 2^21 distinct values x (two int64 columns + pandas overhead) stays
 # well under ~100 MB of driver heap.
 DEFAULT_MAX_DISTINCT = 2_000_000
+
+
+def _mod(arr, m: int):
+    # pc has no modulo kernel; subtract(floor(div)) keeps it vectorized
+    q = pc.divide(arr, pa.scalar(m, pa.int64()))
+    return pc.subtract(arr, pc.multiply(q, pa.scalar(m, pa.int64())))
 
 
 def fk_searchsorted(sorted_keys: np.ndarray, query: np.ndarray, what: str = "fk"):
@@ -665,9 +672,9 @@ def range_count_join(
     shape.  LEFT semantics: every window row is emitted, zero counts
     included.
 
-    The equi key alone determines placement, so both sides
-    co-partition on ``key mod n_buckets`` with NO window replication
-    (the range dimension never partitions).  Inside each bucket group
+    The equi key alone determines placement, so both sides go through
+    one ``map_keyed`` exchange on it with NO window replication (the
+    range dimension never partitions).  Inside each call
     the count is one vectorized boundary merge: events and window
     boundaries are lexsorted together on (key, time, boundary-first)
     and a cumulative event count read off at the boundary positions
@@ -682,7 +689,6 @@ def range_count_join(
         n = b.num_rows
         key = b.column(on).cast(pa.int64())
         cols = {
-            "__jb": pc.cast(_mod(key, n_buckets), pa.int32()),
             "__side": pa.array(np.zeros(n, dtype=np.int8)),
             "__key": key,
             "__start": b.column(start_col).cast(pa.int64()),
@@ -698,7 +704,6 @@ def range_count_join(
         n = b.num_rows
         key = b.column(right_on).cast(pa.int64())
         cols = {
-            "__jb": pc.cast(_mod(key, n_buckets), pa.int32()),
             "__side": pa.array(np.ones(n, dtype=np.int8)),
             "__key": key,
             "__start": b.column(ts_col).cast(pa.int64()),
@@ -712,10 +717,6 @@ def range_count_join(
     for name, typ in zip(w_schema.names, w_schema.types):
         if name in keep_cols:
             keep_types[name] = typ
-
-    tagged = windows.map_batches(
-        tag_windows, batch_format="pyarrow"
-    ).union(events.map_batches(tag_events, batch_format="pyarrow"))
 
     def count_group(tbl: pa.Table) -> pa.Table:
         side = tbl.column("__side").to_numpy(zero_copy_only=False)
@@ -756,8 +757,14 @@ def range_count_join(
         cols[out_col] = pa.array(counts, pa.int64())
         return pa.table(cols)
 
-    return tagged.groupby("__jb").map_groups(
-        count_group, batch_format="pyarrow"
+    return map_keyed(
+        [
+            windows.map_batches(tag_windows, batch_format="pyarrow"),
+            events.map_batches(tag_events, batch_format="pyarrow"),
+        ],
+        count_group,
+        key="__key",
+        n_buckets=n_buckets,
     )
 
 

@@ -1,10 +1,10 @@
 """Retrieval primitives over the document corpus: a capped inverted
 index (token -> posting list) and BM25 keyword scoring.
 
-Both are corpus-wide text passes built on the same token-hash bucket
-front half as ``stages.textan.idf_rarity`` (every occurrence row of a
-token lands in exactly ONE bucket group, so document frequency is a
-local bincount -- no token-keyed groupby, no df-table broadcast), and
+Both are corpus-wide text passes built on the same token-keyed front
+half as ``stages.textan.idf_rarity`` (``map_keyed`` on the token puts
+every occurrence row of a token in exactly ONE call, so document
+frequency is a local bincount -- no df-table broadcast), and
 both keep every intermediate an integer so the DuckDB SQL oracles are
 bit-exact.  BM25's floating-point score is derived from those integers
 through one fixed, literally-mirrored IEEE expression tree (see
@@ -36,7 +36,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from .textan import _explode_tok_occ
+from .textan import _per_token
 
 
 def postings(
@@ -53,12 +53,12 @@ def postings(
     that contain it, comma-joined in ascending order -- the seed
     structure of any sharded lexical search index.
 
-    Plan: the shared ``_explode_tok_occ`` front half (vectorized
-    split + one Arrow group_by per batch) emits distinct (doc, token)
-    rows bucketed by a token hash; inside each bucket group df is a
-    bincount, the df band is filtered first, and the capped posting
-    strings are built with one lexsort + offset-sliced ``ListArray``
-    + ``binary_join`` -- no per-token Python.  One shuffle total,
+    Plan: the shared ``_per_token`` front half (vectorized split + one
+    Arrow group_by per batch) emits distinct (doc, token) rows keyed on
+    the token; inside each call df is a bincount, the df band is
+    filtered first, and the capped posting strings are built with one
+    lexsort + offset-sliced ``ListArray`` + ``binary_join`` -- no
+    per-token Python.  One shuffle total,
     dispatch bounded by ``n_buckets``.
     """
 
@@ -114,14 +114,7 @@ def postings(
             }
         )
 
-    return (
-        ds.map_batches(
-            lambda b: _explode_tok_occ(b, text_col, id_col, n_buckets),
-            batch_format="pyarrow",
-        )
-        .groupby("jb")
-        .map_groups(build, batch_format="pyarrow")
-    )
+    return _per_token(ds, build, text_col, id_col, n_buckets)
 
 
 #: BM25 shape parameters; 1-b and k1+1 are derived inside the score

@@ -972,59 +972,9 @@ def fingerprint(ds, text_col="text", id_col="doc_id"):
     return ds.map_batches(fn, batch_format="pyarrow")
 
 
-def _token_bucket_hashes(dict_vals, memo: dict) -> np.ndarray:
-    """Deterministic 63-bit hash per distinct token.  Used ONLY for
-    shuffle bucketing: a collision costs balance, never correctness
-    (the string itself stays the join key) -- so any fixed-seed hash
-    works as long as every worker process computes the same one.
-
-    Fast path: polars' xxhash over the whole dictionary array at once
-    (C speed, no memo needed).  Fallback without polars: the original
-    per-token blake2b loop, memoized per process because real corpora
-    repeat tokens heavily across batches."""
-    arr = (
-        dict_vals
-        if isinstance(dict_vals, pa.Array)
-        else pa.array(list(dict_vals), pa.string())
-    )
-    try:
-        import polars as pl
-
-        h = pl.from_arrow(arr, rechunk=False).hash(seed=0).to_numpy()
-        # clear the top bit BEFORE the signed cast: callers take % /
-        # np.bincount on the result and expect it non-negative
-        return (h.astype(np.uint64, copy=False) >> 1).astype(np.int64)
-    except ImportError:
-        pass
-    import hashlib
-
-    vals = arr.to_pylist()
-    out = np.empty(len(vals), dtype=np.int64)
-    for i, s in enumerate(vals):
-        h = memo.get(s)
-        if h is None:
-            h = (
-                int.from_bytes(
-                    hashlib.blake2b(s.encode(), digest_size=8).digest(),
-                    "big",
-                )
-                >> 1
-            )
-            if len(memo) < 1_000_000:
-                memo[s] = h
-        out[i] = h
-    return out
-
-
-_TOK_HASH_MEMO: dict = {}
-
-
-def _explode_tok_occ(
-    batch: pa.Table, text_col: str, id_col: str, n_buckets: int
-) -> pa.Table:
-    """Distinct (doc, token, n_occ) rows for one batch, bucketed by a
-    token hash (``jb``) so every occurrence row of a token lands in ONE
-    bucket group -- the shared front half of the corpus-DF operators."""
+def _explode_tok_occ(batch: pa.Table, text_col: str, id_col: str) -> pa.Table:
+    """Distinct (doc, token, n_occ) rows for one batch -- the shared
+    front half of the corpus-DF operators."""
     texts = pc.fill_null(batch.column(text_col).combine_chunks(), "")
     ids = batch.column(id_col).combine_chunks().cast(pa.int64())
     lists = pc.split_pattern_regex(texts, pattern=r"\s+")
@@ -1041,17 +991,88 @@ def _explode_tok_occ(
         }
     ).filter(pc.not_equal(flat, ""))
     occ = pairs.group_by([id_col, "tok"]).aggregate([("tok", "count")])
-    toks = occ.column("tok").combine_chunks()
-    enc = pc.dictionary_encode(toks)
-    dict_hash = _token_bucket_hashes(enc.dictionary, _TOK_HASH_MEMO)
-    jb = dict_hash[enc.indices.to_numpy(zero_copy_only=False)] % n_buckets
     return pa.table(
         {
-            "jb": pa.array(jb.astype(np.int32), pa.int32()),
             id_col: occ.column(id_col),
-            "tok": toks,
+            "tok": occ.column("tok"),
             "n_occ": occ.column("tok_count").cast(pa.int64()),
         }
+    )
+
+
+def _per_token(ds, fn, text_col: str, id_col: str, n_buckets: int):
+    """``fn`` over tables that each hold every ``_explode_tok_occ`` row
+    of their tokens (``map_keyed`` on the token), so a token's corpus
+    counts are local to one call."""
+    return map_keyed(
+        ds.map_batches(
+            lambda b: _explode_tok_occ(b, text_col, id_col),
+            batch_format="pyarrow",
+        ),
+        fn,
+        key="tok",
+        n_buckets=n_buckets,
+    )
+
+
+def _top_tokens(tbl: pa.Table, count_col: str, k: int) -> pa.Table:
+    """(tok, c): the ``k`` tokens of ``tbl`` with the largest summed
+    ``count_col``, ties token-ascending."""
+    agg = tbl.group_by("tok").aggregate([(count_col, "sum")])
+    toks = agg.column("tok").combine_chunks()
+    cnts = agg.column(f"{count_col}_sum").to_numpy(zero_copy_only=False)
+    order = np.lexsort(
+        (np.asarray(toks.to_pylist(), dtype=object), -cnts)
+    )[:k]
+    return pa.table(
+        {
+            "tok": toks.take(pa.array(order, pa.int64())),
+            "c": pa.array(cnts[order], pa.int64()),
+        }
+    )
+
+
+def _classes(ds, class_col: str) -> list:
+    """Sorted distinct values of a bounded class column (null as "")."""
+    classes: set = set()
+    for tbl in ds.map_batches(
+        lambda b: pa.table(
+            {
+                "c": pc.unique(
+                    pc.fill_null(b.column(class_col).combine_chunks(), "")
+                )
+            }
+        ),
+        batch_format="pyarrow",
+    ).iter_batches(batch_format="pyarrow"):
+        classes.update(tbl.column("c").to_pylist())
+    return sorted(classes)
+
+
+def _per_class_token(ds, fn, class_col, text_col, classes, n_buckets):
+    """``_per_token`` with the class id ``cid`` (the index of
+    ``class_col`` in ``classes``, -1 if absent) as the id column."""
+    class_id = {c: i for i, c in enumerate(classes)}
+
+    def with_cid(b: pa.Table) -> pa.Table:
+        enc = pc.dictionary_encode(
+            pc.fill_null(b.column(class_col).combine_chunks(), "")
+        )
+        dmap = np.array(
+            [class_id.get(c, -1) for c in enc.dictionary.to_pylist()],
+            np.int64,
+        )
+        cid = dmap[enc.indices.to_numpy(zero_copy_only=False)]
+        return pa.table(
+            {"cid": pa.array(cid, pa.int64()), text_col: b.column(text_col)}
+        )
+
+    return _per_token(
+        ds.map_batches(with_cid, batch_format="pyarrow"),
+        fn,
+        text_col,
+        "cid",
+        n_buckets,
     )
 
 
@@ -1066,14 +1087,14 @@ def idf_rarity(ds, text_col="text", id_col="doc_id", n_buckets: int = 64):
     oracle is bit-exact.
 
     Plan: explode to distinct (doc, token, n_occ) rows per batch
-    (vectorized split + one Arrow group_by); bucket by a token hash so
-    every occurrence row of a token lands in ONE bucket group, where
-    its document frequency is a local bincount -- no token-keyed
-    groupby, no df table, no broadcast; then one partial+final
-    ``groupby(doc_id)`` sums the per-token contributions back to
-    documents.  Two shuffles total, both the inherent cost of exact
-    global DF; at 100 TB you would min_df-prune inside the bucket
-    group before emitting.
+    (vectorized split + one Arrow group_by); one ``map_keyed``
+    exchange on the token puts every occurrence row of a token in ONE
+    call, where its document frequency is a local bincount -- no
+    per-token group dispatch, no df table, no broadcast; then one
+    partial+final ``groupby(doc_id)`` sums the per-token contributions
+    back to documents.  Two shuffles total, both the inherent cost of
+    exact global DF; at 100 TB you would min_df-prune inside the
+    bucket group before emitting.
     """
 
     def df_in_bucket(tbl: pa.Table) -> pa.Table:
@@ -1096,12 +1117,7 @@ def idf_rarity(ds, text_col="text", id_col="doc_id", n_buckets: int = 64):
     from ray.data.aggregate import Sum
 
     return (
-        ds.map_batches(
-            lambda b: _explode_tok_occ(b, text_col, id_col, n_buckets),
-            batch_format="pyarrow",
-        )
-        .groupby("jb")
-        .map_groups(df_in_bucket, batch_format="pyarrow")
+        _per_token(ds, df_in_bucket, text_col, id_col, n_buckets)
         .groupby(id_col)
         .aggregate(Sum("occ"), Sum("df_occ"), Sum("hapax"))
         .rename_columns(
@@ -1170,13 +1186,8 @@ def rarest_token(
             }
         )
 
-    cands = (
-        ds.map_batches(
-            lambda b: _explode_tok_occ(b, text_col, id_col, n_buckets),
-            batch_format="pyarrow",
-        )
-        .groupby("jb")
-        .map_groups(candidates_in_bucket, batch_format="pyarrow")
+    cands = _per_token(
+        ds, candidates_in_bucket, text_col, id_col, n_buckets
     )
     return map_keyed(
         cands, fold_candidates, key=id_col, n_buckets=n_doc_buckets
@@ -1307,15 +1318,9 @@ def cooccur_topk(
         ).sort_by([("df", "descending"), ("tok", "ascending")])
         return out.slice(0, vs)
 
-    cand = (
-        ds.map_batches(
-            lambda b: _explode_tok_occ(b, text_col, id_col, n_buckets),
-            batch_format="pyarrow",
-        )
-        .groupby("jb")
-        .map_groups(df_in_bucket, batch_format="pyarrow")
-        .to_pandas()  # bounded: n_buckets * vocab_size candidate rows
-    )
+    cand = _per_token(
+        ds, df_in_bucket, text_col, id_col, n_buckets
+    ).to_pandas()  # bounded: n_buckets * vocab_size candidate rows
     cand = cand.sort_values(
         ["df", "tok"], ascending=[False, True]
     ).head(vs)
@@ -1506,12 +1511,7 @@ def unigram_logprob(
         )
 
     return (
-        ds.map_batches(
-            lambda b: _explode_tok_occ(b, text_col, id_col, n_buckets),
-            batch_format="pyarrow",
-        )
-        .groupby("jb")
-        .map_groups(lp_in_bucket, batch_format="pyarrow")
+        _per_token(ds, lp_in_bucket, text_col, id_col, n_buckets)
         .groupby(id_col)
         .aggregate(Sum("occ"), Sum("lp"))
         .map_batches(finish, batch_format="pyarrow")
@@ -1542,29 +1542,13 @@ def vocab_oov(
     Zero-token documents vanish (the unnest-based SQL shape).
     """
 
-    def bucket_top(tbl: pa.Table) -> pa.Table:
-        agg = tbl.group_by("tok").aggregate([("n_occ", "sum")])
-        toks = agg.column("tok").combine_chunks()
-        cnts = agg.column("n_occ_sum").to_numpy(zero_copy_only=False)
-        order = np.lexsort(
-            (np.asarray(toks.to_pylist(), dtype=object), -cnts)
-        )[:vocab_size]
-        return pa.table(
-            {
-                "tok": toks.take(pa.array(order, pa.int64())),
-                "c": pa.array(cnts[order], pa.int64()),
-            }
-        )
-
-    cand = (
-        ds.map_batches(
-            lambda b: _explode_tok_occ(b, text_col, id_col, n_buckets),
-            batch_format="pyarrow",
-        )
-        .groupby("jb")
-        .map_groups(bucket_top, batch_format="pyarrow")
-        .take_all()
-    )
+    cand = _per_token(
+        ds,
+        lambda t: _top_tokens(t, "n_occ", vocab_size),
+        text_col,
+        id_col,
+        n_buckets,
+    ).take_all()
     cand.sort(key=lambda r: (-r["c"], r["tok"]))
     vocab = pa.array([r["tok"] for r in cand[:vocab_size]], pa.string())
 
@@ -1639,7 +1623,6 @@ def bigram_logprob(
     """
     empty = pa.schema(
         [
-            ("jb", pa.int32()),
             (id_col, pa.int64()),
             ("w1", pa.string()),
             ("w2", pa.string()),
@@ -1672,16 +1655,10 @@ def bigram_logprob(
         occ = pairs.group_by([id_col, "w1", "w2"]).aggregate(
             [("w2", "count")]
         )
-        enc = pc.dictionary_encode(occ.column("w1").combine_chunks())
-        dict_hash = _token_bucket_hashes(enc.dictionary, _TOK_HASH_MEMO)
-        jb = dict_hash[enc.indices.to_numpy(zero_copy_only=False)] % (
-            n_buckets
-        )
         return pa.table(
             {
-                "jb": pa.array(jb.astype(np.int32), pa.int32()),
                 id_col: occ.column(id_col),
-                "w1": enc.dictionary.take(enc.indices),
+                "w1": occ.column("w1"),
                 "w2": occ.column("w2"),
                 "n_occ": occ.column("w2_count").cast(pa.int64()),
             }
@@ -1738,9 +1715,12 @@ def bigram_logprob(
         )
 
     return (
-        ds.map_batches(explode, batch_format="pyarrow")
-        .groupby("jb")
-        .map_groups(lp_in_bucket, batch_format="pyarrow")
+        map_keyed(
+            ds.map_batches(explode, batch_format="pyarrow"),
+            lp_in_bucket,
+            key="w1",
+            n_buckets=n_buckets,
+        )
         .groupby(id_col)
         .aggregate(Sum("occ"), Sum("lp"))
         .map_batches(finish, batch_format="pyarrow")
@@ -1775,7 +1755,7 @@ def token_entropy(
     scale_f = float(scale)
 
     def ent_batch(b: pa.Table) -> pa.Table:
-        occ = _explode_tok_occ(b, text_col, id_col, n_buckets=1)
+        occ = _explode_tok_occ(b, text_col, id_col)
         ids = occ.column(id_col).to_numpy(zero_copy_only=False)
         if len(ids) == 0:
             return pa.table(
@@ -1880,7 +1860,6 @@ def domain_kl(
     if not totals:
         raise ValueError("domain_kl: corpus has no tokens")
     classes = sorted(totals)
-    class_id = {c: i for i, c in enumerate(classes)}
     c_total = sum(totals.values())
     ln_total = math.log(float(c_total))
     ln_cc = np.array(
@@ -1888,30 +1867,6 @@ def domain_kl(
     )
     cc_arr = np.array([totals[c] for c in classes], np.int64)
     scale_f = float(scale)
-
-    def explode_cls(b: pa.Table) -> pa.Table:
-        cls = pc.fill_null(b.column(class_col).combine_chunks(), "")
-        enc = pc.dictionary_encode(cls)
-        dmap = np.array(
-            [class_id.get(c, -1) for c in enc.dictionary.to_pylist()],
-            np.int64,
-        )
-        cid = pa.array(
-            dmap[enc.indices.to_numpy(zero_copy_only=False)], pa.int64()
-        )
-        return _explode_tok_occ(
-            b.set_column(
-                b.schema.get_field_index(class_col), class_col, cid
-            ).rename_columns(
-                [
-                    "cid" if name == class_col else name
-                    for name in b.column_names
-                ]
-            ),
-            text_col,
-            "cid",
-            n_buckets,
-        )
 
     def kl_in_bucket(tbl: pa.Table) -> pa.Table:
         # every occurrence row of a token is in this group: both the
@@ -1952,12 +1907,9 @@ def domain_kl(
 
     kl_acc = np.zeros(len(classes), np.int64)
     seen_cls = np.zeros(len(classes), bool)
-    for tbl in (
-        ds.map_batches(explode_cls, batch_format="pyarrow")
-        .groupby("jb")
-        .map_groups(kl_in_bucket, batch_format="pyarrow")
-        .iter_batches(batch_format="pyarrow")
-    ):
+    for tbl in _per_class_token(
+        ds, kl_in_bucket, class_col, text_col, classes, n_buckets
+    ).iter_batches(batch_format="pyarrow"):
         cid = tbl.column("cid").to_numpy(zero_copy_only=False)
         np.add.at(
             kl_acc, cid, tbl.column("klp").to_numpy(zero_copy_only=False)
@@ -2006,21 +1958,20 @@ def pmi_topk(
     bit-exact.
 
     Scale shape: one corpus explode emits per-batch pre-aggregated
-    unigram rows keyed by ``hash(tok)`` and bigram rows keyed by
-    ``hash(w1)`` into the SAME bucket space, so bucket pass 1 owns
-    every occurrence of its tokens AND of the pairs they lead:
-    ``c1(w1)`` attaches locally and ``min_count`` prunes the pair
-    table to collocation candidates before anything else moves.
-    Pass 2 re-buckets the surviving candidates by ``hash(w2)``
-    together with the (vocabulary-sized, post-aggregation) unigram
-    count rows -- ``c1(w2)`` attaches locally, each bucket emits its
-    own top-``k`` under the full sort key, and the driver folds
-    <= n_buckets x k rows.  Two shuffles, both over post-aggregation
-    rows; the corpus itself never shuffles.
+    unigram rows (the token in ``w1``) and bigram rows, and pass 1 is
+    one ``map_keyed`` exchange on ``w1``, so a call owns every
+    occurrence of its tokens AND of the pairs they lead: ``c1(w1)``
+    attaches locally and ``min_count`` prunes the pair table to
+    collocation candidates before anything else moves.  Pass 2 keys
+    the surviving candidates on ``w2``, together with the
+    (vocabulary-sized, post-aggregation) unigram count rows, which
+    carry their token in ``w2`` too -- ``c1(w2)`` attaches locally,
+    each call emits its own top-``k`` under the full sort key, and the
+    driver folds <= n_buckets x k rows.  Two shuffles, both over
+    post-aggregation rows; the corpus itself never shuffles.
     """
     empty = pa.schema(
         [
-            ("jb", pa.int32()),
             ("w1", pa.string()),
             ("w2", pa.string()),
             ("n_occ", pa.int64()),
@@ -2061,13 +2012,9 @@ def pmi_topk(
             .group_by("w1")
             .aggregate([("w1", "count")])
         )
-        e = pc.dictionary_encode(uni.column("w1").combine_chunks())
-        h = _token_bucket_hashes(e.dictionary, _TOK_HASH_MEMO)
-        jb_u = h[e.indices.to_numpy(zero_copy_only=False)] % n_buckets
         out = [
             pa.table(
                 {
-                    "jb": pa.array(jb_u.astype(np.int32), pa.int32()),
                     "w1": uni.column("w1"),
                     "w2": pa.array([""] * len(uni), pa.string()),
                     "n_occ": uni.column("w1_count").cast(pa.int64()),
@@ -2099,17 +2046,9 @@ def pmi_topk(
                 .group_by(["w1", "w2"])
                 .aggregate([("w2", "count")])
             )
-            e1 = pc.dictionary_encode(pairs.column("w1").combine_chunks())
-            h1 = _token_bucket_hashes(e1.dictionary, _TOK_HASH_MEMO)
-            jb_p = (
-                h1[e1.indices.to_numpy(zero_copy_only=False)] % n_buckets
-            )
             out.append(
                 pa.table(
                     {
-                        "jb": pa.array(
-                            jb_p.astype(np.int32), pa.int32()
-                        ),
                         "w1": pairs.column("w1"),
                         "w2": pairs.column("w2"),
                         "n_occ": pairs.column("w2_count").cast(
@@ -2132,20 +2071,15 @@ def pmi_topk(
         k1 = e1.indices.to_numpy(zero_copy_only=False).astype(np.int64)
         c1 = np.zeros(len(e1.dictionary), np.int64)
         np.add.at(c1, k1[kind == 0], n_occ[kind == 0])
-        h_all = _token_bucket_hashes(e1.dictionary, _TOK_HASH_MEMO)
-        # re-emit the aggregated unigram rows, routed by hash(tok)
+        # re-emit the aggregated unigram rows, keyed on the token in
+        # w2 (pass 2's key: pair rows meet the unigram row of their w2)
         seen = np.unique(k1[kind == 0])
+        uni_toks = e1.dictionary.take(pa.array(seen, pa.int64()))
         out = [
             pa.table(
                 {
-                    "jb2": pa.array(
-                        (h_all[seen] % n_buckets).astype(np.int32),
-                        pa.int32(),
-                    ),
-                    "w1": e1.dictionary.take(
-                        pa.array(seen, pa.int64())
-                    ),
-                    "w2": pa.array([""] * len(seen), pa.string()),
+                    "w1": uni_toks,
+                    "w2": uni_toks,
                     "c2": pa.array(c1[seen], pa.int64()),
                     "c1w1": pa.array(
                         np.zeros(len(seen), np.int64), pa.int64()
@@ -2182,20 +2116,9 @@ def pmi_topk(
                 c1w1 = c1[pos.to_numpy(zero_copy_only=False)][
                     ek.indices.to_numpy(zero_copy_only=False)
                 ]
-                ew2 = pc.dictionary_encode(
-                    kept.column("w2").combine_chunks()
-                )
-                h2 = _token_bucket_hashes(ew2.dictionary, _TOK_HASH_MEMO)
-                jb2 = (
-                    h2[ew2.indices.to_numpy(zero_copy_only=False)]
-                    % n_buckets
-                )
                 out.append(
                     pa.table(
                         {
-                            "jb2": pa.array(
-                                jb2.astype(np.int32), pa.int32()
-                            ),
                             "w1": kept.column("w1"),
                             "w2": kept.column("w2"),
                             "c2": kept.column("n_occ_sum").cast(
@@ -2278,14 +2201,15 @@ def pmi_topk(
 
     import ray.data
 
-    cand = (
-        ds.map_batches(explode, batch_format="pyarrow")
-        .groupby("jb")
-        .map_groups(bucket1, batch_format="pyarrow")
-        .groupby("jb2")
-        .map_groups(bucket2, batch_format="pyarrow")
-        .take_all()
+    pass1 = map_keyed(
+        ds.map_batches(explode, batch_format="pyarrow"),
+        bucket1,
+        key="w1",
+        n_buckets=n_buckets,
     )
+    cand = map_keyed(
+        pass1, bucket2, key="w2", n_buckets=n_buckets
+    ).take_all()
     cand.sort(key=lambda r: (-r["pmi_q"], r["w1"], r["w2"]))
     cand = cand[:k]
     return ray.data.from_arrow(
@@ -2324,9 +2248,7 @@ def vocab_overlap(
     ONE bucket.  The driver folds <= n_buckets x n_classes^2 partial
     rows; the corpus never shuffles, one (class, tok) shuffle total.
     """
-    empty = pa.schema(
-        [("jb", pa.int32()), ("cls", pa.string()), ("tok", pa.string())]
-    )
+    empty = pa.schema([("cls", pa.string()), ("tok", pa.string())])
 
     def explode(b: pa.Table) -> pa.Table:
         texts = pc.fill_null(b.column(text_col).combine_chunks(), "")
@@ -2347,15 +2269,8 @@ def vocab_overlap(
             .group_by(["cls", "tok"])
             .aggregate([])
         )
-        enc = pc.dictionary_encode(pairs.column("tok").combine_chunks())
-        h = _token_bucket_hashes(enc.dictionary, _TOK_HASH_MEMO)
-        jb = h[enc.indices.to_numpy(zero_copy_only=False)] % n_buckets
         return pa.table(
-            {
-                "jb": pa.array(jb.astype(np.int32), pa.int32()),
-                "cls": pairs.column("cls"),
-                "tok": pairs.column("tok"),
-            }
+            {"cls": pairs.column("cls"), "tok": pairs.column("tok")}
         )
 
     def overlap_in_bucket(tbl: pa.Table) -> pa.Table:
@@ -2408,12 +2323,12 @@ def vocab_overlap(
 
     sizes: dict[str, int] = {}
     inter: dict[tuple, int] = {}
-    for tbl in (
-        ds.map_batches(explode, batch_format="pyarrow")
-        .groupby("jb")
-        .map_groups(overlap_in_bucket, batch_format="pyarrow")
-        .iter_batches(batch_format="pyarrow")
-    ):
+    for tbl in map_keyed(
+        ds.map_batches(explode, batch_format="pyarrow"),
+        overlap_in_bucket,
+        key="tok",
+        n_buckets=n_buckets,
+    ).iter_batches(batch_format="pyarrow"):
         for a, b_, n, kd in zip(
             tbl.column("cls_a").to_pylist(),
             tbl.column("cls_b").to_pylist(),
@@ -2917,12 +2832,7 @@ def vocab_growth(
         )
 
     return (
-        ds.map_batches(
-            lambda b: _explode_tok_occ(b, text_col, id_col, n_buckets),
-            batch_format="pyarrow",
-        )
-        .groupby("jb")
-        .map_groups(per_bucket, batch_format="pyarrow")
+        _per_token(ds, per_bucket, text_col, id_col, n_buckets)
         .groupby("k")
         .aggregate(Sum("tok_part"), Sum("typ_part"))
         .map_batches(finish, batch_format="pyarrow")
@@ -3055,9 +2965,6 @@ def log_odds_tokens(
     if a0 == 0:
         raise ValueError("log_odds_tokens: corpus has no tokens")
 
-    def explode_flag(b: pa.Table) -> pa.Table:
-        return _explode_tok_occ(b, text_col, "ga", n_buckets)
-
     def topk_in_bucket(tbl: pa.Table) -> pa.Table:
         agg = tbl.group_by(["ga", "tok"]).aggregate([("n_occ", "sum")])
         ga = agg.column("ga").to_numpy(zero_copy_only=False)
@@ -3096,12 +3003,9 @@ def log_odds_tokens(
             }
         )
 
-    cands = (
-        flagged_ds.map_batches(explode_flag, batch_format="pyarrow")
-        .groupby("jb")
-        .map_groups(topk_in_bucket, batch_format="pyarrow")
-        .take_all()
-    )  # <= n_buckets x k rows
+    cands = _per_token(
+        flagged_ds, topk_in_bucket, text_col, "ga", n_buckets
+    ).take_all()  # <= n_buckets x k rows
     cands.sort(key=lambda r: (-r["z"], r["tok"]))
     cands = cands[:k]
     return pa.table(
@@ -3169,15 +3073,9 @@ def token_burstiness(
             }
         )
 
-    cands = (
-        ds.map_batches(
-            lambda b: _explode_tok_occ(b, text_col, id_col, n_buckets),
-            batch_format="pyarrow",
-        )
-        .groupby("jb")
-        .map_groups(topk_in_bucket, batch_format="pyarrow")
-        .take_all()
-    )
+    cands = _per_token(
+        ds, topk_in_bucket, text_col, id_col, n_buckets
+    ).take_all()
     cands.sort(key=lambda r: (-r["burst"], r["tok"]))
     cands = cands[:k]
     return pa.table(
@@ -3210,40 +3108,7 @@ def ttr_by_source(
     per-class DISTINCT-TYPE count is a bucket-local partial, and the
     per-class folds are <= n_buckets x n_classes tiny rows.
     """
-    classes: set = set()
-    for tbl in ds.map_batches(
-        lambda b: pa.table(
-            {
-                "c": pc.unique(
-                    pc.fill_null(
-                        b.column(class_col).combine_chunks(), ""
-                    )
-                )
-            }
-        ),
-        batch_format="pyarrow",
-    ).iter_batches(batch_format="pyarrow"):
-        classes.update(tbl.column("c").to_pylist())
-    classes = sorted(classes)
-    class_id = {c: i for i, c in enumerate(classes)}
-
-    def explode_cls(b: pa.Table) -> pa.Table:
-        cls = pc.fill_null(b.column(class_col).combine_chunks(), "")
-        enc = pc.dictionary_encode(cls)
-        dmap = np.array(
-            [class_id[c] for c in enc.dictionary.to_pylist()],
-            np.int64,
-        )
-        cid = pa.array(
-            dmap[enc.indices.to_numpy(zero_copy_only=False)],
-            pa.int64(),
-        )
-        return _explode_tok_occ(
-            pa.table({"cid": cid, text_col: b.column(text_col)}),
-            text_col,
-            "cid",
-            n_buckets,
-        )
+    classes = _classes(ds, class_col)
 
     def per_bucket(tbl: pa.Table) -> pa.Table:
         agg = tbl.group_by(["cid", "tok"]).aggregate(
@@ -3266,12 +3131,9 @@ def ttr_by_source(
 
     n_types = np.zeros(len(classes), np.int64)
     n_toks = np.zeros(len(classes), np.int64)
-    for tbl in (
-        ds.map_batches(explode_cls, batch_format="pyarrow")
-        .groupby("jb")
-        .map_groups(per_bucket, batch_format="pyarrow")
-        .iter_batches(batch_format="pyarrow")
-    ):
+    for tbl in _per_class_token(
+        ds, per_bucket, class_col, text_col, classes, n_buckets
+    ).iter_batches(batch_format="pyarrow"):
         ci = tbl.column("cid").to_numpy(zero_copy_only=False)
         np.add.at(
             n_types, ci, tbl.column("ty_p").to_numpy(
@@ -3318,40 +3180,7 @@ def hapax_by_source(
     per-class type count and the per-class hapax count (total
     occurrences == 1) are bucket-local partials.
     """
-    classes: set = set()
-    for tbl in ds.map_batches(
-        lambda b: pa.table(
-            {
-                "c": pc.unique(
-                    pc.fill_null(
-                        b.column(class_col).combine_chunks(), ""
-                    )
-                )
-            }
-        ),
-        batch_format="pyarrow",
-    ).iter_batches(batch_format="pyarrow"):
-        classes.update(tbl.column("c").to_pylist())
-    classes = sorted(classes)
-    class_id = {c: i for i, c in enumerate(classes)}
-
-    def explode_cls(b: pa.Table) -> pa.Table:
-        cls = pc.fill_null(b.column(class_col).combine_chunks(), "")
-        enc = pc.dictionary_encode(cls)
-        dmap = np.array(
-            [class_id[c] for c in enc.dictionary.to_pylist()],
-            np.int64,
-        )
-        cid = pa.array(
-            dmap[enc.indices.to_numpy(zero_copy_only=False)],
-            pa.int64(),
-        )
-        return _explode_tok_occ(
-            pa.table({"cid": cid, text_col: b.column(text_col)}),
-            text_col,
-            "cid",
-            n_buckets,
-        )
+    classes = _classes(ds, class_col)
 
     def per_bucket(tbl: pa.Table) -> pa.Table:
         agg = tbl.group_by(["cid", "tok"]).aggregate(
@@ -3375,12 +3204,9 @@ def hapax_by_source(
 
     n_types = np.zeros(len(classes), np.int64)
     n_hapax = np.zeros(len(classes), np.int64)
-    for tbl in (
-        ds.map_batches(explode_cls, batch_format="pyarrow")
-        .groupby("jb")
-        .map_groups(per_bucket, batch_format="pyarrow")
-        .iter_batches(batch_format="pyarrow")
-    ):
+    for tbl in _per_class_token(
+        ds, per_bucket, class_col, text_col, classes, n_buckets
+    ).iter_batches(batch_format="pyarrow"):
         ci = tbl.column("cid").to_numpy(zero_copy_only=False)
         np.add.at(
             n_types, ci,
@@ -3717,19 +3543,9 @@ def rake_keyphrases(
         row_idx = np.repeat(
             np.arange(len(phrases), dtype=np.int64), plen
         )
-        w = words.flatten()
-        enc = pc.dictionary_encode(w)
-        dict_hash = _token_bucket_hashes(
-            enc.dictionary, _TOK_HASH_MEMO
-        )
-        jb = (
-            dict_hash[enc.indices.to_numpy(zero_copy_only=False)]
-            % n_buckets
-        )
         return pa.table(
             {
-                "jb": pa.array(jb.astype(np.int32), pa.int32()),
-                "w": w,
+                "w": words.flatten(),
                 "plen": pa.array(plen[row_idx], pa.int64()),
                 "phrase": pc.take(
                     phrases, pa.array(row_idx, pa.int64())
@@ -3771,9 +3587,12 @@ def rake_keyphrases(
         )
 
     scored = (
-        ds.map_batches(explode, batch_format="pyarrow")
-        .groupby("jb")
-        .map_groups(score_in_bucket, batch_format="pyarrow")
+        map_keyed(
+            ds.map_batches(explode, batch_format="pyarrow"),
+            score_in_bucket,
+            key="w",
+            n_buckets=n_buckets,
+        )
         .groupby("phrase")
         .aggregate(Sum("score_w"), Count(), Max("plen"))
         .map_batches(finish, batch_format="pyarrow")
@@ -3909,43 +3728,19 @@ def vocab_coverage_curve(
             .group_by(["tok"])
             .aggregate([([], "count_all")])
         )
-        toks = g.column("tok").combine_chunks()
-        dict_hash = _token_bucket_hashes(
-            pc.dictionary_encode(toks).dictionary, _TOK_HASH_MEMO
-        )
-        enc = pc.dictionary_encode(toks)
-        jb = (
-            dict_hash[enc.indices.to_numpy(zero_copy_only=False)]
-            % n_buckets
-        )
         return pa.table(
             {
-                "jb": pa.array(jb.astype(np.int32), pa.int32()),
-                "tok": toks,
+                "tok": g.column("tok"),
                 "n_p": g.column("count_all").cast(pa.int64()),
             }
         )
 
-    def bucket_top(tbl: pa.Table) -> pa.Table:
-        g = tbl.group_by("tok").aggregate([("n_p", "sum")])
-        toks = g.column("tok").combine_chunks()
-        cnts = g.column("n_p_sum").to_numpy(zero_copy_only=False)
-        order = np.lexsort(
-            (np.asarray(toks.to_pylist(), dtype=object), -cnts)
-        )[:kmax]
-        return pa.table(
-            {
-                "tok": toks.take(pa.array(order, pa.int64())),
-                "c": pa.array(cnts[order], pa.int64()),
-            }
-        )
-
-    cand = (
-        ds.map_batches(count_part, batch_format="pyarrow")
-        .groupby("jb")
-        .map_groups(bucket_top, batch_format="pyarrow")
-        .take_all()
-    )
+    cand = map_keyed(
+        ds.map_batches(count_part, batch_format="pyarrow"),
+        lambda t: _top_tokens(t, "n_p", kmax),
+        key="tok",
+        n_buckets=n_buckets,
+    ).take_all()
     # candidates are truncated per bucket, so the corpus total comes
     # from a dedicated tiny occurrence aggregate
     def tot_part(b: pa.Table) -> pa.Table:

@@ -21,9 +21,24 @@ plan), written as ``<kind>=<id>`` directories:
 
 Conversations are assigned to ``n_buckets`` partitions by a stable hash
 of ``conv_id`` (the sharded plan uses the input files as partitions).
-That hash is ``key_buckets``, the only key -> bucket hash in the
-package; the runner's scatter and every keyed exchange
-(``sources.cache.map_keyed``) use it, so they all agree on placement.
+That hash is ``key_buckets``; the runner's scatter and every keyed
+exchange (``sources.cache.map_keyed``) use it, so they all agree on
+placement.  The bucket exchanges that do not use it, and why:
+
+* ``stages.relational.hash_join`` salts hot keys into sub-buckets;
+* ``relational._pair_bucket_col`` (``_attach_rank_map``,
+  ``_attach_map_cols``, ``dense_rank``, ``rank_fractions_per_group``,
+  ``stages.events``' ``sample_per_group`` and ``topk_per_group``)
+  takes keys of any type and keeps a null group, which the string
+  rule below rejects;
+* ``relational.global_row_number``'s value buckets, whose large path
+  takes minutes on one CPU, too long to re-check a placement change;
+* ``stages.dedup.distinct_rows`` hashes several columns at once;
+* ``dedup.line_dedup`` mixes line-hash and doc-id buckets in one
+  column;
+* groups whose bucket is the real key: LSH bands, IVF cells, time
+  buckets, ranges and shards.
+
 It picks the hash from the key column's Arrow type:
 
 * string keys: crc32 of the key modulo the bucket count; null keys

@@ -22,7 +22,14 @@ from console_log_parser_ray.functions import replay
 from console_log_parser_ray.pipelines import flagship
 from console_log_parser_ray.sources.cache import map_keyed
 from console_log_parser_ray.sources.synth import gen_table
-from console_log_parser_ray.stages import dedup, events, stats
+from console_log_parser_ray.stages import (
+    dedup,
+    events,
+    relational,
+    search,
+    stats,
+    textan,
+)
 from console_log_parser_ray.stages.scan import scan_bucket_table
 from console_log_parser_ray.state.manifests import key_buckets
 
@@ -217,6 +224,84 @@ def test_user_key_bucket_counts(ray_session, name, user_tables):
             USER_OPS[name](
                 ray_session.data.from_arrow(ev).repartition(4),
                 ray_session.data.from_arrow(od),
+                n,
+            ).to_pandas()
+        )
+        for n in (1, 4, 64)
+    ]
+    assert len(frames[0])
+    for f in frames[1:]:
+        pd.testing.assert_frame_equal(f, frames[0])
+
+
+@pytest.fixture(scope="module")
+def doc_tables(user_tables):
+    """Random documents over a 12-token vocabulary (empty texts, exact
+    duplicates, repeated pairs) and order windows over ``user_tables``."""
+    rng = np.random.default_rng(7)
+    vocab = [f"w{i}" for i in range(12)]
+    texts = [
+        " ".join(rng.choice(vocab, int(rng.integers(0, 9))))
+        for _ in range(60)
+    ]
+    texts += texts[:10]
+    docs = pa.table(
+        {
+            "doc_id": pa.array(np.arange(len(texts)), pa.int64()),
+            "text": texts,
+        }
+    )
+    ev, od = user_tables
+    end = pc.add(od.column("o_orderdate").cast(pa.int64()), 2 * 10**9)
+    windows = od.append_column("o_end", end.cast(pa.timestamp("us")))
+    return docs, ev, windows
+
+
+# operators keyed on a token, a content hash or an int id: each takes
+# (docs, events, windows, n_buckets)
+KEYED_OPS = {
+    "idf_rarity": lambda d, e, w, n: textan.idf_rarity(d, n_buckets=n),
+    "pmi_topk": lambda d, e, w, n: textan.pmi_topk(
+        d, k=10, min_count=2, n_buckets=n
+    ),
+    "postings": lambda d, e, w, n: search.postings(d, n_buckets=n),
+    "exact_dedup": lambda d, e, w, n: dedup.exact_dedup(
+        d, n_shuffle_buckets=n
+    ),
+    # forced onto the join paths: the DF exchange and the text joins
+    "setsim_join": lambda d, e, w, n: dedup.setsim_join(
+        d,
+        0.5,
+        k=2,
+        n_df_buckets=n,
+        n_pair_buckets=n,
+        max_broadcast_shingles=0,
+        broadcast_pair_limit=0,
+    ),
+    "range_count_join": lambda d, e, w, n: relational.range_count_join(
+        w,
+        e,
+        on="o_custkey",
+        right_on="user_id",
+        start_col="o_orderdate",
+        end_col="o_end",
+        ts_col="ts",
+        keep_cols=["o_orderkey"],
+        n_buckets=n,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(KEYED_OPS))
+def test_keyed_op_bucket_counts(ray_session, name, doc_tables):
+    docs, ev, windows = doc_tables
+    data = ray_session.data
+    frames = [
+        _canon(
+            KEYED_OPS[name](
+                data.from_arrow(docs).repartition(4),
+                data.from_arrow(ev).repartition(3),
+                data.from_arrow(windows),
                 n,
             ).to_pandas()
         )

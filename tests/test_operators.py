@@ -142,7 +142,8 @@ def test_simhash_similar_texts_close(ray_session):
     assert d_ab < 10 < d_ac
 
 
-def test_exact_dedup_hash_collision_safe(ray_session, monkeypatch):
+@pytest.mark.parametrize("op", ["exact_dedup", "exact_dedup_priority"])
+def test_exact_dedup_hash_collision_safe(ray_session, monkeypatch, op):
     """Two distinct texts forced into one hash group must both survive."""
     ray = ray_session
     from console_log_parser_ray.stages import dedup
@@ -151,16 +152,21 @@ def test_exact_dedup_hash_collision_safe(ray_session, monkeypatch):
         dedup,
         "_text_hash_batch",
         lambda b, c: b.append_column(
-            "text_hash", pa.array([7] * b.num_rows, pa.uint64())
+            "text_hash", pa.array([7] * b.num_rows, pa.int64())
         ),
     )
     tbl = pa.table(
         {
             "doc_id": pa.array([1, 2, 3, 4], pa.int64()),
             "text": ["x", "y", "x", "y"],
+            "source": ["a", "a", "a", "a"],
         }
     )
-    out = dedup.exact_dedup(ray.data.from_arrow(tbl)).take_all()
+    ds = ray.data.from_arrow(tbl)
+    if op == "exact_dedup":
+        out = dedup.exact_dedup(ds).take_all()
+    else:
+        out = dedup.exact_dedup_priority(ds, priority=("a",)).take_all()
     assert sorted(r["doc_id"] for r in out) == [1, 2]
 
 
