@@ -2,9 +2,16 @@
 
 The table holds whole conversations -- one partition of the flagship
 kernel, one conversation-complete file, or one hash bucket of a
-Dataset; the scan sorts by ``(conv_id, turn_idx)``, walks one
-SessionScanner per conversation over the lines, and returns one
+Dataset; the scan sorts by ``(conv_id, turn_idx)``, finds the
+conversation boundaries with one Arrow pass (``run_end_encode``), walks
+one SessionScanner per conversation over the lines, and returns one
 structured row per turn.
+
+Columns, not records.  Every turn is appended straight to per-column
+lists (``_Turns``); only the exact walk builds a ``TurnRecord``, whose
+fields are copied into the same lists.  The command/cwd backfill over
+each command row and the role rule run once over those lists, and
+``conv_id``, ``turn_idx`` and ``ts`` pass through from the input.
 
 Vectorized pre-classification: before the Python walk, Arrow compute
 passes classify every line so that the scanner can skip tokenization
@@ -21,9 +28,12 @@ for the common line shapes --
 and the prompt protocol (checked per row) --
 
 * *one-line OSC-title prompts* (``OSC 0;title BEL``, a header of
-  printable ASCII and SGR runs, then ``$``): the title, the prompt-OSC
-  trigger and the ``$`` are applied through the scanner's own methods,
-  and only the typed tail from the ``$`` on is tokenized and walked,
+  printable ASCII and SGR runs, then ``$ ``): the prompt start, the
+  prompt-OSC trigger and the ``$`` are applied with a few attribute
+  writes, and the typed tail from the ``$`` on goes through the
+  typed-tail kernel below,
+* *MINGW ``$`` lines* in PROMPT_IMMINENT: the ``$`` trigger at byte 0,
+  then the typed-tail kernel,
 * *title-only lines* (the same prefix, no ``$``): a prompt start, then
   an ordinary output line,
 * plain and SGR-only lines inside the MINGW protocol (PROMPT_OSC /
@@ -31,10 +41,34 @@ and the prompt protocol (checked per row) --
 
 while vim boundaries and anything carrying parser state take the exact
 slow path.  The fast paths are only *hints*; the scanner re-checks its
-own state (FSM state, tokenizer carry, pending vim re-entry, pending
-line text) before trusting them, so output is bit-identical to the full
-walk (asserted against the exact walk by tests/test_prompt_fast_path.py,
-which needs no reference oracle).
+own state (FSM state, tokenizer carry, pending vim re-entry, a pending
+or dirty terminal line) before trusting them.
+
+The typed-tail kernel.  After a prompt's ``$`` the scanner is in the
+PROMPT state and every byte edits the command line.  A tail of
+printable ASCII, BS and ``CSI <n> @/C/D/K/P/X`` (``<n>`` decimal or
+empty) touches nothing else, so its effect -- the command line's final
+cells, its cursor and its warning *delta* -- is a pure function of the
+tail and of the prompt's printable length ``p``.  It depends on ``p``
+only through ``min(p, L + 1)``, where ``L`` is the tail's total
+leftward motion (BS count plus CUB counts): the cursor never gets
+further left than ``-L``, so a longer prefix is never reached.  The
+kernel's results are cached under ``(tail, min(p, L + 1))`` (a tail
+seen with one ``p`` only is keyed by ``p`` until a second one shows up,
+so ``L`` is counted only for tails that repeat), and the OSC prompt
+prefix (title, cwd, SGR-stripped header and the prompt-OSC trigger)
+under the text before the ``$``.  The caches live for one
+``scan_bucket_table`` / ``scan_conversation`` call, so no state carries
+from one call to the next.  Past 64 keys a cache admits new ones only
+while its repeat lookups outnumber its keys: a table whose typed tails
+never repeat walks them at almost no extra cost.  A miss runs the exact
+walk over the tail and caches what it left; a tail with any byte
+outside the alphabet, a prefix the trigger does not vouch for, or a
+prompt whose ``$`` is not followed by a space takes the exact path.
+
+Output is bit-identical to the full walk (``use_fast_paths=False``, the
+uncached oracle), asserted by tests/test_prompt_fast_path.py, which
+needs no reference oracle.
 """
 
 from __future__ import annotations
@@ -45,7 +79,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from ..vt import session as S
-from ..vt.session import SessionScanner
+from ..vt.session import SessionScanner, osc_prompt_hit, prompt_header_cwd
 from ..vt.tokenizer import GROUND
 
 # "Plain" lines: no C0 except TAB (LF cannot occur inside a turn's
@@ -96,6 +130,20 @@ _VIM_RISKY = (
 
 
 _NOISE_STRIP_RE = re.compile(_NOISE_STRIP)
+_NOISE_ONLY_RE = re.compile(_NOISE_ONLY)
+_SGR_RUN_RE = re.compile(_SGR_RUN)
+# OSC-title prompt prefix: a BEL-terminated "0;" title of printable
+# ASCII, then a header of printable ASCII other than '$' and SGR runs,
+# up to the prompt's '$' (one-line prompt) or the end of the text
+# (title-only line).
+_OSC_PREFIX_RE = re.compile(
+    "\\x1b\\]0;([\\x20-\\x7e]*)\\x07((?:[\\x20-\\x23\\x25-\\x7e]|\\x1b\\[[0-9;]*m)*)"
+)
+# the typed-tail kernel's alphabet, and the CUB counts of a tail
+_TAIL_RE = re.compile(
+    "[\\x20-\\x7e\\x08]*+(?:\\x1b\\[[0-9]*+[@CDKPX][\\x20-\\x7e\\x08]*+)*+"
+)
+_CUB_RE = re.compile("\\x1b\\[([0-9]*)D")
 
 # Output schema of the session scan
 SCAN_SCHEMA = pa.schema(
@@ -121,8 +169,15 @@ SCAN_SCHEMA = pa.schema(
 )
 
 
+def _pylist(arr) -> list:
+    """Python values of an Arrow array; numpy's conversion is several
+    times faster than ``to_pylist`` for strings and booleans."""
+    return arr.to_numpy(zero_copy_only=False).tolist()
+
+
 def _fast_hints(texts: pa.ChunkedArray):
-    """Vectorized line classification for the scanner fast paths."""
+    """Vectorized line classification for the scanner fast paths, as
+    Python lists ``(plain, vim_safe, sgr_only)``."""
     no_hint = pc.invert(pc.match_substring(texts, _HINT_LIT))
     plain = pc.and_(pc.match_substring_regex(texts, _PLAIN), no_hint)
     vim_safe = pc.invert(pc.match_substring_regex(texts, _VIM_RISKY))
@@ -130,99 +185,408 @@ def _fast_hints(texts: pa.ChunkedArray):
     sgr_only = pc.and_(
         has_esc, pc.and_(pc.match_substring_regex(texts, _SGR_ONLY), no_hint)
     )
-    stripped = pc.replace_substring_regex(texts, _SGR_RUN, "")
     # the noise-only class is tested lazily per row (Python regex) only
     # for rows that would otherwise take the full scan: a column-wide
     # RE2 pass with that alternation costs more than it saves
-    return (
-        plain.to_numpy(zero_copy_only=False),
-        vim_safe.to_numpy(zero_copy_only=False),
-        sgr_only.to_numpy(zero_copy_only=False),
-        stripped,
-    )
+    return _pylist(plain), _pylist(vim_safe), _pylist(sgr_only)
 
 
-def _scan_rows(sc: SessionScanner, texts, turn_idxs, has_eols, hints, lo, hi):
-    """Records of one conversation's rows ``[lo, hi)`` (in turn order):
-    a state-checked fast path where the hints allow, the exact walk
-    otherwise."""
+class _Turns:
+    """Per-column lists of scanned turns, one conversation after
+    another (``convs`` holds each one's row bounds).  ``command`` and
+    ``cwd`` hold what each turn itself found (None / ""), ``user`` the
+    role rule's flag (prompt start or active, a command, a cwd)."""
+
+    def __init__(self):
+        self.clean_text, self.cmd_count, self.cmd_number = [], [], []
+        self.is_prompt, self.user, self.command, self.cwd = [], [], [], []
+        self.in_vim, self.vim_session_id = [], []
+        self.osc_title, self.warnings = [], []
+        self.convs = []
+
+    def record(self, r):
+        """Append one TurnRecord (the exact walk's output)."""
+        self.clean_text.append(r.clean_text)
+        self.cmd_count.append(r.cmd_count)
+        self.cmd_number.append(r.cmd_number)
+        self.is_prompt.append(r.is_prompt)
+        self.user.append(
+            r.is_prompt or r.prompt_active or r.command is not None or r.cwd != ""
+        )
+        self.command.append(r.command)
+        self.cwd.append(r.cwd)
+        self.in_vim.append(r.in_vim)
+        self.vim_session_id.append(r.vim_session_id)
+        self.osc_title.append(r.osc_title)
+        self.warnings.append(r.warnings)
+
+    def columns(self, carry=None) -> dict:
+        """The SCAN_SCHEMA columns from ``role`` to ``warnings``: command
+        text and cwd are backfilled over each command row
+        (``cmd_count``) of each conversation.
+
+        ``carry``: optional (cmd_text, cmd_cwd) dict pair, updated in
+        place, for one conversation assembled across successive calls.
+        """
+        cmd_count = self.cmd_count
+        commands, cwds = [], []
+        for lo, hi in self.convs:
+            cmd_text, cmd_cwd = carry if carry is not None else ({}, {})
+            counts = cmd_count[lo:hi]
+            for c, t, w in zip(counts, self.command[lo:hi], self.cwd[lo:hi]):
+                if t is not None and c not in cmd_text:
+                    cmd_text[c] = t
+                if w and c not in cmd_cwd:
+                    cmd_cwd[c] = w
+            commands += [cmd_text.get(c, "") for c in counts]
+            cwds += [cmd_cwd.get(c, "") for c in counts]
+        return {
+            "role": [
+                "system" if c == 0 else "user" if u else "assistant"
+                for c, u in zip(cmd_count, self.user)
+            ],
+            "clean_text": self.clean_text,
+            "cmd_count": cmd_count,
+            "cmd_number": self.cmd_number,
+            "is_prompt": self.is_prompt,
+            "command": commands,
+            "cwd": cwds,
+            "in_vim": self.in_vim,
+            "vim_session_id": self.vim_session_id,
+            "osc_title": self.osc_title,
+            "warnings": self.warnings,
+        }
+
+    def table(self, conv_ids, turn_idxs, ts, texts, carry=None) -> pa.Table:
+        """SCAN_SCHEMA table; ``texts`` (a string Array, or None) feeds
+        ``vim_text`` on in-vim turns."""
+        cols = self.columns(carry)
+        arrays = {"conv_id": conv_ids, "turn_idx": turn_idxs, "ts": ts}
+        for name in cols:
+            arrays[name] = pa.array(cols[name], SCAN_SCHEMA.field(name).type)
+        arrays["vim_text"] = (
+            pc.if_else(arrays["in_vim"], texts, pa.scalar(None, pa.string()))
+            if texts is not None
+            else pa.nulls(len(cols["role"]), pa.string())
+        )
+        return pa.Table.from_arrays(
+            [arrays[name] for name in SCAN_SCHEMA.names], schema=SCAN_SCHEMA
+        )
+
+
+# a cache admits new keys up to this many, and beyond that while its
+# repeat lookups outnumber its keys
+_ADMIT = 64
+_MISSING = object()
+# the cache entry of a typed tail the tail cache did not admit: walked,
+# not kept
+_UNCACHED = (None, None)
+
+
+class _Cache(dict):
+    """One cache of a scan call.  Past ``_ADMIT`` keys it admits a new
+    one only while repeat lookups outnumber its keys, so input whose
+    keys do not repeat pays almost no upkeep for it."""
+
+    __slots__ = ("repeats",)
+
+    def __init__(self):
+        super().__init__()
+        self.repeats = 0
+
+    def admits(self) -> bool:
+        return len(self) < _ADMIT or len(self) < self.repeats
+
+    def lookup(self, key, compute):
+        val = self.get(key, _MISSING)
+        if val is _MISSING:
+            val = compute(key)
+            if self.admits():
+                self[key] = val
+        else:
+            self.repeats += 1
+        return val
+
+
+def _osc_prefix(key: str):
+    """See ``_Memo.prefix``; ``key`` is the text before the '$'."""
+    m = _OSC_PREFIX_RE.match(key)
+    if m is None or m.end() != len(key):
+        return None
+    s = "0;" + m.group(1)
+    # a PROMPT match that starts before the '$' ends at it and needs
+    # "$ " there; the caller checks the space
+    hit = osc_prompt_hit((key + "$ ").encode(), m.start(2), s)
+    cwd = hit[2] if hit is not None and hit[0] < len(key) else None
+    return (s, m.group(1), _SGR_RUN_RE.sub("", m.group(2)), cwd, len(key))
+
+
+def _header_cwd(text: str):
+    return prompt_header_cwd(text.encode("utf-8", "surrogatepass"))
+
+
+class _Memo:
+    """The typed-row caches of one scan call (see the module docstring):
+    OSC prompt prefixes, typed tails and MINGW header cwds."""
+
+    __slots__ = ("prefixes", "tails", "headers")
+
+    def __init__(self):
+        self.prefixes = _Cache()
+        self.tails = _Cache()
+        self.headers = _Cache()
+
+    def prefix(self, text: str):
+        """``(osc_string, title, body, cwd, end)`` of a line starting
+        with ``OSC 0;``: ``body`` is the SGR-stripped header, ``end``
+        the index of the prompt's '$' (``len(text)`` for a title-only
+        line), ``cwd`` the prompt-OSC trigger's, which must fire before
+        the '$' (None if it does not).  None if the prefix is not of
+        that shape."""
+        bel = text.find("\x07")
+        if bel < 0:
+            return None
+        end = text.find("$", bel)
+        return self.prefixes.lookup(text if end < 0 else text[:end], _osc_prefix)
+
+    def tail(self, tail: str):
+        """The cache entry ``[L, results]`` of a typed tail in the
+        kernel's alphabet, None outside it.  ``results`` maps a clamped
+        prefix length to the kernel's result.  ``L`` (the leftward
+        motion) is computed once a second prefix length shows up; until
+        then ``L`` is None and ``results`` holds one unclamped entry, so
+        a tail seen once costs little more than the walk.  A tail the
+        cache does not admit gets ``_UNCACHED``."""
+        cache = self.tails
+        entry = cache.get(tail, _MISSING)
+        if entry is not _MISSING:
+            cache.repeats += 1
+            return entry
+        if not _TAIL_RE.fullmatch(tail):
+            entry = None
+        elif cache.admits():
+            entry = [None, {}]
+        else:
+            return _UNCACHED
+        cache[tail] = entry
+        return entry
+
+    def header_cwd(self, text: str):
+        """``prompt_header_cwd`` of a line."""
+        return self.headers.lookup(text, _header_cwd)
+
+
+def _type_tail(sc: SessionScanner, entry, tail: str, ptls: int):
+    """The typed-tail kernel: load the command line that ``"$" + tail``
+    and the line's LF leave after a prompt of printable length ``ptls``,
+    from the cache ``entry`` (``_Memo.tail``) or by the exact walk.  The
+    scanner is in PROMPT with ``in_prompt`` set."""
+    cl = sc.cmd_line
+    cl.reset()
+    cl.prefix_start = -ptls
+    left, results = entry
+    if results is None:
+        sc._walk(b"$" + tail.encode() + b"\n")
+        return
+    if left is None and results and ptls not in results:
+        # a second prefix length: key the results by clamped length
+        left = tail.count("\x08")
+        for n in _CUB_RE.findall(tail):
+            left += int(n) if n else 1
+        entry[0] = left
+        entry[1] = results = {min(p, left + 1): r for p, r in results.items()}
+    key = ptls if left is None or ptls <= left else left + 1
+    hit = results.get(key)
+    if hit is None:
+        w0 = cl.warnings
+        sc._walk(b"$" + tail.encode() + b"\n")
+        results[key] = (tuple(cl.cells), cl.cur, cl.warnings - w0)
+    else:
+        cells, cl.cur, dw = hit
+        cl.cells = list(cells)
+        cl.warnings += dw
+
+
+# per-row fields of a vim-interior line: nothing survives
+_VIM_ROW = ("", False, False, None, "", "", 0)
+
+
+def _fast_row(sc: SessionScanner, memo, text, plain, vim_safe, sgr_only, stats=False):
+    """Apply one line through a state-checked fast path; returns its
+    fields ``(clean_text, is_prompt, user, command, cwd, osc_title,
+    warnings)``, or None to take the exact walk.
+
+    ``stats=True`` keeps every line whose escapes are not all SGR runs
+    on the exact path: their sequences must be counted.
+    """
+    tok = sc.tok
+    if tok.state != GROUND or tok.utf8_need or sc.next_vim > 0:
+        return None
+    tlp = sc.tlp
+
+    # vim interior: everything is dropped; only session-control escapes
+    # or a dirty tokenizer tail force the exact path
+    if tlp == S.VIM_START or tlp == S.VIM_ONELINE:
+        if not vim_safe or sc.in_prompt:
+            return None
+        return _VIM_ROW
+
+    # in_prompt at line start means the command line is pending flush,
+    # which happens exactly when tlp == PROMPT: the line-start step
+    # below ends the prompt (writes the command line, in_prompt
+    # cleared) before touching the body, so those lines stay eligible.
+    # The terminal line must be pristine: no cells, cursor at 0 and no
+    # pending warnings (a line without LF can leave any of them).
+    tl = sc.term_line
+    if (
+        (sc.in_prompt and tlp != S.PROMPT)
+        or sc.in_vim
+        or tl.cells
+        or tl.cur
+        or tl.warnings
+    ):
+        return None
+    osc = None
+    noise = False
+    if plain or sgr_only:
+        body = (_SGR_RUN_RE.sub("", text) if sgr_only else text).rstrip("\r")
+    elif stats:
+        return None
+    elif text.startswith("\x1b]0;"):
+        if tlp == S.PROMPT_OSC or tlp == S.PROMPT_IMMINENT:
+            return None
+        osc = memo.prefix(text)
+        if osc is None:
+            return None
+        end = osc[4]
+        if end < len(text):
+            # one-line prompt: the prompt-OSC trigger fires in the
+            # header, and the tail is in the kernel's alphabet.  No
+            # vim-start pattern can match: VIM_START_0 is anchored at
+            # the line start, the others need CSI finals the prefix and
+            # the alphabet exclude.
+            tail = text[end + 1 :]
+            if osc[3] is None or not tail.startswith(" "):
+                return None
+            entry = memo.tail(tail)
+            if entry is None:
+                return None
+        # else a title-only line: no '$' after the title, so no trigger
+        # fires and no vim-start pattern can match
+    elif text.startswith("$"):
+        # MINGW typed line: the '$' trigger fires at byte 0 (the
+        # terminal line is empty, so the prompt's printable length is 0)
+        if tlp != S.PROMPT_IMMINENT:
+            return None
+        tail = text[1:]
+        entry = memo.tail(tail)
+        if entry is None:
+            return None
+        sc.vim_2200_seen = False
+        sc.in_prompt = True
+        sc.tlp = S.PROMPT
+        _type_tail(sc, entry, tail, 0)
+        return ("", False, True, None, "", "", 0)
+    elif _HINT_LIT in text or not _NOISE_ONLY_RE.match(text):
+        return None
+    else:
+        # PROMPT_OSC / PROMPT_IMMINENT: noise lines stay exact (a DCS
+        # payload such as 1$r0m can complete a PROMPT match)
+        if tlp == S.PROMPT_OSC or tlp == S.PROMPT_IMMINENT:
+            return None
+        noise = True
+
+    clean = ""
+    command = None
+    warnings = 0
+    cwd = ""
+    if tlp == S.PROMPT:  # prompt end: the command line is written
+        line, command, warnings = sc.close_cmd_line()
+        if line and not sc.suppressed:
+            clean = line
+        sc.tlp = S.NORMAL
+    elif tlp == S.PROMPT_OSC and "MINGW64" in text:
+        cwd = sc.prompt_header(memo.header_cwd(text)) or ""
+
+    # the vim-start detection block ran and found nothing
+    sc.vim_2200_seen = False
+
+    if osc is not None:
+        s, title, body, prompt_cwd, end = osc
+        sc.osc_seen.add(s)
+        sc.osc_string = s
+        sc.prompt_count += 1  # prompt start
+        sc._new_cmd_row()
+        if end == len(text):
+            sc.tlp = S.PROMPT_OSC
+            if not sc.suppressed:
+                clean += body + "\n"
+            return (clean, True, True, command, "", title, warnings)
+        # the header prints and flushes at the '$' (prompt active)
+        if body and not sc.suppressed:
+            clean += body
+        sc.in_prompt = True
+        sc.tlp = S.PROMPT
+        _type_tail(sc, entry, tail, len(body))
+        return (clean, True, True, command, prompt_cwd, title, warnings)
+    if noise:
+        # DECCKM toggles on this line update app-mode pairing positions
+        # (the reference records the position of the final byte,
+        # terminalparser.py:358-361); nothing else survives skipping.
+        if "\x1b[?1" in text:
+            raw = text.encode("utf-8", "surrogatepass")
+            p = raw.rfind(b"\x1b[?1h")
+            if p >= 0:
+                sc.ckm_set_pos = p + 4
+            p = raw.rfind(b"\x1b[?1l")
+            if p >= 0:
+                sc.ckm_reset_pos = p + 4
+        body = _NOISE_STRIP_RE.sub("", text).rstrip("\r")
+    if not sc.suppressed:
+        clean += body + "\n"
+    return (clean, False, command is not None or cwd != "", command, cwd, "", warnings)
+
+
+def _scan_rows(sc: SessionScanner, out: _Turns, texts, turn_idxs, eols, hints, lo, hi, memo):
+    """Scan one conversation's rows ``[lo, hi)`` (in turn order) into
+    ``out``: a state-checked fast path where the hints allow, the exact
+    walk otherwise."""
+    out.convs.append((lo, hi))
     fast = hints is not None and not sc.collect_stats
     if fast:
-        plain, vim_safe, sgr_only, stripped = hints
-    recs = []
+        plain, vim_safe, sgr_only = hints
+    clean_text = out.clean_text.append
+    cmd_count = out.cmd_count.append
+    cmd_number = out.cmd_number.append
+    is_prompt = out.is_prompt.append
+    user = out.user.append
+    command = out.command.append
+    cwd = out.cwd.append
+    in_vim = out.in_vim.append
+    vim_session_id = out.vim_session_id.append
+    osc_title = out.osc_title.append
+    warnings = out.warnings.append
     for r in range(lo, hi):
         text = texts[r]
-        eol = True if has_eols is None else bool(has_eols[r])
-        rec = None
+        eol = eols[r]
+        row = None
         if fast and eol:
-            rec = _try_fast(
-                sc,
-                int(turn_idxs[r]),
-                text,
-                bool(plain[r]),
-                bool(vim_safe[r]),
-                bool(sgr_only[r]),
-                stripped[r],
-            )
-        if rec is None:
-            rec = sc.scan_turn(int(turn_idxs[r]), text, eol)
-        recs.append(rec)
-    return recs
-
-
-def _command_meta(recs, carry=None):
-    """Per-turn ``(roles, commands, cwds)``: command text and cwd are
-    backfilled over each command row (``cmd_count``).
-
-    ``carry``: optional (cmd_text, cmd_cwd) dict pair, updated in place,
-    for one conversation assembled across successive calls.
-    """
-    cmd_text, cmd_cwd = carry if carry is not None else ({}, {})
-    for r in recs:
-        if r.command is not None:
-            cmd_text.setdefault(r.cmd_count, r.command)
-        if r.cwd:
-            cmd_cwd.setdefault(r.cmd_count, r.cwd)
-    roles = [
-        "system"
-        if r.cmd_count == 0
-        else "user"
-        if r.is_prompt or r.prompt_active or r.command is not None or r.cwd
-        else "assistant"
-        for r in recs
-    ]
-    commands = [cmd_text.get(r.cmd_count, "") for r in recs]
-    cwds = [cmd_cwd.get(r.cmd_count, "") for r in recs]
-    return roles, commands, cwds
-
-
-def _scan_table(conv_ids, recs, meta, ts_arr, texts) -> pa.Table:
-    """SCAN_SCHEMA table of scanned records; ``texts`` (or None) feeds
-    ``vim_text`` on in-vim turns."""
-    roles, commands, cwds = meta
-    arrays = [
-        pa.array(conv_ids, pa.string()),
-        pa.array([r.turn_idx for r in recs], pa.int32()),
-        ts_arr,
-        pa.array(roles, pa.string()),
-        pa.array([r.clean_text for r in recs], pa.string()),
-        pa.array([r.cmd_count for r in recs], pa.int32()),
-        pa.array([r.cmd_number for r in recs], pa.int32()),
-        pa.array([r.is_prompt for r in recs], pa.bool_()),
-        pa.array(commands, pa.string()),
-        pa.array(cwds, pa.string()),
-        pa.array([r.in_vim for r in recs], pa.bool_()),
-        pa.array([r.vim_session_id for r in recs], pa.int32()),
-        pa.array([r.osc_title for r in recs], pa.string()),
-        pa.array([r.warnings for r in recs], pa.int32()),
-        pa.array(
-            [t if r.in_vim else None for t, r in zip(texts, recs)]
-            if texts is not None
-            else [None] * len(recs),
-            pa.string(),
-        ),
-    ]
-    return pa.Table.from_arrays(arrays, schema=SCAN_SCHEMA)
+            row = _fast_row(sc, memo, text, plain[r], vim_safe[r], sgr_only[r])
+        if row is None:
+            out.record(sc.scan_turn(turn_idxs[r], text, eol))
+            continue
+        clean_text(row[0])
+        cmd_count(sc.cmd_count)
+        cmd_number(sc.cmd_number)
+        is_prompt(row[1])
+        user(row[2])
+        command(row[3])
+        cwd(row[4])
+        v = sc.in_vim
+        in_vim(v)
+        vim_session_id(sc.vim_session_seq if v else -1)
+        osc_title(row[5])
+        warnings(row[6])
 
 
 def scan_conversation(
@@ -237,151 +601,16 @@ def scan_conversation(
 ):
     """Scan one conversation; returns (dict of output columns, scanner)."""
     sc = SessionScanner(suppress=suppress, collect_stats=collect_stats)
-    recs = _scan_rows(sc, texts, turn_idxs, has_eols, hints, 0, len(texts))
-    roles, commands, cwds = _command_meta(recs)
+    n = len(texts)
+    out = _Turns()
+    eols = [True] * n if has_eols is None else has_eols
+    _scan_rows(sc, out, texts, turn_idxs, eols, hints, 0, n, _Memo())
     return {
-        "conv_id": [conv_id] * len(recs),
-        "turn_idx": [r.turn_idx for r in recs],
+        "conv_id": [conv_id] * n,
+        "turn_idx": [int(t) for t in turn_idxs],
         "ts": ts_vals,
-        "role": roles,
-        "clean_text": [r.clean_text for r in recs],
-        "cmd_count": [r.cmd_count for r in recs],
-        "cmd_number": [r.cmd_number for r in recs],
-        "is_prompt": [r.is_prompt for r in recs],
-        "command": commands,
-        "cwd": cwds,
-        "in_vim": [r.in_vim for r in recs],
-        "vim_session_id": [r.vim_session_id for r in recs],
-        "osc_title": [r.osc_title for r in recs],
-        "warnings": [r.warnings for r in recs],
+        **out.columns(),
     }, sc
-
-
-_NOISE_ONLY_RE = re.compile(_NOISE_ONLY)
-_SGR_RUN_RE = re.compile(_SGR_RUN)
-# OSC-title prompt prefix: a BEL-terminated "0;" title of printable
-# ASCII, then a header of printable ASCII other than '$' and SGR runs.
-# The match ends at the prompt's '$' (one-line prompt) or at the end of
-# the text (title-only line); anything else takes the exact path.
-_OSC_PREFIX_RE = re.compile(
-    "\\x1b\\]0;([\\x20-\\x7e]*)\\x07((?:[\\x20-\\x23\\x25-\\x7e]|\\x1b\\[[0-9;]*m)*)"
-)
-# literals gating the three vim-start patterns (SessionScanner._parse_line)
-_VIM_START_LITS = (
-    b"hint: Waiting",
-    b"\x1b[22;2t\x1b[22;1t",
-    b"\x1b[2;1H\xe2\x96\xbd\x1b[6n",
-)
-
-
-def _try_fast(sc: SessionScanner, idx, text, plain, vim_safe, sgr_only, stripped, noise=None):
-    """State-checked fast paths; None means take the exact slow path.
-
-    ``noise=False`` (stats mode) keeps every line whose escapes are not
-    all SGR runs on the exact path: their sequences must be counted.
-    """
-    if sc.tok.state != GROUND or sc.tok.utf8_need or sc.next_vim > 0:
-        return None
-    tlp = sc.tlp
-
-    # vim interior: everything is dropped; only session-control escapes
-    # or a dirty tokenizer tail force the exact path
-    if tlp in (S.VIM_START, S.VIM_ONELINE):
-        if not vim_safe or sc.in_prompt:
-            return None
-        rec = S.TurnRecord(idx)
-        rec.cmd_count = sc.cmd_count
-        rec.cmd_number = sc.cmd_number
-        rec.in_vim = True
-        rec.vim_session_id = sc.vim_session_seq
-        sc._last_rec = rec
-        return rec
-
-    # in_prompt at line start means the command line is pending flush,
-    # which happens exactly when tlp == PROMPT: the line-start step
-    # below runs _emit_normal (prompt_end -> command write, in_prompt
-    # cleared) before touching the body, so those lines stay eligible.
-    if (sc.in_prompt and tlp != S.PROMPT) or sc.in_vim or sc.term_line.size() > 0:
-        return None
-    osc = raw = hit = None
-    if plain or sgr_only:
-        noise = False
-    elif noise is False:
-        return None
-    elif text.startswith("\x1b]0;"):
-        osc = _OSC_PREFIX_RE.match(text)
-        if osc is None:
-            return None
-        dollar = osc.end()
-        if dollar < len(text):
-            if text[dollar] != "$":
-                return None
-            # one-line prompt: the title's prompt-OSC trigger must fire
-            # in the header, and the tail must not start a vim session
-            raw = text.encode("utf-8", "surrogatepass") + b"\n"
-            for lit in _VIM_START_LITS:
-                if lit in raw:
-                    return None
-            hit = S.osc_prompt_hit(raw, osc.start(2), "0;" + osc.group(1))
-            if hit is None or hit[0] >= dollar:
-                return None
-        # else a title-only line: no '$' after the title, so no trigger
-        # fires and no vim-start pattern can match (VIM_START_0 is
-        # anchored at the line start, the others need non-SGR CSIs)
-        noise = False
-    elif _HINT_LIT in text or not _NOISE_ONLY_RE.match(text):
-        return None
-    else:
-        noise = True
-
-    # PROMPT_OSC / PROMPT_IMMINENT: a plain or SGR-only line has no '$',
-    # so no positional trigger can fire; noise lines stay exact (a DCS
-    # payload such as 1$r0m can complete a PROMPT match)
-    if tlp in (S.PROMPT_OSC, S.PROMPT_IMMINENT) and (noise or osc is not None):
-        return None
-
-    rec = S.TurnRecord(idx)
-    sc._rec = rec
-    if tlp in (S.PROMPT, S.VIM_ENDING):
-        sc._emit_normal()  # prompt_end (writes the command line) / vim_end
-        sc.tlp = S.NORMAL
-    elif tlp == S.PROMPT_OSC and "MINGW64" in text:
-        sc._prompt_header(text.encode("utf-8", "surrogatepass") + b"\n")
-
-    # the vim-start detection block ran and found nothing
-    sc.vim_2200_seen = False
-
-    if osc is not None:
-        sc._trig_cache = {}
-        sc._on_osc("0;" + osc.group(1))  # prompt start; tlp PROMPT_OSC
-        body = _SGR_RUN_RE.sub("", osc.group(2))
-        if raw is not None:
-            # apply the prefix up to the '$', then walk the typed tail
-            dollar = osc.end()
-            sc._fire_trigger(raw, hit)  # tlp PROMPT_IMMINENT, cwd
-            sc._on_print(body)
-            sc._fire_trigger(raw, (dollar, "dollar", None))  # tlp PROMPT
-            sc._walk(raw, dollar)
-            return sc._end_turn(rec)
-    elif noise:
-        # DECCKM toggles on this line update app-mode pairing positions
-        # (the reference records the position of the final byte,
-        # terminalparser.py:358-361); nothing else survives skipping.
-        raw = text.encode("utf-8", "surrogatepass")
-        p = raw.rfind(b"\x1b[?1h")
-        if p >= 0:
-            sc.ckm_set_pos = p + 4
-        p = raw.rfind(b"\x1b[?1l")
-        if p >= 0:
-            sc.ckm_reset_pos = p + 4
-        body = _NOISE_STRIP_RE.sub("", text).rstrip("\r")
-    elif sgr_only and not plain:
-        body = stripped.as_py().rstrip("\r")
-    else:
-        body = text.rstrip("\r")
-    if not sc.suppressed:
-        rec.clean_text += body + "\n"
-    return sc._end_turn(rec)
 
 
 def scan_bucket_table(
@@ -396,47 +625,44 @@ def scan_bucket_table(
     Instead of one invocation per conversation (whose fixed costs
     dominate at ~200-turn conversations), a single invocation scans
     every conversation in the table -- one sort, one set of vectorized
-    hint masks, one output table.
+    hint masks, one typed-row cache, one output table.
     """
     if tbl.num_rows == 0:
         return SCAN_SCHEMA.empty_table()
     suppress_map = suppress_map or {}
     tbl = tbl.sort_by([("conv_id", "ascending"), ("turn_idx", "ascending")])
-    conv_ids = tbl.column("conv_id").to_pylist()
-    texts = tbl.column("text").to_pylist()
-    turn_idxs = tbl.column("turn_idx").to_numpy(zero_copy_only=False)
-    has_eols = (
-        tbl.column("has_eol").to_pylist()
+    n = tbl.num_rows
+    conv_ids = tbl.column("conv_id").combine_chunks().cast(pa.string())
+    text_col = tbl.column("text").combine_chunks().cast(pa.string())
+    texts = _pylist(text_col)
+    turn_idx_col = tbl.column("turn_idx").combine_chunks()
+    turn_idxs = _pylist(turn_idx_col)
+    eols = (
+        _pylist(tbl.column("has_eol"))
         if "has_eol" in tbl.schema.names
-        else None
+        else [True] * n
     )
-    hints = _fast_hints(tbl.column("text")) if use_fast_paths else None
+    hints = _fast_hints(text_col) if use_fast_paths else None
+    runs = pc.run_end_encode(conv_ids)
 
-    n = len(conv_ids)
-    recs, roles, commands, cwds = [], [], [], []
-    i = 0
-    while i < n:
-        j = i
-        cid = conv_ids[i]
-        while j < n and conv_ids[j] == cid:
-            j += 1
+    out = _Turns()
+    memo = _Memo()  # per call: repeated calls get no warm hits
+    lo = 0
+    for cid, hi in zip(runs.values.to_pylist(), runs.run_ends.to_pylist()):
         sc = SessionScanner(
             suppress=suppress_map.get(cid, ()), collect_stats=collect_stats
         )
-        conv = _scan_rows(sc, texts, turn_idxs, has_eols, hints, i, j)
-        conv_roles, conv_commands, conv_cwds = _command_meta(conv)
-        recs += conv
-        roles += conv_roles
-        commands += conv_commands
-        cwds += conv_cwds
-        i = j
+        _scan_rows(sc, out, texts, turn_idxs, eols, hints, lo, hi, memo)
+        lo = hi
 
     ts_vals = (
         tbl.column("ts").combine_chunks()
         if "ts" in tbl.schema.names
         else pa.nulls(n, pa.timestamp("us"))
     )
-    return _scan_table(conv_ids, recs, (roles, commands, cwds), ts_vals, texts)
+    return out.table(
+        conv_ids, turn_idx_col.cast(pa.int32()), ts_vals, text_col
+    )
 
 
 def make_bucket_stats_fn(use_fast_paths: bool = True):
@@ -470,9 +696,8 @@ def _legacy_bucket_stats_fn(use_fast_paths: bool = True):
             else None
         )
         if use_fast_paths:
-            plain, _vim_safe, sgr_only, stripped = _fast_hints(
-                tbl.column("text")
-            )
+            plain, _vim_safe, sgr_only = _fast_hints(tbl.column("text"))
+            memo = _Memo()
         merged = {}
         i, n = 0, len(conv_ids)
         while i < n:
@@ -483,17 +708,11 @@ def _legacy_bucket_stats_fn(use_fast_paths: bool = True):
             sc = SessionScanner(collect_stats=True)
             for r in range(i, j):
                 eol = True if has_eols is None else bool(has_eols[r])
-                rec = None
-                if use_fast_paths and eol:
-                    rec = _try_fast_stats(
-                        sc,
-                        r - i,
-                        texts[r],
-                        bool(plain[r]),
-                        bool(sgr_only[r]),
-                        stripped[r],
-                    )
-                if rec is None:
+                if not (
+                    use_fast_paths
+                    and eol
+                    and _fast_stats(sc, memo, texts[r], plain[r], sgr_only[r])
+                ):
                     sc.scan_turn(r - i, texts[r], eol)
             for kind, d in sc.stats.items():
                 for k, v in d.items():
@@ -528,24 +747,19 @@ def _legacy_bucket_stats_fn(use_fast_paths: bool = True):
 _SGR_FINDALL = re.compile("\x1b\\[([0-9;]*)m")
 
 
-def _try_fast_stats(sc, idx, text, plain, sgr_only, stripped):
-    """Stats-mode fast path for plain / SGR-only lines.
+def _fast_stats(sc, memo, text, plain, sgr_only) -> bool:
+    """Stats-mode fast path for plain / SGR-only lines; False means
+    take the exact walk.
 
-    Reuses the state-checked fast transitions of :func:`_try_fast` (vim
+    Reuses the state-checked fast transitions of :func:`_fast_row` (vim
     interiors excluded -- their sequences must be counted exactly) and
     adds the line's statistics contributions analytically: a plain or
     SGR-only line executes exactly one LF, one CR per trailing carriage
     return, one TAB per tab glyph, and dispatches exactly its SGR
     sequences (reference vtparser.py:632,675).
     """
-    tlp = sc.tlp
-    if tlp in (S.VIM_START, S.VIM_ONELINE):
-        return None
-    # noise lines are excluded in stats mode (their sequences count):
-    # noise=False disables the lazy check
-    rec = _try_fast(sc, idx, text, plain, False, sgr_only, stripped, noise=False)
-    if rec is None:
-        return None
+    if _fast_row(sc, memo, text, plain, False, sgr_only, stats=True) is None:
+        return False
     cf = sc.stats["control_function"]
     cf[0x0A] = cf.get(0x0A, 0) + 1
     n_cr = len(text) - len(text.rstrip("\r"))
@@ -559,15 +773,15 @@ def _try_fast_stats(sc, idx, text, plain, sgr_only, stripped):
         for params in _SGR_FINDALL.findall(text):
             k = "Esc[" + params + "m"
             csi[k] = csi.get(k, 0) + 1
-    return rec
+    return True
 
 
 def records_to_table(
     conv_id: str, recs, ts_vals=None, texts=None, carry=None
 ) -> pa.Table:
     """Assemble TurnRecords (e.g. from the chunk-parallel scan) into the
-    standard SCAN_SCHEMA table, applying the same per-command backfill
-    and role derivation as the grouped scans.
+    standard SCAN_SCHEMA table, through the same column lists,
+    per-command backfill and role rule as the grouped scans.
 
     ``carry``: optional (cmd_text, cmd_cwd) dict pair for incremental
     assembly of one conversation across successive calls (the giant-
@@ -576,6 +790,10 @@ def records_to_table(
     which this call updates in place.
     """
     n = len(recs)
+    out = _Turns()
+    for r in recs:
+        out.record(r)
+    out.convs.append((0, n))
     if ts_vals is None:
         ts_arr = pa.nulls(n, pa.timestamp("us"))
     elif isinstance(ts_vals, pa.ChunkedArray):
@@ -584,6 +802,10 @@ def records_to_table(
         ts_arr = ts_vals
     else:
         ts_arr = pa.array(ts_vals, pa.timestamp("us"))
-    return _scan_table(
-        [conv_id] * n, recs, _command_meta(recs, carry), ts_arr, texts
+    return out.table(
+        pa.array([conv_id] * n, pa.string()),
+        pa.array([r.turn_idx for r in recs], pa.int32()),
+        ts_arr,
+        None if texts is None else pa.array(texts, pa.string()),
+        carry,
     )

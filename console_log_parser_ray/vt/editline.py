@@ -30,7 +30,7 @@ _SP = " "
 class EditLine:
     """A line under construction: glyph cells, inline CSI markers, cursor."""
 
-    __slots__ = ("cells", "cur", "prefix_start", "warnings")
+    __slots__ = ("cells", "cur", "prefix_start", "warnings", "marked")
 
     def __init__(self):
         self.cells = []  # 1-char str glyphs or ("CSI", private, params, interm, final)
@@ -39,6 +39,9 @@ class EditLine:
         # different builder (reference terminal2html.py:438-439).
         self.prefix_start = 0
         self.warnings = 0
+        # set once an SGR marker is stored (keep_sgr=True); while clear,
+        # every cell is a glyph
+        self.marked = False
 
     # -- glyphs ------------------------------------------------------------
 
@@ -137,6 +140,7 @@ class EditLine:
                 else:
                     self.cells[self.cur] = marker
                 self.cur += 1
+                self.marked = True
         # all other sequences do not affect the visible line
 
     def _count(self, params: str) -> int:
@@ -154,6 +158,7 @@ class EditLine:
         self.cells = []
         self.cur = 0
         self.prefix_start = 0
+        self.marked = False
 
     def set_prefix_len(self, n: int):
         self.prefix_start = -n
@@ -162,8 +167,12 @@ class EditLine:
         return len(self.cells)
 
     def printable_size(self) -> int:
+        if not self.marked:
+            return len(self.cells)
         return sum(1 for c in self.cells if not isinstance(c, tuple))
 
     def render(self) -> str:
         """The visible text (markers contribute nothing in plain text)."""
+        if not self.marked:
+            return "".join(self.cells)
         return "".join(c for c in self.cells if not isinstance(c, tuple))

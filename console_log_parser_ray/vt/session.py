@@ -71,6 +71,13 @@ class TurnRecord:
         self.warnings = 0
 
 
+def prompt_header_cwd(line: bytes):
+    """The cwd of a MINGW prompt header at the start of ``line``
+    (reference terminalparser.py:112-118), or None."""
+    m = P.PROMPT_HEADER.match(line) if b"MINGW64" in line else None
+    return m.group("cwd").decode() if m else None
+
+
 def osc_prompt_hit(line: bytes, start: int, osc_string: str):
     """The prompt-OSC inline trigger: the leftmost ``PROMPT`` match at
     or after ``start`` whose cwd the OSC string vouches for, as
@@ -130,7 +137,6 @@ class SessionScanner:
 
         self._line = b""
         self._rec = None
-        self._last_rec = None
 
     # ------------------------------------------------------------------
     # public API
@@ -168,7 +174,9 @@ class SessionScanner:
         # never have matched).
         tlp = self.tlp
         if tlp == PROMPT_OSC:
-            self._prompt_header(line)
+            cwd = self.prompt_header(prompt_header_cwd(line))
+            if cwd is not None:
+                rec.cwd = cwd
         elif tlp == PROMPT:
             self._emit_normal()
             self.tlp = NORMAL
@@ -226,15 +234,14 @@ class SessionScanner:
         self._walk(line)
         return self._end_turn(rec)
 
-    def _prompt_header(self, line: bytes):
-        """MINGW header check at the start of a line in PROMPT_OSC
-        (reference terminalparser.py:112-118)."""
-        m = P.PROMPT_HEADER.match(line) if b"MINGW64" in line else None
-        if m:
-            cwd = m.group("cwd").decode()
-            if self.osc_string.endswith(cwd[1:]) or cwd == "~":
-                self.tlp = PROMPT_IMMINENT
-                self._rec.cwd = cwd
+    def prompt_header(self, cwd):
+        """MINGW header check at the start of a line in PROMPT_OSC: a
+        header cwd (``prompt_header_cwd``) the OSC string vouches for
+        makes the prompt imminent and is returned; otherwise None."""
+        if cwd is not None and (self.osc_string.endswith(cwd[1:]) or cwd == "~"):
+            self.tlp = PROMPT_IMMINENT
+            return cwd
+        return None
 
     def _end_turn(self, rec: TurnRecord) -> TurnRecord:
         """Turn bookkeeping once the line has been applied."""
@@ -244,7 +251,6 @@ class SessionScanner:
             rec.in_vim = True
             rec.vim_session_id = self.vim_session_seq
         self._rec = None
-        self._last_rec = rec
         return rec
 
     def _enter_vim_state(self, line: bytes):
@@ -574,15 +580,21 @@ class SessionScanner:
         self._rec.prompt_active = True
 
     def _ev_prompt_end(self):
-        text = self.cmd_line.render()
+        text, command, warnings = self.close_cmd_line()
         self._write(text)
-        self._rec.warnings += self.cmd_line.warnings
-        self.cmd_line.warnings = 0
+        self._rec.warnings += warnings
+        self._rec.command = command
+
+    def close_cmd_line(self):
+        """End the prompt: the command line's ``(text, command,
+        warnings)``, its pending warnings taken."""
+        cl = self.cmd_line
+        text = cl.render()
+        warnings = cl.warnings
+        cl.warnings = 0
         self.in_prompt = False
-        cmd = text
-        if cmd.startswith("$"):
-            cmd = cmd[1:]
-        self._rec.command = cmd.strip("\n").strip()
+        cmd = text[1:] if text.startswith("$") else text
+        return text, cmd.strip("\n").strip(), warnings
 
     def _ev_vim_start(self, props):
         self.in_vim = True

@@ -4,13 +4,17 @@
 (``use_fast_paths=False``) on every output column: over seeded synthetic
 tables, and over hand-built prompt-line variants aimed at each check the
 fast paths make before trusting a line's shape (OSC-title one-line
-prompts, title-only lines, plain/SGR lines inside the MINGW protocol).
+prompts, title-only lines, plain/SGR lines inside the MINGW protocol),
+and over hypothesis-generated typed tails that exercise the cached
+typed-tail kernel on hits and misses.
 """
 
 import random
+import re
 
 import pyarrow as pa
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from console_log_parser_ray.sources.synth import gen_table
 from console_log_parser_ray.stages.scan import (
@@ -173,6 +177,39 @@ CASES = {
         "out",
     ],
     "first_line_prompt": [PROMPT + "ls"],
+    # one typed tail that backs up into the prompt, after prompts of
+    # printable length 18, 3 and 0 (MINGW): three different results
+    "tail_past_prompt": [
+        PROMPT + "ab" + "\x08" * 8,
+        "out",
+        "\x1b]0;a: ~\x07a:~$ ab" + "\x08" * 8,
+        "out",
+        MINGW_TITLE,
+        MINGW_HEADER,
+        "$ ab" + "\x08" * 8,
+        "out",
+        PROMPT + "ab" + "\x08" * 8,
+        # the cursor ends 3 cells into both prompts: only the longer
+        # one lets the line feed warn
+        "\x1b]0;a: ~\x07a:~$ " + "\x08" * 5,
+        "out",
+        PROMPT + "\x08" * 5,
+        "out",
+    ],
+    # a line without LF can leave the terminal line empty but dirty: a
+    # cursor left of column 0, or warnings the next flush reports
+    "dirty_term_line": [
+        ("\x1b[D", False),
+        "abc",
+        ("\x1b[1K", False),
+        "abc",
+        ("\x1b[2D", False),
+        PROMPT + "ls",
+        "out",
+        ("\x1b[1K", False),
+        TITLE,
+        "out",
+    ],
 }
 
 
@@ -290,3 +327,138 @@ def test_stats_mode_keeps_prompt_lines_exact():
     exact = _legacy_bucket_stats_fn(use_fast_paths=False)(tbl)
     key = [("kind", "ascending"), ("seq", "ascending")]
     assert fast.sort_by(key).equals(exact.sort_by(key))
+
+
+# -- the typed-tail kernel -------------------------------------------------
+
+_PARAM = st.one_of(st.just(""), st.just("0"), st.integers(1, 99).map(str))
+_TAIL_PIECE = st.one_of(
+    st.text(st.characters(min_codepoint=0x20, max_codepoint=0x7E), min_size=1, max_size=5),
+    st.just("\x08"),
+    st.builds("\x1b[{}{}".format, _PARAM, st.sampled_from("CDKP@X")),
+)
+# mostly "$ "-led, as an OSC prompt's trigger needs
+_TAIL = st.tuples(
+    st.sampled_from([" ", " ", ""]), st.lists(_TAIL_PIECE, max_size=8)
+).map(lambda t: t[0] + "".join(t[1]))
+
+
+def _osc_prompt(header_len: int) -> str:
+    """An OSC one-line prompt up to its '$' whose header prints
+    ``header_len`` cells; from 3 cells on, the title vouches for it."""
+    if header_len < 3:
+        return "\x1b]0;t\x07" + "h" * header_len
+    d = "~/" + "d" * (header_len - 3)
+    return f"\x1b]0;a@b: {d}\x07\x1b[01;32ma:\x1b[01;34m{d}\x1b[00m"
+
+
+def _mingw_prompt(header_len: int) -> list:
+    """A MINGW prompt's title and header lines, and the '$' line's text
+    before its '$' (``header_len`` cells)."""
+    return [
+        "\x1b]0;bob@b7: ~/logs\x07",
+        "\x1b[32mbob@b7 \x1b[35mMINGW64 \x1b[33m~/logs\x1b[0m",
+        "h" * header_len,
+    ]
+
+
+@st.composite
+def _typed_conversation(draw, unique_tails=False):
+    """Prompt rows over a few headers and tails, so that rows repeat and
+    the cache hits (``unique_tails``: every tail differs)."""
+    n = draw(st.integers(1, 12))
+    if unique_tails:
+        tails = draw(st.lists(_TAIL, min_size=n, max_size=n, unique=True))
+    else:
+        pool = draw(st.lists(_TAIL, min_size=1, max_size=3))
+        tails = [draw(st.sampled_from(pool)) for _ in range(n)]
+    lens = draw(st.lists(st.integers(0, 40), min_size=1, max_size=3))
+    lines = []
+    for tail in tails:
+        header_len = draw(st.sampled_from(lens))
+        if draw(st.booleans()):
+            lines.append(_osc_prompt(header_len) + "$" + tail)
+        else:
+            title, header, before = _mingw_prompt(header_len)
+            lines += [title, header, before + "$" + tail]
+        if draw(st.booleans()):
+            lines.append(draw(st.sampled_from(["out", "", "\x1b[33mx\x1b[0m"])))
+    return lines
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(_typed_conversation(), min_size=1, max_size=4))
+def test_typed_tail_kernel_matches_exact(convs):
+    _assert_fast_equals_exact(_table({f"c{k}": lines for k, lines in enumerate(convs)}))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_typed_conversation(unique_tails=True))
+def test_typed_tail_kernel_matches_exact_when_every_tail_differs(lines):
+    _assert_fast_equals_exact(_table({"c": lines}))
+
+
+_CUB = re.compile("\x1b\\[([0-9]*)D")
+
+
+def _kernel_keys(texts) -> set:
+    """The cache keys of a table's typed rows, by the documented rule:
+    ``(tail, min(prefix_len, L + 1))``, L = BS count plus CUB counts."""
+    keys = set()
+    for text in texts:
+        if text.startswith("\x1b]0;") and "$" in text[text.find("\x07") :]:
+            end = text.find("$", text.find("\x07"))
+            header = re.sub("\x1b\\[[0-9;]*m", "", text[text.find("\x07") + 1 : end])
+            prefix_len, tail = len(header), text[end + 1 :]
+        elif text.startswith("$"):
+            prefix_len, tail = 0, text[1:]
+        else:
+            continue
+        left = tail.count("\x08") + sum(int(n or 1) for n in _CUB.findall(tail))
+        keys.add((tail, min(prefix_len, left + 1)))
+    return keys
+
+
+def _typed_walks(monkeypatch, tbl) -> int:
+    """Exact walks made outside ``scan_turn``: the typed-tail kernel's
+    cache misses."""
+    walks, depth = [0], [0]
+    walk, scan_turn = SessionScanner._walk, SessionScanner.scan_turn
+
+    def counted_walk(self, *args):
+        walks[0] += depth[0] == 0
+        return walk(self, *args)
+
+    def nested_scan_turn(self, *args):
+        depth[0] += 1
+        try:
+            return scan_turn(self, *args)
+        finally:
+            depth[0] -= 1
+
+    monkeypatch.setattr(SessionScanner, "_walk", counted_walk)
+    monkeypatch.setattr(SessionScanner, "scan_turn", nested_scan_turn)
+    scan_bucket_table(tbl, use_fast_paths=True)
+    monkeypatch.undo()
+    return walks[0]
+
+
+def test_typed_tail_cache_is_per_call(monkeypatch):
+    a = gen_table(30, seed=99, mean_turns=60).select(["conv_id", "turn_idx", "text"])
+    b = gen_table(30, seed=7, mean_turns=60, start=30).select(
+        ["conv_id", "turn_idx", "text"]
+    )
+    keys = _kernel_keys(a.column("text").to_pylist())
+    walks = _typed_walks(monkeypatch, a)
+    assert 0 < walks <= len(keys)
+    # the typed rows repeat, so most of them are cache hits
+    typed = sum(
+        1 for t in a.column("text").to_pylist() if t.startswith(("$", "\x1b]0;")) and "$" in t
+    )
+    assert typed > 4 * len(keys)
+    # every call starts cold: a second scan of the same table misses as often
+    assert _typed_walks(monkeypatch, a) == walks
+    # and no state leaks between calls: A then B equals B then A
+    ab = (scan_bucket_table(a), scan_bucket_table(b))
+    ba = (scan_bucket_table(b), scan_bucket_table(a))
+    assert ab[0].equals(ba[1]) and ab[1].equals(ba[0])
