@@ -73,9 +73,13 @@ _INPUT_COLUMNS = ["conv_id", "turn_idx", "text", "ts"]
 _SINKS = ("parsed", "by_role", "by_tool", "vim_sessions", "conv_rollup")
 
 # Bucketed plan sizing (see ``bucket_count``).  A bucket's fixed cost --
-# ~12 sink files, a manifest, a Ray task, its cleanup -- is ~40-60 ms;
-# at ~36 us/row of scan, MIN_ROWS keeps that near 10% of the bucket's
-# time.  MAX_ROWS bounds one gather task's memory on small hosts.
+# ~12 sink files, a manifest, a Ray task, its cleanup -- is ~37-41 ms,
+# and a row costs ~7.4 us of a bucketed call, ~3.5 us of it the scan
+# (1 CPU, perfbench seeds 201-202: wall fitted over 1-16 buckets).  At
+# MIN_ROWS the fixed cost is ~25% of a bucket's time; MIN_ROWS stays as
+# it is because it also fixes the bucket layout that existing outputs
+# and the ``resume`` benchmark were written with.  MAX_ROWS bounds one
+# gather task's memory on small hosts.
 MIN_ROWS = 16_384
 MAX_ROWS = 262_144
 

@@ -39,10 +39,22 @@ and the prompt protocol (checked per row) --
 * plain and SGR-only lines inside the MINGW protocol (PROMPT_OSC /
   PROMPT_IMMINENT): the header check, then an ordinary output line --
 
-while vim boundaries and anything carrying parser state take the exact
-slow path.  The fast paths are only *hints*; the scanner re-checks its
-own state (FSM state, tokenizer carry, pending vim re-entry, a pending
-or dirty terminal line) before trusting them.
+and the vim session boundaries (lines of complete CSI sequences only,
+no DECCKM toggle among them) --
+
+* *vim start lines* in NORMAL or PROMPT (``CSI 22;0;0t`` ...
+  ``CSI 22;2t CSI 22;1t``, VIM_START_1, and no ``CSI 23;0;0t``): the
+  prompt end if one is pending, then the session start; every sequence
+  and the LF fall inside the session and are dropped,
+* *vim end lines* of a session ``CSI 22;0;0t`` started (``CSI
+  23;0;0t`` once, as the line's last sequence): the session end, then
+  the LF flushes ``"\n"`` --
+
+while hint-literal and VIM_START_2 starts, one-line sessions, text or a
+prompt after ``CSI 23;0;0t``, and anything carrying parser state take
+the exact slow path.  The fast paths are only *hints*; the scanner
+re-checks its own state (FSM state, tokenizer carry, pending vim
+re-entry, a pending or dirty terminal line) before trusting them.
 
 The typed-tail kernel.  After a prompt's ``$`` the scanner is in the
 PROMPT state and every byte edits the command line.  A tail of
@@ -78,6 +90,7 @@ import re
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from ..vt import patterns as P
 from ..vt import session as S
 from ..vt.session import SessionScanner, osc_prompt_hit, prompt_header_cwd
 from ..vt.tokenizer import GROUND
@@ -144,6 +157,13 @@ _TAIL_RE = re.compile(
     "[\\x20-\\x7e\\x08]*+(?:\\x1b\\[[0-9]*+[@CDKPX][\\x20-\\x7e\\x08]*+)*+"
 )
 _CUB_RE = re.compile("\\x1b\\[([0-9]*)D")
+# a line of complete CSI sequences (the tokenizer's CSI grammar) and
+# nothing else, no DECCKM toggle among them: inside a vim session none
+# of it reaches the output, and only CSI 23;0;0t the feature FSM
+_CSI_ONLY_RE = re.compile(
+    "(?:\\x1b\\[(?!\\?1[hl])[\\x30-\\x3f]*[\\x20-\\x2f]*[\\x40-\\x7e])+"
+)
+_VIM_END = "\x1b[23;0;0t"
 
 # Output schema of the session scan
 SCAN_SCHEMA = pa.schema(
@@ -409,6 +429,32 @@ def _type_tail(sc: SessionScanner, entry, tail: str, ptls: int):
 
 # per-row fields of a vim-interior line: nothing survives
 _VIM_ROW = ("", False, False, None, "", "", 0)
+# ... and of a vim end line: the LF after the session flushes "\n"
+_VIM_END_ROW = ("\n", False, False, None, "", "", 0)
+
+
+def _vim_end(sc: SessionScanner, text: str):
+    """The fields of a vim end line in VIM_START, or None to take the
+    exact walk: a session that CSI 22;0;0t started (``vim_2200_seen``)
+    ends at the line's one CSI 23;0;0t, its last sequence.  Every CSI
+    before it is dropped, no prompt or second session can follow it,
+    and the LF flushes the pristine terminal line as ``"\n"``."""
+    tl = sc.term_line
+    if (
+        sc.tlp != S.VIM_START
+        or not (sc.in_vim and sc.vim_2200_seen)
+        or tl.cells
+        or tl.cur
+        or tl.warnings
+        or not text.endswith(_VIM_END)
+        or text.count("23;0;0t") != 1
+        or not _CSI_ONLY_RE.fullmatch(text)
+    ):
+        return None
+    sc.close_vim()
+    sc.tlp = S.NORMAL
+    sc.next_vim = -1
+    return _VIM_ROW if sc.suppressed else _VIM_END_ROW
 
 
 def _fast_row(sc: SessionScanner, memo, text, plain, vim_safe, sgr_only, stats=False):
@@ -427,9 +473,11 @@ def _fast_row(sc: SessionScanner, memo, text, plain, vim_safe, sgr_only, stats=F
     # vim interior: everything is dropped; only session-control escapes
     # or a dirty tokenizer tail force the exact path
     if tlp == S.VIM_START or tlp == S.VIM_ONELINE:
-        if not vim_safe or sc.in_prompt:
+        if sc.in_prompt:
             return None
-        return _VIM_ROW
+        if vim_safe:
+            return _VIM_ROW
+        return None if stats else _vim_end(sc, text)
 
     # in_prompt at line start means the command line is pending flush,
     # which happens exactly when tlp == PROMPT: the line-start step
@@ -447,7 +495,7 @@ def _fast_row(sc: SessionScanner, memo, text, plain, vim_safe, sgr_only, stats=F
     ):
         return None
     osc = None
-    noise = False
+    noise = vim = False
     if plain or sgr_only:
         body = (_SGR_RUN_RE.sub("", text) if sgr_only else text).rstrip("\r")
     elif stats:
@@ -487,14 +535,27 @@ def _fast_row(sc: SessionScanner, memo, text, plain, vim_safe, sgr_only, stats=F
         sc.tlp = S.PROMPT
         _type_tail(sc, entry, tail, 0)
         return ("", False, True, None, "", "", 0)
-    elif _HINT_LIT in text or not _NOISE_ONLY_RE.match(text):
+    elif _HINT_LIT in text:
         return None
-    else:
+    elif _NOISE_ONLY_RE.match(text):
         # PROMPT_OSC / PROMPT_IMMINENT: noise lines stay exact (a DCS
         # payload such as 1$r0m can complete a PROMPT match)
         if tlp == S.PROMPT_OSC or tlp == S.PROMPT_IMMINENT:
             return None
         noise = True
+    elif (
+        (tlp == S.NORMAL or tlp == S.PROMPT)
+        and vim_safe
+        and _CSI_ONLY_RE.fullmatch(text)
+        and P.VIM_START_1.match(text.encode())
+    ):
+        # vim start (CSI 22;0;0t ... CSI 22;2t CSI 22;1t): no print, so
+        # no '$' trigger and no hint literal; vim_safe, so no CSI 23;0;0t
+        # makes the session one-line.  Once it starts, every CSI and the
+        # LF are dropped.
+        vim = True
+    else:
+        return None
 
     clean = ""
     command = None
@@ -508,6 +569,11 @@ def _fast_row(sc: SessionScanner, memo, text, plain, vim_safe, sgr_only, stats=F
     elif tlp == S.PROMPT_OSC and "MINGW64" in text:
         cwd = sc.prompt_header(memo.header_cwd(text)) or ""
 
+    if vim:
+        sc.vim_2200_seen = True
+        sc.open_vim()
+        sc.tlp = S.VIM_START
+        return (clean, False, command is not None, command, "", "", warnings)
     # the vim-start detection block ran and found nothing
     sc.vim_2200_seen = False
 

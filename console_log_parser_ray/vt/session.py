@@ -5,8 +5,10 @@ raw terminal line into a structured record: the plain text the turn
 contributes to the reconstructed session transcript (``clean_text``),
 prompt/command extraction, vim-session spans and command-row numbering.
 
-This is the stateful heart of the pipeline and runs inside
-``Dataset.groupby("conv_id").map_groups``.  Behavior matches the
+This is the stateful heart of the pipeline: ``stages.scan`` runs one
+scanner per conversation over each partition's, file's or bucket's
+table (``scan_bucket_table``), taking the exact walk below only for
+lines its state-checked fast paths do not cover.  Behavior matches the
 reference's working path -- ``TermLogParser`` + ``VT2Html`` + a
 plain-text document (reference terminalparser.py:101-384,
 terminal2html.py:558-682) -- as verified turn-for-turn by the
@@ -597,16 +599,26 @@ class SessionScanner:
         return text, cmd.strip("\n").strip(), warnings
 
     def _ev_vim_start(self, props):
-        self.in_vim = True
-        self.vim_session_seq += 1
+        self.open_vim()
         self._rec.vim_started = True
         self._rec.in_vim = True
         self._rec.vim_session_id = self.vim_session_seq
 
+    def open_vim(self):
+        """Start a vim session without a record: output is dropped until
+        it ends, and its turns carry the next session id."""
+        self.in_vim = True
+        self.vim_session_seq += 1
+
     def _ev_vim_end(self):
-        self.in_vim = False
+        self.close_vim()
         self._rec.vim_ended = True
         # document.vim_session(): plain-text sink writes nothing
+
+    def close_vim(self):
+        """End the vim session without a record: output reaches the
+        terminal line again."""
+        self.in_vim = False
 
     # -- document (plain-text sink semantics) ---------------------------
 

@@ -4,9 +4,10 @@
 (``use_fast_paths=False``) on every output column: over seeded synthetic
 tables, and over hand-built prompt-line variants aimed at each check the
 fast paths make before trusting a line's shape (OSC-title one-line
-prompts, title-only lines, plain/SGR lines inside the MINGW protocol),
-and over hypothesis-generated typed tails that exercise the cached
-typed-tail kernel on hits and misses.
+prompts, title-only lines, plain/SGR lines inside the MINGW protocol,
+vim session start and end lines), over hypothesis-generated typed tails
+that exercise the cached typed-tail kernel on hits and misses, and over
+hypothesis-generated vim start and end lines.
 """
 
 import random
@@ -177,6 +178,104 @@ CASES = {
         "out",
     ],
     "first_line_prompt": [PROMPT + "ls"],
+    # vim boundaries the fast paths leave to the exact walk: a start by
+    # the hint literal (alone, then with CSI 22;0;0t on the same line)
+    # or by VIM_START_2, whose end no CSI 23;0;0t makes
+    "vim_hint_start": [
+        PROMPT + "git commit",
+        "hint: Waiting for your editor to close the file... ",
+        VIM_START,
+        "\x1b[5;1H\x1b[Knoise",
+        VIM_END,
+        "out",
+        PROMPT + "git commit",
+        "hint: Waiting for your editor to close the file... " + VIM_START,
+        VIM_END,
+        "out",
+    ],
+    "vim_start_2": [
+        PROMPT + "vim b",
+        "\x1b[1;40r\x1b[2;1H\u25bd\x1b[6n\x1b[2;1H  ",
+        "\x1b[5;1H\x1b[Knoise",
+        VIM_END,
+        "out",
+        VIM_END,
+        "out",
+    ],
+    # start and end on one line; then a one-line session that ?1l ESC >
+    # leaves open (VIM_ONELINE), whose end line takes the exact walk
+    "vim_one_line": [
+        PROMPT + "vim c",
+        VIM_START + "\x1b[5;1H" + VIM_END,
+        "out",
+        VIM_START + "\x1b[5;1H\x1b[?1l\x1b>",
+        VIM_END,
+        "out",
+    ],
+    # text, a prompt or a second session after CSI 23;0;0t
+    "vim_end_then_more": [
+        PROMPT + "vim d",
+        VIM_START,
+        VIM_END + "trailing",
+        PROMPT + "vim d",
+        VIM_START,
+        VIM_END + "\r\x1b[Kalice@devbox:~/src$ ls",
+        "out",
+        PROMPT + "vim d",
+        VIM_START,
+        VIM_END + "hint: Waiting for your editor to close the file... " + VIM_START,
+        "\x1b[5;1H\x1b[Knoise",
+        VIM_END,
+        VIM_END + "\x1b[1m",
+        "out",
+        PROMPT + "vim d",
+        VIM_START,
+        VIM_END + "\x1b[2C",
+        PROMPT + "vim d",
+        VIM_START,
+        VIM_END + "\x1b[2@" + VIM_END,
+        "out",
+    ],
+    # a line without LF leaves the terminal line dirty through the
+    # session: its end line flushes what is left
+    "vim_dirty_term_line": [
+        ("abc", False),
+        VIM_START,
+        VIM_END,
+        "out",
+        ("\x1b[D", False),
+        VIM_START,
+        VIM_END,
+        "out",
+    ],
+    "vim_no_eol": [
+        PROMPT + "vim e",
+        (VIM_START, False),
+        "\x1b[5;1H\x1b[Knoise",
+        (VIM_END, False),
+        "out",
+        (PROMPT + "vim e", False),
+        VIM_START,
+        VIM_END,
+        "out",
+    ],
+    # DECCKM toggles on boundary lines move the app-mode pairing
+    # positions, so those lines stay exact
+    "vim_decckm": [
+        "\x1b[?1h\x1b=",
+        PROMPT + "vim f",
+        "\x1b[22;0;0t\x1b[?1h\x1b[1;40r\x1b[22;2t\x1b[22;1t",
+        "\x1b[5;1H\x1b[Knoise",
+        # CSI ?1l's final byte at 11, so the ESC > at 13 below leaves
+        # app mode, and a prompt follows it
+        "\x1b[40;1H\x1b[?1l\x1b[23;0;0t",
+        "abcdefghijkl\x1b>alice@devbox:~/src$ ls",
+        "out",
+        PROMPT + "vim f",
+        "\x1b[?1h\x1b=\x1b[22;0;0t\x1b[22;2t\x1b[22;1t",
+        VIM_END,
+        "out",
+    ],
     # one typed tail that backs up into the prompt, after prompts of
     # printable length 18, 3 and 0 (MINGW): three different results
     "tail_past_prompt": [
@@ -264,6 +363,8 @@ def test_fast_paths_match_exact_with_suppressed_rows():
         "mingw": (2,),
         "title_only_with_header": (1,),
         "prompt_after_vim_end": (1, 2),
+        "vim_one_line": (1,),
+        "vim_end_then_more": (1, 3),
     }
     _assert_fast_equals_exact(_table(CASES), suppress_map=suppress)
     synth = gen_table(10, seed=5, mean_turns=40).select(["conv_id", "turn_idx", "text"])
@@ -302,13 +403,16 @@ def _slow_calls(monkeypatch, tbl) -> int:
 
 def test_prompt_fast_paths_fire(monkeypatch):
     tbl = gen_table(30, seed=99, mean_turns=60).select(["conv_id", "turn_idx", "text"])
-    assert _slow_calls(monkeypatch, tbl) < 0.15 * tbl.num_rows
-    # one-line OSC-title prompts, their output, and the MINGW title and
-    # header lines never reach the exact walk
+    assert _slow_calls(monkeypatch, tbl) == 0
+    # one-line OSC-title prompts, their output, the MINGW title and
+    # header lines, and vim start and end lines never reach the exact
+    # walk
+    vim = [VIM_START, "\x1b[5;1H\x1b[Knoise", VIM_END]
     clean = _table(
         {
             "linux": CASES["plain_prompts"] + CASES["prompt_after_prompt"],
             "mingw": [MINGW_TITLE, MINGW_HEADER],
+            "vim": [PROMPT + "vim a"] + vim + ["out"] + vim + [PROMPT + "ls"],
         }
     )
     assert _slow_calls(monkeypatch, clean) == 0
@@ -462,3 +566,109 @@ def test_typed_tail_cache_is_per_call(monkeypatch):
     ab = (scan_bucket_table(a), scan_bucket_table(b))
     ba = (scan_bucket_table(b), scan_bucket_table(a))
     assert ab[0].equals(ba[1]) and ab[1].equals(ba[0])
+
+
+# -- vim session boundaries ------------------------------------------------
+
+_VIM_EXTRA = st.one_of(
+    st.sampled_from(
+        ["\x1b[?1049h", "\x1b[?1049l", "\x1b[?12h", "\x1b[?12l", "\x1b[H", "\x1b[2J"]
+    ),
+    st.builds("\x1b[{}m".format, st.sampled_from(["", "0", "27", "23", "29", "1;31"])),
+)
+_VIM_EXTRAS = st.lists(_VIM_EXTRA, max_size=3).map("".join)
+_HEIGHT = st.integers(1, 99)
+
+
+@st.composite
+def _vim_start(draw):
+    """A vim start line: CSI 22;0;0t, an optional scroll region of
+    height 1-99, CSI 22;2t CSI 22;1t, and other CSIs around them; now
+    and then a CSI 23;0;0t after them, a one-line session that the
+    exact walk takes."""
+    region = draw(
+        st.one_of(
+            st.just(""),
+            st.builds("\x1b[{};{}r".format, st.integers(0, 9), _HEIGHT),
+        )
+    )
+    return (
+        draw(_VIM_EXTRAS)
+        + "\x1b[22;0;0t"
+        + draw(_VIM_EXTRAS)
+        + region
+        + draw(_VIM_EXTRAS)
+        + "\x1b[22;2t\x1b[22;1t"
+        + draw(_VIM_EXTRAS)
+        + draw(st.sampled_from(["", "", "", "", "\x1b[5;1H\x1b[23;0;0t"]))
+    )
+
+
+@st.composite
+def _vim_end(draw):
+    """A vim end line, CSI 23;0;0t last; now and then text, a prompt or
+    a CSI after it, which the exact walk takes."""
+    after = draw(
+        st.sampled_from(
+            [
+                "",
+                "",
+                "",
+                "",
+                "x",
+                "\x1b[1m",
+                "\x1b[2C",
+                "\x1b[2@\x1b[23;0;0t",
+                "\r\x1b[Kalice@devbox:~/src$ ls",
+            ]
+        )
+    )
+    return (
+        draw(_VIM_EXTRAS)
+        + "\x1b[{};1H".format(draw(_HEIGHT))
+        + draw(_VIM_EXTRAS)
+        + "\x1b[23;0;0t"
+        + after
+    )
+
+
+# what precedes a vim start line: a typed command row (OSC or MINGW
+# prompt), a plain row, a title-only line, a MINGW header
+_VIM_ENTRY = st.sampled_from(
+    [
+        [PROMPT + "vim notes.txt"],
+        [MINGW_TITLE, MINGW_HEADER, "$ vim notes.txt"],
+        ["out"],
+        [TITLE],
+        [MINGW_TITLE, MINGW_HEADER],
+    ]
+)
+
+
+@st.composite
+def _vim_conversation(draw):
+    lines = []
+    for _ in range(draw(st.integers(1, 4))):
+        lines += draw(_VIM_ENTRY)
+        lines.append(draw(_vim_start()))
+        for _ in range(draw(st.integers(0, 2))):
+            lines.append("\x1b[{};1H\x1b[Kword".format(draw(_HEIGHT)))
+        lines.append(draw(_vim_end()))
+        if draw(st.booleans()):
+            lines.append("out")
+    return lines
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(_vim_conversation(), min_size=1, max_size=3),
+    st.lists(st.frozensets(st.integers(1, 6), max_size=2), min_size=3, max_size=3),
+)
+def test_vim_boundaries_match_exact(convs, suppress):
+    """Random vim start and end lines after each entry state, with some
+    command rows suppressed: fast equals exact on every column."""
+    names = [f"v{k}" for k in range(len(convs))]
+    _assert_fast_equals_exact(
+        _table(dict(zip(names, convs))),
+        suppress_map={n: tuple(s) for n, s in zip(names, suppress)},
+    )
