@@ -22,7 +22,8 @@ import pyarrow as pa
 import ray.data
 
 from ..sources.cache import map_keyed
-from ..stages.scan import make_bucket_stats_fn, scan_bucket_table
+from ..stages.scan import scan_bucket_table
+from ..stages.stats import stats_table
 
 
 def parse_sessions(src) -> "ray.data.Dataset":
@@ -41,7 +42,7 @@ def sequence_histogram(src) -> "ray.data.Dataset":
     each conversation before counting), then a narrow combine over the
     small partials."""
     partials = map_keyed(
-        src, make_bucket_stats_fn(), columns=["conv_id", "turn_idx", "text"]
+        src, stats_table, columns=["conv_id", "turn_idx", "text"]
     )
     return _reduce_histogram(partials)
 

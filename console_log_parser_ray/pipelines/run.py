@@ -19,8 +19,11 @@ every partition is an independent checkpoint:
   spill -- the same externalized exchange a multi-node run would use,
   without the sample-sort barrier of an in-memory groupby.
   Conversations above ``skew_threshold`` turns get dedicated heavy
-  partitions parsed chunk-parallel, streaming chunk ranges from
-  storage; their chunks share the kernel's sink fan-out and commit.
+  partitions parsed chunk-parallel (``_giant_steps``), streaming chunk
+  ranges from storage: speculative chunk scans, a driver-side stitch
+  and one finalize task per chunk, all on the kernel's one session
+  scan; each finalize task runs the kernel's enrich and sink fan-out
+  (``enrich_and_write``) on its chunk.
   The bucket count comes from the input's row count (Parquet footers)
   and the CPU count, ``bucket_count``: ~4 buckets per CPU, but no
   bucket below ``MIN_ROWS`` rows (each bucket pays a fixed cost in
@@ -65,6 +68,7 @@ from ..sources.cache import conv_complete
 from ..stages.enrich import EnrichConfig, EnrichTurns
 from ..stages.scan import scan_bucket_table
 from ..state import manifests as M
+from ..vt.chunked import finalize, speculate, stitch
 
 _INPUT_COLUMNS = ["conv_id", "turn_idx", "text", "ts"]
 
@@ -135,9 +139,23 @@ def process_partition(
         )
         if tbl.column("conv_id").null_count:
             raise M.null_key_error("conv_id")
-        enriched = EnrichTurns(cfg_ref)(scan_bucket_table(tbl))
-        written = write_sinks(out_dir, kind, pid, _fan_out(enriched, sinks))
+        enriched, written = enrich_and_write(
+            out_dir, kind, pid, scan_bucket_table(tbl), cfg_ref, sinks
+        )
     commit_partition(out_dir, kind, pid, lineage, written, enriched)
+
+
+def enrich_and_write(
+    out_dir: str, kind: str, pid: int, scanned: pa.Table, cfg_ref,
+    sinks: tuple, part: str = "part-00000",
+):
+    """Enrich a partition's scanned rows and write them as its ``part``
+    file in each of ``sinks``; returns ``(enriched, {sink: {rows,
+    files}})``."""
+    enriched = EnrichTurns(cfg_ref)(scanned)
+    return enriched, write_sinks(
+        out_dir, kind, pid, _fan_out(enriched, sinks), part
+    )
 
 
 def _fan_out(enriched: pa.Table, sinks: tuple):
@@ -533,26 +551,27 @@ def _giant_steps(
     after phases 1 and 2, and appends each task it launches to
     ``launched`` as soon as it is launched.
 
-    Three phases, none of which materializes the conversation anywhere:
+    Three phases of ``vt.chunked``'s scheme, each on the one session
+    scan (``stages.scan._scan_rows``); none materializes the
+    conversation anywhere:
 
-    1. **Speculative scans** run as Ray tasks that READ THEIR OWN
-       turn-range from storage (parquet predicate pushdown on
-       conv_id + turn_idx).  Each returns small stitch metadata (the
-       first ``head`` state signatures / texts, the end scanner, the
-       positions of its command discoveries) plus an object-store
-       payload of its records that the driver never fetches.
-    2. **Stitch walk** (driver, sequential but tiny): the true state
-       crosses each boundary by re-scanning at most ``head`` lines
-       (terminal sessions re-synchronize at prompts; a chunk that
-       fails to converge is re-read and re-scanned -- the sequential
-       worst case, never an error).  The walk yields each chunk's
-       counter deltas and accumulates the conversation-wide
-       command-backfill map from the discovery positions.
-    3. **Finalize tasks** (parallel): each chunk's records are shifted,
-       assembled against the complete backfill map, enriched, and
-       written as that chunk's part file in every sink but the rollup.
-       The driver writes the conversation's one rollup row from the
-       returned count columns and commits the manifest.
+    1. **Speculative scans**: one Ray task per chunk, the first
+       included, READS ITS OWN turn range from storage (Parquet
+       predicate pushdown on conv_id + turn_idx) and returns only
+       stitch metadata (``chunked.speculate``), no records.
+    2. **Stitch walk** (driver, sequential but bounded per boundary;
+       ``chunked.stitch``): the true scanner crosses each boundary by
+       re-scanning at most ``head`` lines (terminal sessions
+       re-synchronize at prompts; a chunk that fails to converge is
+       re-read and walked to its end -- the sequential worst case,
+       never an error).  It yields each chunk's true start scanner and
+       the conversation-wide command/cwd backfill maps.
+    3. **Finalize tasks** (parallel): each re-reads its chunk, scans it
+       from its true start scanner against the complete maps
+       (``chunked.finalize``) and runs the partition kernel's enrich and
+       sink fan-out on it, as that chunk's part file in every sink but
+       the rollup.  The driver writes the conversation's one rollup row
+       from the returned count columns and commits the manifest.
 
     Without ``chunk_size``, chunks are sized for ~2 per CPU of the
     cluster's ``n_cpus``.
@@ -563,196 +582,58 @@ def _giant_steps(
     """
     import ray
 
-    from ..vt.chunked import (
-        _shift_record,
-        _shift_scanner,
-        speculative_scan,
-        state_sig,
-    )
-    from ..vt.session import SessionScanner
-
     lineage = {"input": input_path, "n_buckets": n_buckets}
-    meta = _read_conv_range(input_path, conv_id, ["turn_idx", "ts"])
-    idxs = meta.column("turn_idx").to_pylist()
+    idxs = (
+        _read_conv_range(input_path, conv_id, ["turn_idx"])
+        .column("turn_idx")
+        .to_pylist()
+    )
     n = len(idxs)
     if n == 0:
         commit_partition(out_dir, "bucket", bucket_id, lineage, {}, None)
         return
     if chunk_size is None:
         chunk_size = max(500, n // max(2 * n_cpus, 4))
+    # each chunk's first and last turn_idx
+    ranges = [
+        (idxs[b], idxs[min(b + chunk_size, n) - 1]) for b in range(0, n, chunk_size)
+    ]
 
-    bounds = list(range(0, n, chunk_size))
-
-    @ray.remote(num_cpus=1, num_returns=2)
-    def _spec(lo_idx, hi_idx, start_pos):
-        tbl = _read_conv_range(
-            input_path, conv_id, ["turn_idx", "text"], lo_idx, hi_idx
-        )
-        texts = tbl.column("text").to_pylist()
-        recs, sigs, counters, sc = speculative_scan(texts, start_pos)
-        vim_texts = {
-            start_pos + i: texts[i] for i, r in enumerate(recs) if r.in_vim
-        }
-        # command/cwd discovery positions (speculative numbering; the
-        # driver shifts and filters them after convergence)
-        disc = [
-            (start_pos + i, r.cmd_count, r.command, r.cwd)
-            for i, r in enumerate(recs)
-            if r.command is not None or r.cwd
-        ]
-        stitch_meta = (sigs[:head], counters[:head], sc, texts[:head], disc)
-        payload = (recs, vim_texts)
-        return stitch_meta, payload
-
-    meta_refs, payload_refs = [], []
-    for b in bounds[1:]:
-        e = min(b + chunk_size, n) - 1
-        m_ref, p_ref = _spec.remote(idxs[b], idxs[e], b)
-        launched.append(m_ref)
-        meta_refs.append(m_ref)
-        payload_refs.append(p_ref)
-    yield
+    def read(k, columns=("turn_idx", "text")):
+        return _read_conv_range(input_path, conv_id, list(columns), *ranges[k])
 
     @ray.remote(num_cpus=1)
-    def _finalize(
-        head_recs, head_vim, payload_ref, converged, deltas,
-        cmd_map, cwd_map, base, lo_idx, hi_idx, part_idx,
-    ):
-        from ..stages.scan import records_to_table
+    def _speculate(k):
+        return speculate(read(k).column("text"), head)
 
-        recs = list(head_recs)
-        vim_texts = dict(head_vim)
-        if payload_ref is not None:
-            s_recs, s_vim = payload_ref
-            d_cmd, d_num, d_vim = deltas
-            for rec in s_recs[converged + 1 :]:
-                recs.append(_shift_record(rec, d_cmd, d_num, d_vim))
-            for pos, t in s_vim.items():
-                if pos > base + converged:
-                    vim_texts[pos] = t
-        ts_tbl = _read_conv_range(
-            input_path, conv_id, ["turn_idx", "ts"], lo_idx, hi_idx
-        )
-        out = records_to_table(
-            conv_id, recs, ts_vals=ts_tbl.column("ts"), texts=None,
-            carry=(dict(cmd_map), dict(cwd_map)),
-        )
-        out = out.set_column(
-            out.schema.get_field_index("vim_text"),
-            "vim_text",
-            pa.array(
-                [
-                    vim_texts.get(base + i) if recs[i].in_vim else None
-                    for i in range(len(recs))
-                ],
-                pa.string(),
-            ),
-        )
-        enriched = EnrichTurns(cfg_ref)(out)
-        sinks = write_sinks(
-            out_dir, "bucket", bucket_id,
+    @ray.remote(num_cpus=1)
+    def _finalize(k, sc, carry):
+        enriched, sinks = enrich_and_write(
+            out_dir, "bucket", bucket_id, finalize(read(k, _INPUT_COLUMNS), sc, carry),
+            cfg_ref,
             # the driver writes the rollup, once for the conversation
-            _fan_out(enriched, _SINKS[:-1]),
-            part=f"part-{part_idx:05d}",
+            _SINKS[:-1],
+            part=f"part-{k:05d}",
         )
         return sinks, enriched.select(
             ["conv_id", "cmd_count", "vim_session_id", "role", "sink"]
         )
 
-    # ---- phase 2: stitch walk (sequential, bounded per boundary) ----
-    cmd_map, cwd_map = {}, {}
+    def launch(task, calls):
+        refs = []
+        for args in calls:
+            refs.append(task.remote(*args))
+            launched.append(refs[-1])
+        return refs
 
-    def discover(rec):
-        if rec.command is not None:
-            cmd_map.setdefault(rec.cmd_count, rec.command)
-        if rec.cwd:
-            cwd_map.setdefault(rec.cmd_count, rec.cwd)
+    spec_refs = launch(_speculate, [(k,) for k in range(len(ranges))])
+    yield
 
-    finalize_args = []  # per chunk: (head_recs, head_vim, use_payload,
-    #                     converged, deltas, base, lo, hi)
-
-    # chunk 0: true scan (bounded read)
-    e0 = min(chunk_size, n) - 1
-    texts0 = _read_conv_range(
-        input_path, conv_id, ["turn_idx", "text"], idxs[0], idxs[e0]
-    ).column("text").to_pylist()
-    sc = SessionScanner()
-    recs0 = [sc.scan_turn(i, t) for i, t in enumerate(texts0)]
-    for r in recs0:
-        discover(r)
-    vim0 = {i: texts0[i] for i, r in enumerate(recs0) if r.in_vim}
-    finalize_args.append((recs0, vim0, False, -1, None, 0, idxs[0], idxs[e0]))
-
-    for k, b in enumerate(bounds[1:], start=1):
-        s_sigs, s_counters, s_end, head_texts, s_disc = _wait(
-            [meta_refs[k - 1]]
-        )[0]
-        e = min(b + chunk_size, n) - 1
-        head_recs = []
-        head_vim = {}
-        converged = None
-        for j, text in enumerate(head_texts):
-            rec = sc.scan_turn(b + j, text)
-            head_recs.append(rec)
-            discover(rec)
-            if rec.in_vim:
-                head_vim[b + j] = text
-            if state_sig(sc) == s_sigs[j]:
-                converged = j
-                break
-        if converged is not None:
-            d_cmd = sc.cmd_count - s_counters[converged][0]
-            d_num = sc.cmd_number - s_counters[converged][1]
-            d_vim = sc.vim_session_seq - s_counters[converged][2]
-            for pos, cc, cmd, cwd in s_disc:
-                if pos <= b + converged:
-                    continue  # pre-convergence speculation: head owns it
-                if cmd is not None:
-                    cmd_map.setdefault(cc + d_cmd, cmd)
-                if cwd:
-                    cwd_map.setdefault(cc + d_cmd, cwd)
-            sc = _shift_scanner(s_end, d_cmd, d_num, d_vim)
-            finalize_args.append(
-                (head_recs, head_vim, True, converged,
-                 (d_cmd, d_num, d_vim), b, idxs[b], idxs[e])
-            )
-        else:
-            # no convergence within the head: fetch the full chunk and
-            # finish sequentially (worst case, still correct)
-            full = _read_conv_range(
-                input_path, conv_id, ["turn_idx", "text"], idxs[b], idxs[e]
-            ).column("text").to_pylist()
-            for j in range(len(head_texts), len(full)):
-                rec = sc.scan_turn(b + j, full[j])
-                head_recs.append(rec)
-                discover(rec)
-                if rec.in_vim:
-                    head_vim[b + j] = full[j]
-            finalize_args.append(
-                (head_recs, head_vim, False, -1, None, b, idxs[b], idxs[e])
-            )
-
-    # ---- phase 3: parallel finalize (complete backfill map known) ----
-    refs = []
-    for part_idx, (h_recs, h_vim, use_payload, conv_j, deltas, base, lo, hi) in enumerate(
-        finalize_args
-    ):
-        refs.append(
-            _finalize.remote(
-                h_recs,
-                h_vim,
-                payload_refs[part_idx - 1] if use_payload else None,
-                conv_j,
-                deltas,
-                cmd_map,
-                cwd_map,
-                base,
-                lo,
-                hi,
-                part_idx,
-            )
-        )
-        launched.append(refs[-1])
+    starts, carry = stitch(
+        (_wait([ref])[0] for ref in spec_refs), lambda k: read(k).column("text")
+    )
+    carry_ref = ray.put(carry)
+    refs = launch(_finalize, [(k, sc, carry_ref) for k, sc in enumerate(starts)])
     yield
 
     sinks = {}
@@ -895,7 +776,7 @@ def _run_bucketed(
     # overlap the giants: each alternates parallel Ray phases with a
     # sequential driver-side stitch walk, so interleaving them lets one
     # giant's stitch overlap another's scan/finalize tasks; at most 8
-    # at a time bound the payloads held in the object store
+    # at a time bound the stitch metadata the driver holds
     for i in range(0, len(heavy_todo), 8):
         _interleave(
             [

@@ -70,8 +70,9 @@ seen with one ``p`` only is keyed by ``p`` until a second one shows up,
 so ``L`` is counted only for tails that repeat), and the OSC prompt
 prefix (title, cwd, SGR-stripped header and the prompt-OSC trigger)
 under the text before the ``$``.  The caches live for one
-``scan_bucket_table`` / ``scan_conversation`` call, so no state carries
-from one call to the next.  Past 64 keys a cache admits new ones only
+``scan_bucket_table`` / ``scan_conversation`` call (for the giant path,
+one ``vt.chunked`` step), so no state carries from one call to the
+next.  Past 64 keys a cache admits new ones only
 while its repeat lookups outnumber its keys: a table whose typed tails
 never repeat walks them at almost no extra cost.  A miss runs the exact
 walk over the tail and caches what it left; a tail with any byte
@@ -457,14 +458,10 @@ def _vim_end(sc: SessionScanner, text: str):
     return _VIM_ROW if sc.suppressed else _VIM_END_ROW
 
 
-def _fast_row(sc: SessionScanner, memo, text, plain, vim_safe, sgr_only, stats=False):
+def _fast_row(sc: SessionScanner, memo, text, plain, vim_safe, sgr_only):
     """Apply one line through a state-checked fast path; returns its
     fields ``(clean_text, is_prompt, user, command, cwd, osc_title,
-    warnings)``, or None to take the exact walk.
-
-    ``stats=True`` keeps every line whose escapes are not all SGR runs
-    on the exact path: their sequences must be counted.
-    """
+    warnings)``, or None to take the exact walk."""
     tok = sc.tok
     if tok.state != GROUND or tok.utf8_need or sc.next_vim > 0:
         return None
@@ -477,7 +474,7 @@ def _fast_row(sc: SessionScanner, memo, text, plain, vim_safe, sgr_only, stats=F
             return None
         if vim_safe:
             return _VIM_ROW
-        return None if stats else _vim_end(sc, text)
+        return _vim_end(sc, text)
 
     # in_prompt at line start means the command line is pending flush,
     # which happens exactly when tlp == PROMPT: the line-start step
@@ -498,8 +495,6 @@ def _fast_row(sc: SessionScanner, memo, text, plain, vim_safe, sgr_only, stats=F
     noise = vim = False
     if plain or sgr_only:
         body = (_SGR_RUN_RE.sub("", text) if sgr_only else text).rstrip("\r")
-    elif stats:
-        return None
     elif text.startswith("\x1b]0;"):
         if tlp == S.PROMPT_OSC or tlp == S.PROMPT_IMMINENT:
             return None
@@ -618,7 +613,7 @@ def _scan_rows(sc: SessionScanner, out: _Turns, texts, turn_idxs, eols, hints, l
     ``out``: a state-checked fast path where the hints allow, the exact
     walk otherwise."""
     out.convs.append((lo, hi))
-    fast = hints is not None and not sc.collect_stats
+    fast = hints is not None
     if fast:
         plain, vim_safe, sgr_only = hints
     clean_text = out.clean_text.append
@@ -661,12 +656,11 @@ def scan_conversation(
     turn_idxs,
     ts_vals,
     suppress=(),
-    collect_stats: bool = False,
     hints=None,
     has_eols=None,
 ):
     """Scan one conversation; returns (dict of output columns, scanner)."""
-    sc = SessionScanner(suppress=suppress, collect_stats=collect_stats)
+    sc = SessionScanner(suppress=suppress)
     n = len(texts)
     out = _Turns()
     eols = [True] * n if has_eols is None else has_eols
@@ -682,7 +676,6 @@ def scan_conversation(
 def scan_bucket_table(
     tbl: pa.Table,
     suppress_map=None,
-    collect_stats: bool = False,
     use_fast_paths: bool = True,
 ) -> pa.Table:
     """Scan a table of whole conversations (a partition, a file or a
@@ -715,9 +708,7 @@ def scan_bucket_table(
     memo = _Memo()  # per call: repeated calls get no warm hits
     lo = 0
     for cid, hi in zip(runs.values.to_pylist(), runs.run_ends.to_pylist()):
-        sc = SessionScanner(
-            suppress=suppress_map.get(cid, ()), collect_stats=collect_stats
-        )
+        sc = SessionScanner(suppress=suppress_map.get(cid, ()))
         _scan_rows(sc, out, texts, turn_idxs, eols, hints, lo, hi, memo)
         lo = hi
 
@@ -731,26 +722,10 @@ def scan_bucket_table(
     )
 
 
-def make_bucket_stats_fn(use_fast_paths: bool = True):
-    """Per-bucket sequence-statistics partials: one (kind, seq, n)
-    partial table per bucket.
-
-    Delegates to the tokenizer-level stats engine (stages/stats.py),
-    which skips the session FSM entirely -- the histogram depends only
-    on tokenizer events -- and handles plain lines analytically.
-    ``use_fast_paths=False`` keeps the legacy SessionScanner-based
-    counting for differential tests.
-    """
-    if use_fast_paths:
-        from .stats import stats_table
-
-        return stats_table
-    return _legacy_bucket_stats_fn(use_fast_paths=False)
-
-
-def _legacy_bucket_stats_fn(use_fast_paths: bool = True):
-    """SessionScanner-based stats counting (differential-test oracle
-    for stages/stats.py)."""
+def _legacy_bucket_stats_fn():
+    """SessionScanner-based stats counting: the exact oracle that
+    tests/test_stats_engine.py compares ``stages.stats.stats_table``
+    against."""
 
     def fn(tbl: pa.Table) -> pa.Table:
         tbl = tbl.sort_by([("conv_id", "ascending"), ("turn_idx", "ascending")])
@@ -761,9 +736,6 @@ def _legacy_bucket_stats_fn(use_fast_paths: bool = True):
             if "has_eol" in tbl.schema.names
             else None
         )
-        if use_fast_paths:
-            plain, _vim_safe, sgr_only = _fast_hints(tbl.column("text"))
-            memo = _Memo()
         merged = {}
         i, n = 0, len(conv_ids)
         while i < n:
@@ -774,12 +746,7 @@ def _legacy_bucket_stats_fn(use_fast_paths: bool = True):
             sc = SessionScanner(collect_stats=True)
             for r in range(i, j):
                 eol = True if has_eols is None else bool(has_eols[r])
-                if not (
-                    use_fast_paths
-                    and eol
-                    and _fast_stats(sc, memo, texts[r], plain[r], sgr_only[r])
-                ):
-                    sc.scan_turn(r - i, texts[r], eol)
+                sc.scan_turn(r - i, texts[r], eol)
             for kind, d in sc.stats.items():
                 for k, v in d.items():
                     key = (kind, k if isinstance(k, str) else "0x{:02x}".format(k))
@@ -806,72 +773,3 @@ def _legacy_bucket_stats_fn(use_fast_paths: bool = True):
         )
 
     return fn
-
-
-# Analytic stats contributions for fast-path lines ------------------------
-
-_SGR_FINDALL = re.compile("\x1b\\[([0-9;]*)m")
-
-
-def _fast_stats(sc, memo, text, plain, sgr_only) -> bool:
-    """Stats-mode fast path for plain / SGR-only lines; False means
-    take the exact walk.
-
-    Reuses the state-checked fast transitions of :func:`_fast_row` (vim
-    interiors excluded -- their sequences must be counted exactly) and
-    adds the line's statistics contributions analytically: a plain or
-    SGR-only line executes exactly one LF, one CR per trailing carriage
-    return, one TAB per tab glyph, and dispatches exactly its SGR
-    sequences (reference vtparser.py:632,675).
-    """
-    if _fast_row(sc, memo, text, plain, False, sgr_only, stats=True) is None:
-        return False
-    cf = sc.stats["control_function"]
-    cf[0x0A] = cf.get(0x0A, 0) + 1
-    n_cr = len(text) - len(text.rstrip("\r"))
-    if n_cr:
-        cf[0x0D] = cf.get(0x0D, 0) + n_cr
-    n_tab = text.count("\t")
-    if n_tab:
-        cf[0x09] = cf.get(0x09, 0) + n_tab
-    if sgr_only and not plain:
-        csi = sc.stats["csi"]
-        for params in _SGR_FINDALL.findall(text):
-            k = "Esc[" + params + "m"
-            csi[k] = csi.get(k, 0) + 1
-    return True
-
-
-def records_to_table(
-    conv_id: str, recs, ts_vals=None, texts=None, carry=None
-) -> pa.Table:
-    """Assemble TurnRecords (e.g. from the chunk-parallel scan) into the
-    standard SCAN_SCHEMA table, through the same column lists,
-    per-command backfill and role rule as the grouped scans.
-
-    ``carry``: optional (cmd_text, cmd_cwd) dict pair for incremental
-    assembly of one conversation across successive calls (the giant-
-    conversation path emits one output file per chunk): a command row
-    whose turns span a chunk boundary backfills from the carried maps,
-    which this call updates in place.
-    """
-    n = len(recs)
-    out = _Turns()
-    for r in recs:
-        out.record(r)
-    out.convs.append((0, n))
-    if ts_vals is None:
-        ts_arr = pa.nulls(n, pa.timestamp("us"))
-    elif isinstance(ts_vals, pa.ChunkedArray):
-        ts_arr = ts_vals.combine_chunks()
-    elif isinstance(ts_vals, pa.Array):
-        ts_arr = ts_vals
-    else:
-        ts_arr = pa.array(ts_vals, pa.timestamp("us"))
-    return out.table(
-        pa.array([conv_id] * n, pa.string()),
-        pa.array([r.turn_idx for r in recs], pa.int32()),
-        ts_arr,
-        None if texts is None else pa.array(texts, pa.string()),
-        carry,
-    )

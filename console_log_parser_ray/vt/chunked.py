@@ -4,38 +4,56 @@ A conversation larger than one worker's slice of time cannot be split
 naively: the feature FSM (prompt protocol, vim spans) and the tokenizer
 carry state across lines (SURVEY.md section 4.2).  This module
 parallelizes anyway with *speculative scans + state convergence*, the
-classic scheme for parallelizing deterministic FSMs over a split input:
+classic scheme for parallelizing deterministic FSMs over a split input.
+Every step runs the one session scan, ``stages.scan._scan_rows`` (its
+state-checked fast paths, the exact walk where they do not apply):
 
-1. The conversation's turns are cut into chunks.  Every chunk except
-   the first is scanned **speculatively** from the neutral state
-   (GROUND tokenizer, NORMAL feature state, empty line builders),
-   recording per-line output records, per-line behavioral state
-   signatures, and per-line counter values.
-2. A sequential **stitch** pass walks the true state across chunk
-   boundaries: it re-scans the head of each chunk with the true
-   carried-in state until the true state signature equals the
-   speculative one at the same line.  From that line on the speculative
-   records are provably identical except for the monotonic counters
-   (command row number, vim session number), which differ by a constant
-   offset -- so they are adopted wholesale with the offsets applied,
-   and the speculative scanner (counters shifted) becomes the true
-   scanner for the next boundary.
+1. ``speculate``: the conversation's turns are cut into chunks, and
+   every chunk, the first included, is scanned **speculatively** from a
+   fresh scanner.  Only stitch metadata comes back: the state
+   signatures and counters after each of the chunk's first ``head``
+   lines, the end scanner, and the lines that found a command or a cwd.
+2. ``stitch``, sequential: the true scanner re-scans the head of each
+   chunk until its state signature equals the speculative one at the
+   same line.  From that line on the chunk's speculative scan is
+   provably the true one except for the monotonic counters (command
+   row number, vim session number), which differ by a constant offset:
+   the speculative discoveries are adopted with the offsets applied,
+   and the speculative end scanner (counters shifted) becomes the true
+   scanner for the next boundary.  The stitch keeps a copy of the true
+   scanner at each chunk start and builds the conversation's complete
+   command/cwd backfill maps.
+3. ``finalize``, one call per chunk (parallelizable): the chunk is
+   scanned again from its true start scanner, backfilled from the
+   complete maps, into the scan's ``SCAN_SCHEMA`` table.
 
 Terminal sessions re-synchronize at every shell prompt, so convergence
 typically happens within a handful of lines; a chunk that never
 converges (e.g. one lying entirely inside a vim session) is simply
-re-scanned, which is the sequential worst case, never an error.
-
-Restrictions: suppression lists are not supported here (suppression
-decisions depend on the absolute command number, which speculation
-cannot know); the driver falls back to the sequential scan for
-suppressed conversations.
+walked to its end by the stitch, which is the sequential worst case,
+never an error.  The flagship's giant path
+(``pipelines.run._giant_steps``) runs the speculative scans and the
+finalize calls as Ray tasks; ``scan_conversation_chunked`` runs the
+same three steps in-process.  Suppression lists are not supported:
+suppression decisions depend on the absolute command number, which
+speculation cannot know.
 """
 
 from __future__ import annotations
 
-from .session import SessionScanner, TurnRecord
-from .tokenizer import GROUND
+import copy
+
+import pyarrow as pa
+
+from ..stages.scan import (
+    SCAN_SCHEMA,
+    _fast_hints,
+    _Memo,
+    _pylist,
+    _scan_rows,
+    _Turns,
+)
+from .session import SessionScanner
 
 
 def state_sig(sc: SessionScanner) -> tuple:
@@ -45,6 +63,15 @@ def state_sig(sc: SessionScanner) -> tuple:
     any identical future input, up to constant offsets on cmd_count /
     cmd_number / vim_session_id (and identical clean_text, since no
     buffered text differs).
+
+    Signatures compare only between scanners driven by the same scan
+    code.  The fast paths and the exact walk reach the same outputs
+    through different states: after a non-title OSC noise line, the fast
+    path leaves ``osc_string`` at the last prompt title while the exact
+    walk stores every OSC.  ``osc_string`` is read only in PROMPT_OSC,
+    which always sets it first, so the outputs agree; but a fast and an
+    exact scanner would differ in signature on many lines and converge
+    late.  Both sides of the stitch therefore scan with ``_scan_rows``.
     """
     tok = sc.tok
     return (
@@ -80,28 +107,58 @@ def state_sig(sc: SessionScanner) -> tuple:
     )
 
 
-def speculative_scan(texts, start_idx: int = 0):
-    """Scan a chunk from the neutral state; returns
-    (records, per-line state sigs, per-line (cmd_count, cmd_number,
-    vim_session_seq) counter snapshots, end scanner)."""
+def _counters(sc: SessionScanner) -> tuple:
+    return (sc.cmd_count, sc.cmd_number, sc.vim_session_seq)
+
+
+class _Lines:
+    """A run of one conversation's lines (a text column, in turn order)
+    as ``_scan_rows`` takes them, scanned a row range at a time into
+    ``out``."""
+
+    def __init__(self, text_col: pa.ChunkedArray, memo: _Memo):
+        self.text_col = text_col.combine_chunks().cast(pa.string())
+        self.texts = _pylist(self.text_col)
+        self.hints = _fast_hints(self.text_col)
+        self.n = len(self.texts)
+        self.eols = [True] * self.n
+        self.memo = memo
+        self.out = _Turns()
+
+    def scan(self, sc: SessionScanner, lo: int, hi: int):
+        _scan_rows(
+            sc, self.out, self.texts, range(self.n), self.eols, self.hints,
+            lo, hi, self.memo,
+        )
+
+    def found(self) -> list:
+        """``(row, cmd_count, command, cwd)`` of each scanned row that
+        found a command or a cwd; ``row`` counts the scanned rows."""
+        out = self.out
+        return [
+            (i, c, t, w)
+            for i, (c, t, w) in enumerate(zip(out.cmd_count, out.command, out.cwd))
+            if t is not None or w
+        ]
+
+
+def speculate(text_col: pa.ChunkedArray, head: int) -> tuple:
+    """Scan one chunk's lines from a fresh scanner; returns its stitch
+    metadata ``(head_texts, sigs, counters, end, found)``: the first
+    ``head`` lines, the state signature and ``(cmd_count, cmd_number,
+    vim_session_seq)`` after each of them, the end scanner, and the
+    chunk's discoveries (``_Lines.found``, rows counted from the chunk
+    start, counters speculative)."""
+    lines = _Lines(text_col, _Memo())
     sc = SessionScanner()
-    recs, sigs, counters = [], [], []
-    for i, text in enumerate(texts):
-        recs.append(sc.scan_turn(start_idx + i, text))
+    sigs, counters = [], []
+    for j in range(min(head, lines.n)):
+        lines.scan(sc, j, j + 1)
         sigs.append(state_sig(sc))
-        counters.append((sc.cmd_count, sc.cmd_number, sc.vim_session_seq))
-    return recs, sigs, counters, sc
-
-
-def _shift_record(rec: TurnRecord, d_cmd, d_num, d_vim) -> TurnRecord:
-    # counters are affine: true = speculative + boundary delta (a row
-    # still in the pre-chunk command row has speculative count 0 and
-    # inherits the delta wholesale)
-    rec.cmd_count += d_cmd
-    rec.cmd_number += d_num
-    if rec.vim_session_id >= 0:
-        rec.vim_session_id += d_vim
-    return rec
+        counters.append(_counters(sc))
+    lines.scan(sc, len(sigs), lines.n)
+    head_texts = pa.chunked_array([lines.texts[:head]], pa.string())
+    return head_texts, sigs, counters, sc, lines.found()
 
 
 def _shift_scanner(sc: SessionScanner, d_cmd, d_num, d_vim):
@@ -112,47 +169,88 @@ def _shift_scanner(sc: SessionScanner, d_cmd, d_num, d_vim):
     return sc
 
 
-def scan_conversation_chunked(texts, chunk_size: int):
-    """Chunked scan of one conversation; output records are identical
-    to a sequential :class:`SessionScanner` pass (asserted by tests).
-    The flagship's giant path runs the same speculate-then-stitch
-    scheme with the speculative scans as Ray tasks
-    (``pipelines.run._giant_steps``).
-    """
-    n = len(texts)
-    if n == 0:
-        return []
-    bounds = list(range(0, n, chunk_size))
-    chunks = [(b, texts[b : b + chunk_size]) for b in bounds]
+def stitch(specs, read_chunk) -> tuple:
+    """Carry the true scanner across every chunk boundary.
 
-    # Phase 1: speculative scans for chunks 1..k (parallelizable)
-    spec = [None] + [
-        speculative_scan(c_texts, b) for b, c_texts in chunks[1:]
-    ]
-
-    # Phase 2: true pass over chunk 0, then stitch each boundary
-    out: list[TurnRecord] = []
+    ``specs`` yields each chunk's ``speculate`` result in chunk order;
+    ``read_chunk(k)`` returns chunk ``k``'s text column, read only when
+    its head does not converge.  Returns ``(starts, carry)``: a copy of
+    the true scanner at each chunk's start, and the conversation's
+    complete ``(cmd_text, cmd_cwd)`` backfill maps, each command row's
+    first command text and cwd in conversation order."""
     sc = SessionScanner()
-    for i, text in enumerate(chunks[0][1]):
-        out.append(sc.scan_turn(i, text))
+    memo = _Memo()
+    cmd_text, cmd_cwd = {}, {}
 
-    for k in range(1, len(chunks)):
-        base, c_texts = chunks[k]
-        s_recs, s_sigs, s_counters, s_end = spec[k]
+    def discover(found, d_cmd=0):
+        for _, c, t, w in found:
+            if t is not None:
+                cmd_text.setdefault(c + d_cmd, t)
+            if w:
+                cmd_cwd.setdefault(c + d_cmd, w)
+
+    starts = []
+    for k, (head_texts, sigs, counters, end, found) in enumerate(specs):
+        starts.append(copy.deepcopy(sc))
+        lines = _Lines(head_texts, memo)
         converged = None
-        for j, text in enumerate(c_texts):
-            out.append(sc.scan_turn(base + j, text))
-            if state_sig(sc) == s_sigs[j]:
+        for j in range(len(sigs)):
+            lines.scan(sc, j, j + 1)
+            if state_sig(sc) == sigs[j]:
                 converged = j
                 break
+        discover(lines.found())
         if converged is None:
-            continue  # whole chunk re-scanned sequentially
-        d_cmd = sc.cmd_count - s_counters[converged][0]
-        d_num = sc.cmd_number - s_counters[converged][1]
-        d_vim = sc.vim_session_seq - s_counters[converged][2]
-        for rec in s_recs[converged + 1 :]:
-            out.append(_shift_record(rec, d_cmd, d_num, d_vim))
-        sc = _shift_scanner(s_end, d_cmd, d_num, d_vim)
+            # no convergence within the head: walk the rest of the chunk
+            # (the sequential worst case, still exact)
+            rest = _Lines(read_chunk(k), memo)
+            rest.scan(sc, len(sigs), rest.n)
+            discover(rest.found())
+            continue
+        d_cmd, d_num, d_vim = (
+            t - s for t, s in zip(_counters(sc), counters[converged])
+        )
+        # the head owns the rows up to convergence
+        discover([f for f in found if f[0] > converged], d_cmd)
+        sc = _shift_scanner(end, d_cmd, d_num, d_vim)
+    return starts, (cmd_text, cmd_cwd)
 
-    return out
 
+def finalize(tbl: pa.Table, sc: SessionScanner, carry: tuple) -> pa.Table:
+    """The ``SCAN_SCHEMA`` table of one chunk: ``tbl`` holds its
+    conv_id, turn_idx, text and ts in turn order, ``sc`` is its true
+    start scanner (``stitch``), ``carry`` the conversation's complete
+    backfill maps (complete, so the backfill adds nothing to them)."""
+    lines = _Lines(tbl.column("text"), _Memo())
+    lines.scan(sc, 0, lines.n)
+    return lines.out.table(
+        tbl.column("conv_id").combine_chunks().cast(pa.string()),
+        tbl.column("turn_idx").combine_chunks().cast(pa.int32()),
+        tbl.column("ts").combine_chunks(),
+        lines.text_col,
+        carry,
+    )
+
+
+def scan_conversation_chunked(
+    tbl: pa.Table, chunk_size: int, head: int = 256
+) -> pa.Table:
+    """Chunked scan of one conversation (``tbl``: conv_id, turn_idx,
+    text and ts, in turn order), in-process; the table equals
+    ``scan_bucket_table(tbl)`` (asserted by tests).  The flagship's
+    giant path runs the same steps as Ray tasks
+    (``pipelines.run._giant_steps``)."""
+    if tbl.num_rows == 0:
+        return SCAN_SCHEMA.empty_table()
+    chunks = [tbl.slice(b, chunk_size) for b in range(0, tbl.num_rows, chunk_size)]
+    starts, carry = stitch(
+        (speculate(c.column("text"), head) for c in chunks),
+        lambda k: chunks[k].column("text"),
+    )
+    # each chunk gets its own copy of the maps, as each finalize task does
+    return pa.concat_tables(
+        [
+            finalize(c, sc, tuple(dict(m) for m in carry))
+            for c, sc in zip(chunks, starts)
+        ]
+    )

@@ -20,7 +20,6 @@ from hypothesis import given, settings, strategies as st
 from console_log_parser_ray.sources.synth import gen_table
 from console_log_parser_ray.stages.scan import (
     SCAN_SCHEMA,
-    _legacy_bucket_stats_fn,
     scan_bucket_table,
 )
 from console_log_parser_ray.vt.session import SessionScanner
@@ -416,21 +415,6 @@ def test_prompt_fast_paths_fire(monkeypatch):
         }
     )
     assert _slow_calls(monkeypatch, clean) == 0
-
-
-def test_stats_mode_keeps_prompt_lines_exact():
-    """The legacy stats counter's fast path must count every sequence of
-    an OSC-prompt line, so it may not skip the prefix."""
-    tbl = pa.concat_tables(
-        [
-            gen_table(20, seed=17, mean_turns=50).select(["conv_id", "turn_idx", "text"]),
-            _table(CASES).select(["conv_id", "turn_idx", "text"]),
-        ]
-    )
-    fast = _legacy_bucket_stats_fn(use_fast_paths=True)(tbl)
-    exact = _legacy_bucket_stats_fn(use_fast_paths=False)(tbl)
-    key = [("kind", "ascending"), ("seq", "ascending")]
-    assert fast.sort_by(key).equals(exact.sort_by(key))
 
 
 # -- the typed-tail kernel -------------------------------------------------

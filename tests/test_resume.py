@@ -146,7 +146,10 @@ def test_partition_wait_lets_a_time_limit_through(ray_session):
 def test_giant_path_lets_a_time_limit_through(ray_session, tmp_path, monkeypatch):
     """The same for the ``skew_threshold`` path: a time limit that fires
     while a giant conversation is parsed reaches the caller at once, the
-    giant's tasks are cancelled, and its partition never commits."""
+    giant's tasks are cancelled, and its partition never commits.  The
+    timer is armed as the giant's stitch walk starts, while its
+    speculative scans are in flight, so it fires inside the giant path
+    however fast that path is."""
     import signal
     import time
 
@@ -160,16 +163,17 @@ def test_giant_path_lets_a_time_limit_through(ray_session, tmp_path, monkeypatch
     giant = gen_table(1, seed=9, mean_turns=60_000, start=100)
     pq.write_table(pa.concat_tables([small, giant]), str(d / "part-0.parquet"))
 
-    find_heavy = run.find_heavy_conversations
-    armed = []
+    stitch = run.stitch
+    armed, stitched = [], []
 
-    def find_then_arm(*a, **k):
-        heavy = find_heavy(*a, **k)
-        signal.setitimer(signal.ITIMER_REAL, 0.5)  # lands in the giant path
+    def arm_then_stitch(*a, **k):
+        signal.setitimer(signal.ITIMER_REAL, 0.001)
         armed.append(time.perf_counter())
-        return heavy
+        out = stitch(*a, **k)
+        stitched.append(True)
+        return out
 
-    monkeypatch.setattr(run, "find_heavy_conversations", find_then_arm)
+    monkeypatch.setattr(run, "stitch", arm_then_stitch)
     out = str(tmp_path / "out")
     old = signal.signal(signal.SIGALRM, _expire)
     try:
@@ -179,6 +183,7 @@ def test_giant_path_lets_a_time_limit_through(ray_session, tmp_path, monkeypatch
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0)
         signal.signal(signal.SIGALRM, old)
+    assert not stitched  # the limit fired inside the stitch walk
     assert took < 4
     assert _all_cpus_free(ray_session)
     assert M.completed_partitions(out) == set()

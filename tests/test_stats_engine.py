@@ -36,14 +36,14 @@ def _diff(tbl_a, tbl_b):
 def test_stats_engine_matches_legacy_on_reference_corpus():
     paths = sorted(glob.glob(os.path.join(RESOURCES, "*.log")))
     tbl = logs_to_table(paths)
-    assert _diff(stats_table(tbl), _legacy_bucket_stats_fn(False)(tbl)) == {}
+    assert _diff(stats_table(tbl), _legacy_bucket_stats_fn()(tbl)) == {}
 
 
 def test_stats_engine_matches_legacy_on_synth():
     tbl = gen_table(40, seed=17, mean_turns=50).select(
         ["conv_id", "turn_idx", "text"]
     )
-    assert _diff(stats_table(tbl), _legacy_bucket_stats_fn(False)(tbl)) == {}
+    assert _diff(stats_table(tbl), _legacy_bucket_stats_fn()(tbl)) == {}
 
 
 def test_stats_engine_matches_legacy_on_hostile_fuzz():
@@ -81,7 +81,7 @@ def test_stats_engine_matches_legacy_on_hostile_fuzz():
             "text": pa.array(conv_rows["text"], pa.string()),
         }
     )
-    assert _diff(stats_table(tbl), _legacy_bucket_stats_fn(False)(tbl)) == {}
+    assert _diff(stats_table(tbl), _legacy_bucket_stats_fn()(tbl)) == {}
 
 
 def _events_exact(tbl):
